@@ -193,7 +193,7 @@ def cmd_cd_check(args) -> int:
     passed = all(r.passed for rs in results for r in rs)
     for i, rs in enumerate(results):
         print(f"pair {i}: " + ", ".join(
-            f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs))
+            f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs), file=sys.stderr)
     _maybe_plot(args.plot, range(len(slacks)), slacks, "cd slack per pair")
     report = Report(
         check="cd" if args.full else "cd-star",
@@ -224,16 +224,10 @@ def cmd_be_check(args) -> int:
         # endpoints, where rough functions have divergent discrete curvature
         r = (np.arange(n) + 0.5) * h
         window = np.nonzero((r > 0.4) & (r < math.pi - 0.4))[0]
-
-        def smooth(rng):
-            c = rng.standard_normal((2, 5))
-            c /= np.abs(c).sum()
-            return sum(c[0, k] * np.cos(k * r) + c[1, k] * np.sin(k * r)
-                       for k in range(5))
-
         rep = gc.be_check(g, kappa=args.nu * args.K, N=args.nu + 1.0,
                           strategy="sampled", tol=tol, samples=args.pairs,
-                          seed=args.seed, vertices=window, sample_fn=smooth)
+                          seed=args.seed, vertices=window,
+                          sample_fn=lambda rng: _trig(rng, r, 4))
         resid = [rep.min_defect]
         passed = rep.passed
         detail = {"kappa": args.nu * args.K, "N": args.nu + 1.0,
@@ -266,17 +260,16 @@ def cmd_be_check(args) -> int:
     return _emit(report, args.out, started)
 
 
+def _trig(rng, xs, degree: int):
+    """Seeded trigonometric polynomial of the given degree, l1-normalized coefficients."""
+    c = rng.standard_normal((2, degree + 1))
+    c /= np.abs(c).sum()
+    return sum(c[0, k] * np.cos(k * xs) + c[1, k] * np.sin(k * xs)
+               for k in range(degree + 1))
+
+
 def _random_tensor_member(rng, spec, degree: int = 3):
-    coeff = rng.standard_normal((2, degree + 1))
-    coeff /= np.abs(coeff).sum()
-    u1 = sum(coeff[0, k] * np.cos(k * spec.r) + coeff[1, k] * np.sin(k * spec.r)
-             for k in range(degree + 1))
-    cf = rng.standard_normal((2, degree + 1))
-    cf /= np.abs(cf).sum()
-    x = spec.fiber.x
-    u2 = sum(cf[0, k] * np.cos(k * x) + cf[1, k] * np.sin(k * x)
-             for k in range(degree + 1))
-    return [(u1, u2)]
+    return [(_trig(rng, spec.r, degree), _trig(rng, spec.fiber.x, degree))]
 
 
 _WEYL_CASES = [(1.0, 1.5, 2.0, 2.9, 3.0, 5.0), (0.0, "nu", "nu+1")]

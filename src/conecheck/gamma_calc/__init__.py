@@ -9,64 +9,8 @@ The flavors are deliberately separate: chain and Leibniz rules hold only in
 the grid flavor, and mixing them silently is the main correctness hazard.
 """
 
-from .graph import (
-    WeightedGraph,
-    CurvatureResult,
-    BEReport,
-    gamma,
-    gamma2,
-    be_check,
-    curvature_dimension,
-    path_graph_from_interval_model,
-    cycle_graph,
-    complete_graph,
-    save_certificate_csv,
-)
-from .grid import (
-    FiberSpec,
-    ConeGridSpec,
-    GridFunction,
-    INTERIOR_MARGIN,
-    circle_fiber,
-    weighted_interval_fiber,
-    cone_grid,
-    cone_gamma,
-    cone_gamma_mixed,
-    cone_generator,
-    generator_2d,
-    gamma_2d,
-    gamma2_2d,
-    warped_gamma2_identity_check,
-    sharp_gamma2_estimate_check,
-    converse_deduction_check,
-)
+from . import graph, grid
+from .graph import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
 
-__all__ = [
-    "WeightedGraph",
-    "CurvatureResult",
-    "BEReport",
-    "gamma",
-    "gamma2",
-    "be_check",
-    "curvature_dimension",
-    "path_graph_from_interval_model",
-    "cycle_graph",
-    "complete_graph",
-    "save_certificate_csv",
-    "FiberSpec",
-    "ConeGridSpec",
-    "GridFunction",
-    "INTERIOR_MARGIN",
-    "circle_fiber",
-    "weighted_interval_fiber",
-    "cone_grid",
-    "cone_gamma",
-    "cone_gamma_mixed",
-    "cone_generator",
-    "generator_2d",
-    "gamma_2d",
-    "gamma2_2d",
-    "warped_gamma2_identity_check",
-    "sharp_gamma2_estimate_check",
-    "converse_deduction_check",
-]
+__all__ = [*graph.__all__, *grid.__all__]

@@ -27,14 +27,11 @@ from .graph import WeightedGraph, gamma as graph_gamma
 __all__ = [
     "FiberSpec",
     "ConeGridSpec",
-    "GridFunction",
     "INTERIOR_MARGIN",
     "circle_fiber",
     "weighted_interval_fiber",
     "cone_grid",
-    "cone_gamma",
     "cone_gamma_mixed",
-    "cone_generator",
     "generator_2d",
     "gamma_2d",
     "gamma2_2d",
@@ -109,22 +106,6 @@ def cone_grid(K: float, nu: float, nr: int, fiber: FiberSpec,
     elif hi is None:
         raise ValueError("an upper window bound is required for K <= 0")
     return ConeGridSpec(r=np.linspace(lo, hi, nr), fiber=fiber, K=K, nu=nu)
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Samples on the tensor grid plus the margin its stencil history implies."""
-
-    values: np.ndarray
-    grid: ConeGridSpec
-    margin: int = 0
-
-    def interior(self) -> np.ndarray:
-        m = max(self.margin, INTERIOR_MARGIN)
-        vals = self.values[m:-m, :]
-        if not self.grid.fiber.periodic:
-            vals = vals[:, m:-m]
-        return vals
 
 
 def _d1(vals: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
@@ -213,16 +194,6 @@ def gamma2_2d(u: np.ndarray, spec: ConeGridSpec,
     lu = generator_2d(u, spec, f, df)
     g = gamma_2d(u, u, spec, f)
     return 0.5 * generator_2d(g, spec, f, df) - gamma_2d(u, lu, spec, f)
-
-
-def cone_gamma(u: np.ndarray, spec: ConeGridSpec) -> GridFunction:
-    """Grid-flavor Gamma of the cone: squared radial slope plus warped fiber slope."""
-    return GridFunction(gamma_2d(u, u, spec), spec, margin=2)
-
-
-def cone_generator(u: np.ndarray, spec: ConeGridSpec) -> GridFunction:
-    """Grid-flavor generator of the cone over the sin_K^nu base weight."""
-    return GridFunction(generator_2d(u, spec), spec, margin=2)
 
 
 def cone_gamma_mixed(u: np.ndarray, f: np.ndarray, h: float, g: WeightedGraph) -> np.ndarray:

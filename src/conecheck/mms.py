@@ -76,6 +76,8 @@ class FiniteMMS:
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
         if self.weight.shape != (n,):
             raise ValueError(f"weight must have length {n}")
+        if not (np.all(np.isfinite(self.dist)) and np.all(np.isfinite(self.weight))):
+            raise ValueError("distances and weights must be finite")
 
     @property
     def n(self) -> int:

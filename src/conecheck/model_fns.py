@@ -11,6 +11,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ class CurvatureDimension:
             raise ValueError(f"dimension parameter must be >= 1, got {self.N}")
 
 
+@functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class ExtendedValue:
     """A nonnegative real extended by a distinguished infinity.
@@ -91,7 +93,7 @@ class ExtendedValue:
     def _key(self, other):
         if isinstance(other, ExtendedValue):
             return other.infinite, other.value
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) and not math.isnan(other):  # NaN is unordered
             return False, float(other)
         return NotImplemented
 
@@ -106,24 +108,6 @@ class ExtendedValue:
         if k is NotImplemented:
             return NotImplemented
         return (self.infinite, self.value) < k
-
-    def __le__(self, other):
-        k = self._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return (self.infinite, self.value) <= k
-
-    def __gt__(self, other):
-        k = self._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return (self.infinite, self.value) > k
-
-    def __ge__(self, other):
-        k = self._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return (self.infinite, self.value) >= k
 
     def __hash__(self):
         return hash((self.infinite, self.value))

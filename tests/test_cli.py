@@ -51,6 +51,20 @@ class TestExitCodes:
         rep = read_report(rep_path)
         assert rep["detail"]["diameter"] == pytest.approx(math.pi, abs=1e-9)
 
+    def test_suspension_rejects_nan_distance(self, tmp_path):
+        space = mms.cone(mms.circle_mms(12, 1.0), 1.0, 1.0, mms.radial_grid(1.0, 1.0, 6))
+        d = space.dist.copy()
+        d[3, 5] = d[5, 3] = float("nan")
+        payload = {"labels": list(space.labels), "dist": d.tolist(),
+                   "weight": space.weight.tolist()}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "s.json"
+        code = main(["suspension", "--input", str(path), "--x", str(space.n - 2),
+                     "--y", str(space.n - 1), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_cone_requires_out(self):
         assert main(["cone", "--fiber-n", "8", "--grid", "6"]) == 2
 
@@ -119,6 +133,13 @@ class TestExitCodes:
         assert code == 0
         rep = read_report(out)
         assert rep["detail"]["nprimes"] == [3.0, 6.0]
+
+
+def test_cd_check_stdout_is_only_the_report(capsys):
+    assert main(["cd-check", "--grid", "60", "--pairs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["check"] == "cd-star"
+    assert captured.err.startswith("pair 0: ")
 
 
 class TestDeterminism:

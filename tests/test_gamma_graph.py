@@ -15,6 +15,7 @@ from conecheck.gamma_calc import (
     gamma2,
     path_graph_from_interval_model,
 )
+from conecheck.gamma_calc.graph import _local_forms
 
 
 def loop_gamma(g, u, v):
@@ -118,6 +119,13 @@ class TestGammaBasics:
         with pytest.raises(ValueError):
             WeightedGraph(np.ones(2), np.array([[1.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph(np.array([1.0, bad]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph(np.ones(2), np.array([[0.0, bad], [bad, 0.0]]))
+
 
 class TestCurvature:
     def test_isolated_vertex_undefined(self):
@@ -182,7 +190,70 @@ class TestCurvature:
         assert abs(k_inf - k_big) <= 1e-5
 
 
+def polarized_gamma2_form(g, x, ball2):
+    """Gamma2(x) form by polarization of the exact whole-graph gamma2."""
+    basis = np.zeros((ball2.size, g.n))
+    basis[np.arange(ball2.size), ball2] = 1.0
+    diag = np.array([gamma2(g, e)[x] for e in basis])
+    Q = np.diag(diag)
+    for a in range(ball2.size):
+        for b in range(a + 1, ball2.size):
+            cross = gamma2(g, basis[a] + basis[b])[x]
+            Q[a, b] = Q[b, a] = 0.5 * (cross - diag[a] - diag[b])
+    return Q
+
+
+class TestLocalForms:
+    def check_forms(self, g, x):
+        ball2, P, ell, Q = _local_forms(g, x)
+        Qp = polarized_gamma2_form(g, x, ball2)
+        assert np.max(np.abs(Q - Qp)) <= 1e-12 * np.max(np.abs(Qp))
+        rng = np.random.default_rng(x)
+        u = np.zeros(g.n)
+        u[ball2] = rng.standard_normal(ball2.size)
+        scale = max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(ell))))
+        assert u[ball2] @ P @ u[ball2] == pytest.approx(gamma(g, u)[x], abs=1e-12 * scale)
+        assert ell @ u[ball2] == pytest.approx(g.apply_L(u)[x], abs=1e-12 * scale)
+
+    def test_closed_form_matches_polarization_random(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(5, 25))
+            w = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+            w = np.triu(w, 1)
+            g = WeightedGraph(0.5 + rng.random(n), w + w.T)
+            for x in range(n):
+                if np.any(g.edge_weights[x] > 0):
+                    self.check_forms(g, x)
+
+    def test_closed_form_matches_polarization_complete(self):
+        self.check_forms(complete_graph(40), 7)
+
+    def test_curvature_does_not_call_gamma2(self, monkeypatch):
+        import conecheck.gamma_calc.graph as graph_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("curvature_dimension called gamma2")
+
+        monkeypatch.setattr(graph_mod, "gamma2", forbidden)
+        res = graph_mod.curvature_dimension(complete_graph(5), 0, 3.0)
+        assert res.kappa is not None
+
+    def test_cycle_is_ricci_flat(self):
+        g = cycle_graph(200)
+        for x in range(g.n):
+            res = curvature_dimension(g, x, 2.0)
+            assert abs(res.kappa) <= 1e-9
+            assert 0.0 < res.roundoff <= 1e-9
+
+
 class TestBECheck:
+    def test_exhaustive_tolerance_scales_with_forms(self):
+        # CD(0, 2) holds on the cycle; roundoff in kappa must not fail it at tol = 0
+        g = cycle_graph(200)
+        assert be_check(g, 0.0, 2.0, strategy="exhaustive-local").passed
+        assert not be_check(g, 1e-6, 2.0, strategy="exhaustive-local").passed
+
     def test_vacuous_bound_passes(self):
         g = random_graph(np.random.default_rng(8), 6)
         rep = be_check(g, kappa=-1e6, N=2.0, strategy="sampled", samples=50)
@@ -239,6 +310,22 @@ class TestModelGraphs:
         rng = np.random.default_rng(12)
         u = rng.standard_normal(n)
         assert np.max(np.abs(g.apply_L(u) - op.apply_generator(u))) <= 1e-10
+
+    @pytest.mark.parametrize("K, nu, r_max", [(1.0, 2.0, None), (1.0, 0.5, None), (-1.0, 3.0, 3.0)])
+    @pytest.mark.parametrize("n", [60, 160])
+    def test_path_graph_is_the_radial_scheme(self, K, nu, r_max, n):
+        # independent assembly: cell-weight measure, sin_K^nu(face)/h conductances
+        from conecheck.mms import radial_grid
+        from conecheck.model_fns import sin_k
+
+        grid = radial_grid(K, nu, n, r_max=r_max)
+        a = sin_k(K, np.arange(1, n) * grid.h) ** nu / grid.h
+        w = np.zeros((n, n))
+        w[np.arange(n - 1), np.arange(1, n)] = a
+        w[np.arange(1, n), np.arange(n - 1)] = a
+        g = path_graph_from_interval_model(K, nu, n, r_max=r_max)
+        assert np.array_equal(g.vertex_measure, grid.cell_weights)
+        assert np.array_equal(g.edge_weights, w)
 
     def test_cycle_discretizes_circle(self):
         n = 128

@@ -7,9 +7,7 @@ from conecheck import gamma_calc as gc
 from conecheck.gamma_calc import (
     INTERIOR_MARGIN,
     circle_fiber,
-    cone_gamma,
     cone_gamma_mixed,
-    cone_generator,
     cone_grid,
     converse_deduction_check,
     cycle_graph,
@@ -36,7 +34,7 @@ class TestConeOperators:
         spec = cone_grid(1.0, 1.0, 101, fib)
         u1 = np.sin(2 * spec.r)
         U = np.outer(u1, np.ones(64))
-        g = cone_gamma(U, spec).interior()
+        g = _mask_interior(gamma_2d(U, U, spec), spec, INTERIOR_MARGIN)
         expect = (2 * np.cos(2 * spec.r[INTERIOR_MARGIN:-INTERIOR_MARGIN])) ** 2
         assert np.max(np.abs(g - expect[:, None])) <= 1e-5
 
@@ -45,7 +43,7 @@ class TestConeOperators:
         spec = cone_grid(1.0, 1.0, 101, fib)
         u2 = np.cos(fib.x)
         U = np.outer(np.ones(101), u2)
-        g = cone_gamma(U, spec).interior()
+        g = _mask_interior(gamma_2d(U, U, spec), spec, INTERIOR_MARGIN)
         f = spec.warp()[INTERIOR_MARGIN:-INTERIOR_MARGIN]
         expect = (np.sin(fib.x) ** 2)[None, :] / (f**2)[:, None]
         assert np.max(np.abs(g - expect)) <= 1e-4
@@ -54,8 +52,8 @@ class TestConeOperators:
         fib = circle_fiber(96)
         spec = cone_grid(0.0, 1.0, 101, fib, lo=0.5, hi=2.0)
         U = np.outer(spec.r, np.cos(fib.x))
-        g = cone_gamma(U, spec)
-        assert np.max(np.abs(g.interior() - 1.0)) <= 1e-5
+        g = _mask_interior(gamma_2d(U, U, spec), spec, INTERIOR_MARGIN)
+        assert np.max(np.abs(g - 1.0)) <= 1e-5
 
     def test_generator_on_fiber_eigenfunction(self):
         # u = 1 (x) u2 with a discrete fiber eigenfunction: L u = -lambda u / sin_K^2
@@ -64,7 +62,7 @@ class TestConeOperators:
         u2 = np.cos(2 * fib.x)
         lam_d = 2.0 / fib.h**2 * (1.0 - math.cos(2 * fib.h))  # 3-point stencil eigenvalue
         U = np.outer(np.ones(101), u2)
-        got = cone_generator(U, spec).interior()
+        got = _mask_interior(generator_2d(U, spec), spec, INTERIOR_MARGIN)
         f = spec.warp()[INTERIOR_MARGIN:-INTERIOR_MARGIN]
         expect = -lam_d * u2[None, :] / (f**2)[:, None]
         assert np.max(np.abs(got - expect)) <= 1e-10
@@ -75,7 +73,7 @@ class TestConeOperators:
         spec = cone_grid(1.0, 3.0, 201, fib)
         u1 = np.sin(2 * spec.r)
         U = np.outer(u1, np.ones(32))
-        got = cone_generator(U, spec).interior()
+        got = _mask_interior(generator_2d(U, spec), spec, INTERIOR_MARGIN)
         r = spec.r[INTERIOR_MARGIN:-INTERIOR_MARGIN]
         expect = -4 * np.sin(2 * r) + 3.0 * (np.cos(r) / np.sin(r)) * 2 * np.cos(2 * r)
         assert np.max(np.abs(got - expect[:, None])) <= 2e-4

@@ -41,6 +41,14 @@ class TestValidate:
         viols = validate(m)
         assert any(v.kind == "triangle" for v in viols)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected_at_construction(self, bad):
+        d = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMMS(("a", "b"), d, np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, bad]))
+
     def test_zero_weight_flagged_when_disallowed(self):
         m = FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
         assert validate(m) == []

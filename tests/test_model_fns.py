@@ -90,8 +90,24 @@ class TestExtendedValue:
     @given(st.floats(min_value=0, max_value=1e12), st.floats(min_value=0, max_value=1e12))
     def test_total_order(self, a, b):
         ea, eb = ExtendedValue(a), ExtendedValue(b)
-        assert (ea < eb) == (a < b)
-        assert (ea <= eb) == (a <= b)
+        inf = ExtendedValue.infinity()
+        for lhs, rhs in ((ea, eb), (ea, b), (a, eb)):
+            assert (lhs < rhs) == (a < b)
+            assert (lhs <= rhs) == (a <= b)
+            assert (lhs > rhs) == (a > b)
+            assert (lhs >= rhs) == (a >= b)
+            assert (lhs == rhs) == (a == b)
+        for x in (ea, a):
+            assert x < inf and x <= inf and not x > inf and not x >= inf and x != inf
+            assert inf > x and inf >= x and not inf < x and not inf <= x
+        assert inf == ExtendedValue.infinity() and inf <= inf and inf >= inf and not inf < inf
+
+    def test_nan_is_unordered(self):
+        with pytest.raises(TypeError):
+            ExtendedValue(1.0) > float("nan")
+        with pytest.raises(TypeError):
+            float("nan") <= ExtendedValue.infinity()
+        assert ExtendedValue(1.0) != float("nan")
 
 
 class TestSigma:
