@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,15 +179,10 @@ def cmd_cd_check(args) -> int:
     cd = CurvatureDimension(args.cd_K, args.N)
     eps = args.eps if args.eps is not None else 2.0 * _max_gap(space)
     pairs = _sample_density_pairs(space, args.pairs, args.seed)
-    checker = tr.cd_check if args.full else tr.cd_star_check
+    coeff = tr.tau_coeff if args.full else tr.sigma_coeff
     nprimes = (cd.N, 2.0 * cd.N)
-
-    def run(pair):
-        mu0, mu1 = pair
-        return [checker(space, mu0, mu1, cd, np_, eps, args.tol) for np_ in nprimes]
-
-    with ThreadPoolExecutor(max_workers=min(4, max(1, args.pairs))) as pool:
-        results = list(pool.map(run, pairs))
+    results = [tr._convexity_reports(space, mu0, mu1, cd, nprimes, eps, args.tol, coeff)
+               for mu0, mu1 in pairs]
     slacks = [r.slack for rs in results for r in rs]
     passed = all(r.passed for rs in results for r in rs)
     for i, rs in enumerate(results):

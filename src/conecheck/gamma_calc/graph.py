@@ -138,10 +138,11 @@ def be_check(
         worst, witness = math.inf, None
         for _ in range(samples):
             u = rng.standard_normal(g.n) if sample_fn is None else sample_fn(rng)
-            defect = gamma2(g, u) - kappa * gamma(g, u) - inv_n * g.apply_L(u) ** 2
-            i = int(vert[np.argmin(defect[vert])])
-            if defect[i] < worst:
-                worst, witness = float(defect[i]), i
+            defect = (gamma2(g, u) - kappa * gamma(g, u) - inv_n * g.apply_L(u) ** 2)[vert]
+            defect[~np.isfinite(defect)] = -math.inf  # no evidence there: a violation
+            k = int(np.argmin(defect))
+            if defect[k] < worst:
+                worst, witness = float(defect[k]), int(vert[k])
         return BEReport(kappa, N, strategy, worst, worst >= -tol, tol, witness)
     if strategy == "exhaustive-local":
         worst, witness, passed = math.inf, None, True

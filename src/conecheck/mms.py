@@ -137,7 +137,7 @@ class RadialGrid:
 
     ``nodes`` are the cell midpoints, strictly inside (0, L); ``cell_weights``
     are the midpoint-rule weights sin_K(r_i)^N * h, a second-order positive
-    quadrature of the radial measure.
+    quadrature of the radial measure; ``h = L/n`` is the step that built both.
     """
 
     K: float
@@ -145,14 +145,11 @@ class RadialGrid:
     n: int
     nodes: np.ndarray
     cell_weights: np.ndarray
+    h: float
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(self.nodes))
         object.__setattr__(self, "cell_weights", _freeze(self.cell_weights))
-
-    @property
-    def h(self) -> float:
-        return float(self.nodes[1] - self.nodes[0]) if self.n > 1 else 2.0 * float(self.nodes[0])
 
     @property
     def r_max(self) -> float:
@@ -177,7 +174,7 @@ def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> Radia
     h = L / n
     nodes = (np.arange(n) + 0.5) * h
     cw = sin_k(K, nodes) ** N * h
-    return RadialGrid(K=K, N=N, n=n, nodes=nodes, cell_weights=cw)
+    return RadialGrid(K=K, N=N, n=n, nodes=nodes, cell_weights=cw, h=h)
 
 
 def _cone_arg_to_distance(K: float, arg: np.ndarray) -> np.ndarray:

@@ -109,8 +109,8 @@ class ExtendedValue:
             return NotImplemented
         return (self.infinite, self.value) < k
 
-    def __hash__(self):
-        return hash((self.infinite, self.value))
+    def __hash__(self):  # a finite value hashes as the float it equals
+        return hash((True, 0.0)) if self.infinite else hash(self.value)
 
     def to_json(self):
         return "inf" if self.infinite else self.value

@@ -157,14 +157,13 @@ def discretize_fiber_operator(
     faces = np.arange(1, n) * h
     a = sin_k(K, faces) ** nu / h  # interior face conductances; boundary faces dropped
     sin_r = sin_k(K, r)
-    m_diag = sin_r**nu * h
     pot = lambda_fiber * sin_r ** (nu - 2.0) * h if lambda_fiber > 0 else np.zeros(n)
     a_diag = pot.copy()
     a_diag[:-1] += a
     a_diag[1:] += a
     return SturmLiouville1D(
         K=K, nu=nu, lambda_fiber=lambda_fiber, grid=grid,
-        a_diag=a_diag, a_off=-a, m_diag=m_diag,
+        a_diag=a_diag, a_off=-a, m_diag=grid.cell_weights,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_array
 
 from .model_fns import CurvatureDimension, ExtendedValue, sigma_coeff, tau_coeff
 from .mms import FiniteMMS, load_mms_json, midpoints
@@ -119,20 +119,35 @@ def load_density_json(path, space: FiniteMMS | None = None) -> Density:
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """Transport plan between two densities; marginals reproduce them to 1e-9."""
+    """Transport plan between two densities; marginals reproduce them to 1e-9.
 
-    plan: np.ndarray
+    ``plan`` is stored as its support: an (n, n) ``scipy.sparse.coo_array``
+    of the positive entries in row-major order.  A dense array is accepted
+    and converted.
+    """
+
+    plan: coo_array
     mu0: Density
     mu1: Density
 
     def __post_init__(self):
-        plan = np.ascontiguousarray(self.plan, dtype=float)
-        plan.flags.writeable = False
-        object.__setattr__(self, "plan", plan)
-        r = float(np.max(np.abs(plan.sum(axis=1) - self.mu0.mass)))
-        c = float(np.max(np.abs(plan.sum(axis=0) - self.mu1.mass)))
+        plan = coo_array(self.plan, dtype=float)
+        if np.any(plan.data < 0):
+            raise ValueError("transport plan must be nonnegative")
+        plan.sum_duplicates()  # canonical form is row-major
+        plan.eliminate_zeros()
+        r = float(np.max(np.abs(np.asarray(plan.sum(axis=1)).ravel() - self.mu0.mass)))
+        c = float(np.max(np.abs(np.asarray(plan.sum(axis=0)).ravel() - self.mu1.mass)))
         if max(r, c) > _MARGINAL_TOL:
             raise ValueError(f"coupling marginals off by {max(r, c):.3e}")
+        for arr in (plan.data, plan.row, plan.col):
+            arr.flags.writeable = False
+        object.__setattr__(self, "plan", plan)
+
+
+def _support(q: Coupling):
+    """(i, j, mass) over the plan's positive entries, in row-major order."""
+    return zip(q.plan.row.tolist(), q.plan.col.tolist(), q.plan.data.tolist())
 
 
 @dataclass(frozen=True)
@@ -191,7 +206,7 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
         ii = np.repeat(np.arange(nr), nc)
         jj = np.tile(np.arange(nc), nr)
         var = np.arange(nr * nc)
-        A_eq = coo_matrix(
+        A_eq = coo_array(
             (np.ones(2 * nr * nc), (np.concatenate([ii, nr + jj]), np.concatenate([var, var]))),
             shape=(nr + nc, nr * nc),
         ).tocsr()
@@ -208,8 +223,8 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
         plan_s = res.x.reshape(nr, nc)
         _certify_optimality(C, plan_s, res.eqlin.marginals[:nr], res.eqlin.marginals[nr:])
 
-    plan = np.zeros((m.n, m.n))
-    plan[np.ix_(rows, cols)] = plan_s
+    sr, sc = np.nonzero(plan_s > 0)
+    plan = coo_array((plan_s[sr, sc], (rows[sr], cols[sc])), shape=(m.n, m.n))
     cost_val = float(np.sum(plan_s * C))
     return math.sqrt(max(cost_val, 0.0)), Coupling(plan=plan, mu0=mu0, mu1=mu1)
 
@@ -234,10 +249,9 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     """
     out = np.zeros(m.n)
     w = m.weight
-    for i, j in zip(*np.nonzero(q.plan > 0)):
-        i, j = int(i), int(j)
+    for i, j, mass in _support(q):
         if i == j:  # zero-length transport stays put
-            out[i] += q.plan[i, j]
+            out[i] += mass
             continue
         mids = midpoints(m, i, j, eps)
         if not mids:
@@ -249,7 +263,7 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
                 order = np.argsort(m.dist[k] + np.where(w > 0, 0.0, np.inf))
                 rerouted.add(int(order[0]))
             carried = sorted(rerouted)
-        share = q.plan[i, j] / len(carried)
+        share = mass / len(carried)
         for k in carried:
             out[k] += share
     return density_from_mass(m, out)
@@ -264,56 +278,46 @@ def renyi_entropy(m: FiniteMMS, mu: Density, Nprime: float) -> float:
     return float(np.sum(rho[pos] ** (-1.0 / Nprime) * mu.mass[pos]))
 
 
-def _convexity_check(m, mu0, mu1, cd, Nprime, eps, tol, coeff):
+def _convexity_reports(m, mu0, mu1, cd, nprimes, eps, tol, coeff) -> list[CDReport]:
+    """One coupling and one midpoint for the pair, then one report per N' in nprimes.
+
+    ``coeff`` is ``sigma_coeff`` (reduced) or ``tau_coeff`` (full); an
+    infinite coefficient on the support makes that N''s rhs infinite.
+    """
+    if any(Nprime < cd.N for Nprime in nprimes):
+        raise ValueError("Nprime must be >= the dimension parameter")
     _, q = wasserstein2(m, mu0, mu1)
     mid = displacement_midpoint(m, q, eps)
-    lhs = renyi_entropy(m, mid, Nprime)
     rho0, rho1 = mu0.rho(), mu1.rho()
-    cdN = CurvatureDimension(cd.K, Nprime)
-    rhs = 0.0
-    for i, j in zip(*np.nonzero(q.plan > 0)):
-        c = coeff(cdN, 0.5, float(m.dist[i, j]))
-        if c.is_infinite:
-            return CDReport.build(Nprime, lhs, ExtendedValue.infinity(), tol)
-        rhs += q.plan[i, j] * c.value * (
-            rho0[i] ** (-1.0 / Nprime) + rho1[j] ** (-1.0 / Nprime)
-        )
-    return CDReport.build(Nprime, lhs, ExtendedValue(rhs), tol)
+
+    def rhs(Nprime):
+        cdN = CurvatureDimension(cd.K, Nprime)
+        total = 0.0
+        for i, j, mass in _support(q):
+            c = coeff(cdN, 0.5, float(m.dist[i, j]))
+            if c.is_infinite:
+                return ExtendedValue.infinity()
+            total += mass * c.value * (rho0[i] ** (-1.0 / Nprime) + rho1[j] ** (-1.0 / Nprime))
+        return ExtendedValue(total)
+
+    return [CDReport.build(Np, renyi_entropy(m, mid, Np), rhs(Np), tol) for Np in nprimes]
 
 
-def cd_star_check(
-    m: FiniteMMS,
-    mu0: Density,
-    mu1: Density,
-    cd: CurvatureDimension,
-    Nprime: float,
-    eps: float,
-    tol: float,
-) -> CDReport:
+def cd_star_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,
+                  Nprime: float, eps: float, tol: float) -> CDReport:
     """Midpoint form of the reduced convexity inequality with sigma coefficients.
 
     lhs is the entropy of the displacement midpoint, rhs the coupling
     average of sigma^(1/2)-weighted endpoint entropies; an infinite
     coefficient makes the rhs infinite and the check fail.
     """
-    if Nprime < cd.N:
-        raise ValueError("Nprime must be >= the dimension parameter")
-    return _convexity_check(m, mu0, mu1, cd, Nprime, eps, tol, sigma_coeff)
+    return _convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, sigma_coeff)[0]
 
 
-def cd_check(
-    m: FiniteMMS,
-    mu0: Density,
-    mu1: Density,
-    cd: CurvatureDimension,
-    Nprime: float,
-    eps: float,
-    tol: float,
-) -> CDReport:
+def cd_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,
+             Nprime: float, eps: float, tol: float) -> CDReport:
     """Same inequality with the tau coefficients (the non-reduced condition)."""
-    if Nprime < cd.N:
-        raise ValueError("Nprime must be >= the dimension parameter")
-    return _convexity_check(m, mu0, mu1, cd, Nprime, eps, tol, tau_coeff)
+    return _convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, tau_coeff)[0]
 
 
 def mcp_check(

@@ -142,6 +142,24 @@ def test_cd_check_stdout_is_only_the_report(capsys):
     assert captured.err.startswith("pair 0: ")
 
 
+def test_cd_check_solves_one_coupling_per_pair(monkeypatch, capsys):
+    from conecheck import transport
+
+    calls = []
+    solve = transport.wasserstein2
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "wasserstein2", counting)
+    for full in ([], ["--full"]):
+        calls.clear()
+        assert main(["cd-check", "--grid", "60", "--pairs", "2"] + full) == 0
+        assert len(calls) == 2  # one per pair, shared by N' = N and 2N
+        assert json.loads(capsys.readouterr().out)["detail"]["nprimes"] == [3.0, 6.0]
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_runtime(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

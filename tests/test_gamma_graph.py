@@ -294,6 +294,20 @@ class TestBECheck:
                        samples=60, seed=11, vertices=window, sample_fn=smooth)
         assert rep.passed
 
+    def test_sampled_nan_fails(self):
+        # one NaN coordinate must not hide the violations in that sample
+        g = cycle_graph(50)
+
+        def with_nan(rng):
+            u = rng.standard_normal(g.n)
+            u[7] = np.nan
+            return u
+
+        rep = be_check(g, kappa=1e6, N=2.0, strategy="sampled", samples=5, sample_fn=with_nan)
+        assert not rep.passed
+        assert not math.isfinite(rep.min_defect)
+        assert rep.witness_vertex is not None
+
     def test_unknown_strategy(self):
         g = complete_graph(2)
         with pytest.raises(ValueError):

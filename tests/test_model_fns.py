@@ -97,6 +97,8 @@ class TestExtendedValue:
             assert (lhs > rhs) == (a > b)
             assert (lhs >= rhs) == (a >= b)
             assert (lhs == rhs) == (a == b)
+            assert lhs != rhs or hash(lhs) == hash(rhs)
+        assert len({ea, a}) == 1 and len({ExtendedValue(2.0), 2.0, 2}) == 1
         for x in (ea, a):
             assert x < inf and x <= inf and not x > inf and not x >= inf and x != inf
             assert inf > x and inf >= x and not inf < x and not inf <= x

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conecheck import gamma_calc as gc
-from conecheck.model_fns import CurvatureDimension
+from conecheck.model_fns import CurvatureDimension, sin_k
 from conecheck.spectral1d import (
     Endpoint,
     WeylKind,
@@ -24,6 +24,15 @@ from conecheck.spectral1d import (
 
 
 class TestDiscretization:
+    @pytest.mark.parametrize("K,nu,n,r_max", [(1.0, 2.0, 60, None), (4.0, 1.5, 97, None),
+                                              (0.0, 1.0, 50, 2.0), (-1.0, 3.0, 60, 3.0)])
+    def test_one_step_and_one_mass(self, K, nu, n, r_max):
+        op = discretize_fiber_operator(K, nu, 0.0, n, r_max=r_max)
+        L = math.pi / math.sqrt(K) if r_max is None else r_max
+        assert op.grid.h == L / n
+        assert np.array_equal(op.m_diag, op.grid.cell_weights)
+        assert np.array_equal(op.m_diag, sin_k(K, op.grid.nodes) ** nu * op.grid.h)
+
     def test_self_adjoint_and_psd(self):
         op = discretize_fiber_operator(1.0, 2.0, 1.5, 64)
         A = op.stiffness_matrix()

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array, coo_matrix
 
 from conecheck import mms
-from conecheck.model_fns import CurvatureDimension
+from conecheck.model_fns import CurvatureDimension, sigma_coeff, tau_coeff
 from conecheck.transport import (
     Coupling,
     Density,
@@ -19,6 +20,7 @@ from conecheck.transport import (
     uniform_density,
     wasserstein2,
 )
+from conecheck.transport import _convexity_reports
 
 
 def lebesgue_interval(n=120, length=math.pi):
@@ -71,6 +73,21 @@ class TestWasserstein:
         assert np.max(np.abs(q.plan.sum(axis=1) - mu0.mass)) <= 1e-9
         assert np.max(np.abs(q.plan.sum(axis=0) - mu1.mass)) <= 1e-9
 
+    def test_plan_is_sparse_support_of_a_vertex(self):
+        rng = np.random.default_rng(4)
+        space = mms.interval_model_mms(1.0, 2.0, 60)
+        raw1 = space.weight * rng.gamma(2.0, size=60)
+        raw1[:20] = 0.0
+        mu0 = density_from_mass(space, space.weight * rng.gamma(2.0, size=60))
+        mu1 = density_from_mass(space, raw1)
+        _, q = wasserstein2(space, mu0, mu1)
+        nr, nc = np.count_nonzero(mu0.mass), np.count_nonzero(mu1.mass)
+        assert isinstance(q.plan, coo_array) and q.plan.shape == (60, 60)
+        assert 0 < q.plan.nnz <= nr + nc - 1
+        assert np.all(q.plan.data > 0)
+        order = q.plan.row * 60 + q.plan.col
+        assert np.all(np.diff(order) > 0)  # row-major, no duplicates
+
     def test_metric_properties(self):
         rng = np.random.default_rng(2)
         space = lebesgue_interval(40)
@@ -107,6 +124,14 @@ class TestDensity:
         bad_plan[0, 0] = 1.0
         with pytest.raises(ValueError):
             Coupling(bad_plan, mu, mu)
+        with pytest.raises(ValueError):  # np.matrix sums from the legacy sparse type
+            Coupling(coo_matrix(bad_plan), mu, mu)
+        signed = np.diag(mu.mass)
+        signed[:2, :2] += [[-0.3, 0.3], [0.3, -0.3]]  # right marginals, negative mass
+        with pytest.raises(ValueError):
+            Coupling(signed, mu, mu)
+        q = Coupling(coo_matrix(np.diag(mu.mass)), mu, mu)
+        assert isinstance(q.plan, coo_array) and q.plan.nnz == 4
 
 
 class TestDisplacementMidpoint:
@@ -287,6 +312,59 @@ class TestCDChecks:
         assert rep_s.rhs.as_float() == pytest.approx(
             rep.rhs.as_float() * c ** (1.0 / Np), rel=1e-9)
         assert rep.passed == rep_s.passed
+
+
+def _pair_cases():
+    """(space, mu0, mu1, cd, eps): a bump pair, a full-support pair, and a
+    pair whose tau coefficient is infinite at N' = N but finite at 2N."""
+    n = 120
+    space = mms.interval_model_mms(1.0, 2.0, n)
+    h = math.pi / n
+    r = (np.arange(n) + 0.5) * h
+
+    def bump(c):
+        raw = space.weight * np.exp(-(((r - c) / 0.25) ** 2))
+        raw[np.abs(r - c) > 0.75] = 0.0
+        return density_from_mass(space, raw)
+
+    rng = np.random.default_rng(11)
+    cd = CurvatureDimension(2.0, 3.0)
+    cases = [
+        (space, bump(1.0), bump(2.0), cd, 2 * h),
+        (space, density_from_mass(space, space.weight * rng.gamma(2.0, size=n)),
+         density_from_mass(space, space.weight * rng.gamma(2.0, size=n)), cd, 2 * h),
+    ]
+    leb = lebesgue_interval(40, length=math.pi)
+    m0 = np.zeros(40); m0[[0, 1]] = 0.5
+    m1 = np.zeros(40); m1[36:] = 0.25
+    cases.append((leb, Density(leb, m0), Density(leb, m1), CurvatureDimension(1.0, 1.5),
+                  math.pi / 10))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_multi_nprime_core_matches_single_checks(case):
+    space, mu0, mu1, cd, eps = _pair_cases()[case]
+    nprimes = (cd.N, 2.0 * cd.N)
+    tol = 0.1
+    for coeff, single in ((sigma_coeff, cd_star_check), (tau_coeff, cd_check)):
+        reports = _convexity_reports(space, mu0, mu1, cd, nprimes, eps, tol, coeff)
+        assert [r.Nprime for r in reports] == list(nprimes)
+        for Np, rep in zip(nprimes, reports):
+            ref = single(space, mu0, mu1, cd, Np, eps, tol)
+            assert (rep.lhs, rep.rhs, rep.slack, rep.passed) == (
+                ref.lhs, ref.rhs, ref.slack, ref.passed)
+            assert repr(rep.rhs) == repr(ref.rhs)
+    if case == 2:
+        tau = _convexity_reports(space, mu0, mu1, cd, nprimes, eps, tol, tau_coeff)
+        assert tau[0].rhs.is_infinite and not tau[0].passed
+        assert not tau[1].rhs.is_infinite
+
+
+def test_multi_nprime_core_rejects_small_nprime():
+    space, mu0, mu1, cd, eps = _pair_cases()[0]
+    with pytest.raises(ValueError):
+        _convexity_reports(space, mu0, mu1, cd, (2 * cd.N, cd.N - 0.5), eps, 0.1, sigma_coeff)
 
 
 class TestMCP:
