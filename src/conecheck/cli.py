@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -17,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model_fns import CurvatureDimension
+from .model_fns import CurvatureDimension, passes
 from . import mms as mmsmod
 from . import spectral1d as sp1d
 from . import transport as tr
 from . import gamma_calc as gc
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE = 0, 1, 2
+_VALIDATE_MAX_ATOMS = 1200  # validate's triangle sweep is O(n^3)
 
 
 @dataclass
@@ -51,11 +53,25 @@ class Report:
             payload["warnings"] = self.warnings
         if self.detail:
             payload["detail"] = self.detail
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(_named_nonfinite(payload), sort_keys=True, indent=2, allow_nan=False)
+
+
+def _named_nonfinite(obj):
+    """``obj`` with each non-finite float spelled "inf", "-inf" or "nan": strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _named_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_named_nonfinite(v) for v in obj]
+    return obj
 
 
 def _residuals(values) -> dict:
+    """max/mean/min of the evidence; empty when there is none."""
     arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0:
+        return {}
     return {"max": float(arr.max()), "mean": float(arr.mean()), "min": float(arr.min())}
 
 
@@ -118,13 +134,11 @@ def cmd_spectrum(args) -> int:
     k = min(args.grid, 12)
     spec = sp1d.eigen(op, k)
     detail = {"eigenvalues": [float(v) for v in spec.eigenvalues]}
-    passed = True
-    slack_values = [0.0]
+    slack_values = [0.0]  # no bound to check unless K, nu > 0
     if args.nu > 0 and args.K > 0:
         cd = CurvatureDimension(args.K * args.nu, args.nu + 1.0)
         gap = sp1d.spectral_gap_bound_check(spec, cd, tol=args.tol)
         detail["gap"] = gap.detail
-        passed = gap.passed
         slack_values = [gap.min]
     if args.out:
         csv_path = args.out.rsplit(".", 1)[0] + ".csv"
@@ -139,7 +153,7 @@ def cmd_spectrum(args) -> int:
         params={"K": args.K, "nu": args.nu, "lambda": getattr(args, "lambda"),
                 "grid": args.grid, "tol": args.tol},
         residuals=_residuals(slack_values),
-        passed=passed,
+        passed=passes(slack_values, args.tol),
         tolerance=args.tol,
         seed=args.seed,
         warnings=warnings_list,
@@ -158,17 +172,25 @@ def cmd_cone(args) -> int:
                               r_max=args.rmax if args.K <= 0 else None)
     space = mmsmod.cone(fiber, args.K, args.N, grid)
     mmsmod.save_mms_json(space, args.out)
-    violations = mmsmod.validate(space) if space.n <= 1200 else []
+    # the violation count, or no evidence when the space is too large to validate
+    counts = [len(mmsmod.validate(space))] if space.n <= _VALIDATE_MAX_ATOMS else []
+    detail = {"points": space.n, "diameter": mmsmod.diameter(space),
+              "total_mass": space.total_mass()}
+    warnings_list = []
+    if not counts:
+        detail["validated"] = False
+        warnings_list.append(f"{space.n} atoms: the space is not validated above "
+                             f"{_VALIDATE_MAX_ATOMS} atoms, so the check cannot pass")
     report = Report(
         check="cone",
         params={"K": args.K, "N": args.N, "grid": args.grid,
                 "fiber_n": fiber.n, "out": args.out},
-        residuals=_residuals([len(violations)]),
-        passed=not violations,
+        residuals=_residuals(counts),
+        passed=passes([-c for c in counts], 0.0),
         tolerance=0.0,
         seed=args.seed,
-        detail={"points": space.n, "diameter": mmsmod.diameter(space),
-                "total_mass": space.total_mass()},
+        warnings=warnings_list,
+        detail=detail,
     )
     return _emit(report, args.report, started)
 
@@ -184,7 +206,6 @@ def cmd_cd_check(args) -> int:
     results = [tr._convexity_reports(space, mu0, mu1, cd, nprimes, eps, args.tol, coeff)
                for mu0, mu1 in pairs]
     slacks = [r.slack for rs in results for r in rs]
-    passed = all(r.passed for rs in results for r in rs)
     for i, rs in enumerate(results):
         print(f"pair {i}: " + ", ".join(
             f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs), file=sys.stderr)
@@ -194,7 +215,7 @@ def cmd_cd_check(args) -> int:
         params={"K": args.K, "nu": args.nu, "cd_K": args.cd_K, "N": args.N,
                 "grid": args.grid, "pairs": args.pairs, "eps": eps, "tol": args.tol},
         residuals=_residuals(slacks),
-        passed=passed,
+        passed=passes(slacks, args.tol),
         tolerance=args.tol,
         seed=args.seed,
         detail={"nprimes": list(nprimes)},
@@ -287,7 +308,7 @@ def cmd_weyl(args) -> int:
         check="weyl",
         params={"table_size": len(table)},
         residuals=_residuals([mismatches]),
-        passed=mismatches == 0,
+        passed=passes(-mismatches, 0.0),
         tolerance=0.0,
         seed=args.seed,
         detail={"table": table},
@@ -329,25 +350,24 @@ def cmd_heat(args) -> int:
     op = sp1d.discretize_fiber_operator(args.K, args.nu, getattr(args, "lambda"), args.grid)
     rng = np.random.default_rng(args.seed)
     r = op.grid.nodes
-    worst = math.inf
+    mins = []
     times = (0.01, 0.1, 1.0)
     for _ in range(args.pairs):
         u0 = sum(rng.standard_normal() * np.cos(k * r) for k in range(4))
         for t in times:
             rep = sp1d.bakry_ledoux_check(op, kappa=args.K * args.nu,
                                           Nbe=args.nu + 1.0, u0=u0, t=t, tol=args.tol)
-            worst = min(worst, rep.min)
+            mins.append(rep.min)
     # semigroup law as a sanity residual
     u0 = np.cos(r)
     law = sp1d.heat_semigroup_1d(op, sp1d.heat_semigroup_1d(op, u0, 0.1), 0.2)
     law_res = float(np.max(np.abs(law - sp1d.heat_semigroup_1d(op, u0, 0.3))))
-    passed = worst >= -args.tol and law_res <= 1e-8
     report = Report(
         check="heat",
         params={"K": args.K, "nu": args.nu, "lambda": getattr(args, "lambda"),
                 "grid": args.grid, "pairs": args.pairs, "tol": args.tol},
-        residuals=_residuals([worst]),
-        passed=passed,
+        residuals=_residuals([np.min(mins)]),
+        passed=passes(mins, args.tol) and passes(-law_res, 1e-8),
         tolerance=args.tol,
         seed=args.seed,
         detail={"semigroup_law_residual": law_res, "times": list(times)},
@@ -368,14 +388,13 @@ def cmd_gamma2_identity(args) -> int:
         rep = gc.warped_gamma2_identity_check(spec, f, u1, u2)
         residuals.append(rep.max_residual / max(rep.scale, 1e-12))
         orders.append(rep.observed_order)
-    passed = max(residuals) <= tol
     _maybe_plot(args.plot, range(len(residuals)), residuals, "identity residuals")
     report = Report(
         check="gamma2-identity",
         params={"K": args.K, "nu": args.nu, "grid": args.grid,
                 "fiber_n": args.fiber_n, "pairs": args.pairs, "tol": tol},
         residuals=_residuals(residuals),
-        passed=passed,
+        passed=passes(-np.asarray(residuals), tol),
         tolerance=tol,
         seed=args.seed,
         detail={"orders": orders},
@@ -387,35 +406,39 @@ def cmd_gamma2_identity(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "spectrum": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 2000, "tol": 1e-2},
-    "cone": {"K": 1.0, "N": 1.0, "grid": 64, "fiber_n": 32, "radius": 1.0, "rmax": math.pi},
-    "cd-check": {"K": 1.0, "nu": 2.0, "cd_K": 2.0, "N": 3.0, "grid": 400,
-                 "pairs": 5, "tol": 0.2, "full": False},
-    "be-check": {"K": 1.0, "nu": 2.0, "grid": 160, "fiber_n": 64, "pairs": 20,
-                 "flavor": "graph"},
-    "weyl": {},
-    "suspension": {"N": 1.0, "grid": 25, "fiber_n": 100, "radius": 1.0},
-    "heat": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 400, "pairs": 5, "tol": 5e-2},
-    "gamma2-identity": {"K": 1.0, "nu": 2.0, "grid": 161, "fiber_n": 64,
-                        "pairs": 10},
+# argparse options of every flag; the flag is --<name> with "_" written "-"
+_FLAGS = {
+    **dict.fromkeys(("K", "N", "nu", "lambda", "cd_K", "radius", "rmax", "tol"), {"type": float}),
+    **dict.fromkeys(("fiber_n", "pairs", "x", "y", "seed"), {"type": int}),
+    "grid": {"type": int, "help": "radial cell count"},
+    "eps": {"type": float, "help": "midpoint search radius"},
+    "flavor": {"type": str, "choices": ("graph", "grid")},
+    "full": {"action": "store_true", "help": "use the non-reduced coefficients"},
+    "input": {"type": str, "help": "space JSON file"},
+    "config": {"type": str, "help": "JSON config file"},
+    "out": {"type": str, "help": "report path (stdout default)"},
+    "plot": {"type": str, "help": "optional SVG path"},
+    "report": {"type": str},
 }
 
-
-def _add_common(p):
-    p.add_argument("--input", type=str, default=None, help="space JSON file")
-    p.add_argument("--K", type=float)
-    p.add_argument("--N", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--lambda", dest="lambda", type=float)
-    p.add_argument("--grid", type=int, help="radial cell count")
-    p.add_argument("--eps", type=float, help="midpoint search radius")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None, help="report path (stdout default)")
-    p.add_argument("--plot", type=str, default=None, help="optional SVG path")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
+# every flag a subcommand reads, with its default (None: derived or unset)
+_COMMON = {"seed": 0, "out": None}
+_DEFAULTS = {
+    "spectrum": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 2000, "tol": 1e-2, "plot": None,
+                 **_COMMON},
+    "cone": {"K": 1.0, "N": 1.0, "grid": 64, "fiber_n": 32, "radius": 1.0, "rmax": math.pi,
+             "input": None, "report": None, **_COMMON},
+    "cd-check": {"K": 1.0, "nu": 2.0, "cd_K": 2.0, "N": 3.0, "grid": 400, "pairs": 5, "tol": 0.2,
+                 "full": False, "input": None, "eps": None, "plot": None, **_COMMON},
+    "be-check": {"K": 1.0, "nu": 2.0, "grid": 160, "fiber_n": 64, "pairs": 20, "flavor": "graph",
+                 "tol": None, **_COMMON},
+    "weyl": {**_COMMON},
+    "suspension": {"N": 1.0, "grid": 25, "fiber_n": 100, "radius": 1.0, "input": None,
+                   "x": None, "y": None, "tol": None, **_COMMON},
+    "heat": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 400, "pairs": 5, "tol": 5e-2, **_COMMON},
+    "gamma2-identity": {"K": 1.0, "nu": 2.0, "grid": 161, "fiber_n": 64, "pairs": 10,
+                        "tol": None, "plot": None, **_COMMON},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,52 +447,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="curvature-dimension verification suites on cones and warped products",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "spectrum": cmd_spectrum,
-        "cone": cmd_cone,
-        "cd-check": cmd_cd_check,
-        "be-check": cmd_be_check,
-        "weyl": cmd_weyl,
-        "suspension": cmd_suspension,
-        "heat": cmd_heat,
-        "gamma2-identity": cmd_gamma2_identity,
-    }
-    for name, fn in specs.items():
+    for name, defaults in _DEFAULTS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "cone":
-            p.add_argument("--fiber-n", dest="fiber_n", type=int)
-            p.add_argument("--radius", type=float)
-            p.add_argument("--rmax", type=float)
-            p.add_argument("--report", type=str, default=None)
-        if name == "cd-check":
-            p.add_argument("--cd-K", dest="cd_K", type=float)
-            p.add_argument("--full", action="store_true", default=None,
-                           help="use the non-reduced coefficients")
-        if name == "be-check":
-            p.add_argument("--flavor", choices=("graph", "grid"))
-            p.add_argument("--fiber-n", dest="fiber_n", type=int)
-        if name == "suspension":
-            p.add_argument("--fiber-n", dest="fiber_n", type=int)
-            p.add_argument("--radius", type=float)
-            p.add_argument("--x", type=int, default=None)
-            p.add_argument("--y", type=int, default=None)
-        if name in ("gamma2-identity",):
-            p.add_argument("--fiber-n", dest="fiber_n", type=int)
-        p.set_defaults(func=fn)
+        for key in [*defaults, "config"]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **_FLAGS[key])
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
+def _config_value(command: str, key: str, value):
+    """A config entry parsed as its flag parses its text; ValueError for anything else."""
+    if key not in _DEFAULTS[command]:
+        raise ValueError(f"config key {key!r} is not a flag of {command}")
+    spec = _FLAGS[key]
+    if "action" in spec:  # the switch --full takes a JSON boolean
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            parsed = spec["type"](str(value))
+            if parsed in spec.get("choices", [parsed]):
+                return parsed
+    raise ValueError(f"config key {key!r}: {value!r} is not a valid value of its flag")
+
+
 def _merge_config(args) -> None:
-    """Apply flag > config-file > defaults precedence in place."""
-    layer = dict(_DEFAULTS.get(args.command, {}))
+    """Apply flag > config-file > defaults precedence in place, then check --pairs."""
+    layer = dict(_DEFAULTS[args.command])
     if args.config:
         with open(args.config) as fh:
-            layer.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config {args.config} is not a JSON object")
+        for key, value in config.items():
+            key = key.replace("-", "_")
+            layer[key] = _config_value(args.command, key, value)
     for key, value in layer.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    if getattr(args, "pairs", 1) < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
 
 
 def main(argv=None) -> int:

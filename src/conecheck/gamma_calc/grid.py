@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..model_fns import cos_k, sin_k
+from ..model_fns import cos_k, passes, sin_k
 from .graph import WeightedGraph, gamma as graph_gamma
 
 __all__ = [
@@ -322,12 +322,11 @@ def sharp_gamma2_estimate_check(
         _estimate_slack(spec.coarsen(), [(u1[::2], u2[::2]) for u1, u2 in member])
         for member in family
     ]
-    m = min(slacks)
     return EstimateReport(
-        min_slack=m,
-        min_slack_coarse=min(coarse),
-        min_slack_fine_matched=min(fine_cw),
-        passed=bool(m >= -tol),
+        min_slack=float(np.min(slacks)),
+        min_slack_coarse=float(np.min(coarse)),
+        min_slack_fine_matched=float(np.min(fine_cw)),
+        passed=passes(slacks, tol),
         tolerance=tol,
     )
 
@@ -358,8 +357,7 @@ def converse_deduction_check(nu: float, fiber, u2: np.ndarray, tol: float) -> Co
 
         lu = fiber.apply_L(u2)
         resid = graph_gamma2(fiber, u2) - (nu - 1.0) * graph_gamma(fiber, u2) - lu * lu / nu
-        worst = float(resid.min())
-        return ConverseReport(worst, worst >= -tol, tol, "graph")
+        return ConverseReport(float(resid.min()), passes(resid, tol), tol, "graph")
     if not isinstance(fiber, FiberSpec):
         raise TypeError("fiber must be a WeightedGraph or a FiberSpec")
     d1 = _d1(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
@@ -367,5 +365,4 @@ def converse_deduction_check(nu: float, fiber, u2: np.ndarray, tol: float) -> Co
     resid = _fiber_gamma2(u2, fiber) - (nu - 1.0) * d1 * d1 - lu * lu / nu
     if not fiber.periodic:
         resid = resid[INTERIOR_MARGIN:-INTERIOR_MARGIN]
-    worst = float(resid.min())
-    return ConverseReport(worst, worst >= -tol, tol, "grid")
+    return ConverseReport(float(resid.min()), passes(resid, tol), tol, "grid")

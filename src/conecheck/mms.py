@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .model_fns import cos_k, sin_k
+from .model_fns import cos_k, passes, sin_k
 
 __all__ = [
     "FiniteMMS",
@@ -356,10 +356,10 @@ def suspension_check(
         return SuspensionReport(False, None, (x, y), res, stage)
 
     res0 = abs(d[x, y] - math.pi)
-    if res0 > tol:
+    if not passes(-res0, tol):
         return fail("pole-distance", res0)
     excess = np.abs(d[x] + d[:, y] - math.pi)
-    if float(excess.max()) > tol:
+    if not passes(-excess, tol):
         return fail("geodesics-through-poles", float(excess.max()))
 
     theta = d[x].copy()
@@ -400,7 +400,7 @@ def suspension_check(
     equator = FiniteMMS(
         labels=tuple(m.labels[int(k)] for k in eq_idx), dist=eq_dist, weight=eq_weight
     )
-    if resid > tol:
+    if not passes(-resid, tol):
         return SuspensionReport(False, equator, (x, y), resid, "law-of-cosines")
     return SuspensionReport(True, equator, (x, y), resid, None)
 

@@ -2,8 +2,9 @@
 
 Generalized sine/cosine for constant curvature K, the volume-distortion
 coefficients entering displacement-convexity inequalities, the elementary
-dimension-splitting identity, and the sharp diameter bound for positive
-curvature.
+dimension-splitting identity, the sharp diameter bound for positive
+curvature, and ``passes``, the one gate that turns the slacks of any check
+into its verdict.
 
 All functions are pure and operate on value types; they are safe for
 unrestricted concurrent use.
@@ -26,6 +27,7 @@ __all__ = [
     "tau_coeff",
     "dimension_split",
     "bonnet_myers_bound",
+    "passes",
 ]
 
 # Below _EXACT_LIMIT the sine ratio is returned as its analytic limit t;
@@ -77,10 +79,6 @@ class ExtendedValue:
     def infinity(cls) -> "ExtendedValue":
         return cls(0.0, True)
 
-    @classmethod
-    def finite(cls, v: float) -> "ExtendedValue":
-        return cls(float(v), False)
-
     @property
     def is_infinite(self) -> bool:
         return self.infinite
@@ -117,6 +115,20 @@ class ExtendedValue:
 
     def __repr__(self):
         return "ExtendedValue(inf)" if self.infinite else f"ExtendedValue({self.value!r})"
+
+
+def passes(slacks, tol: float) -> bool:
+    """The verdict of every check: True iff the evidence is non-empty, finite and within tol.
+
+    ``slacks`` is a scalar or array-like of signed slacks, nonnegative where
+    the inequality holds; a residual-style check passes ``-residual``.  The
+    check passes when there is at least one slack, every slack is finite
+    and the smallest is >= -tol.  ``tol`` must be finite and >= 0.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    s = np.asarray(slacks, dtype=float).ravel()
+    return bool(s.size > 0 and np.all(np.isfinite(s)) and s.min() >= -tol)
 
 
 def sin_k(K: float, t):

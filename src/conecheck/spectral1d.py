@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model_fns import CurvatureDimension, cos_k, sin_k
+from .model_fns import CurvatureDimension, cos_k, passes, sin_k
 from .mms import RadialGrid, radial_grid
 
 __all__ = [
@@ -79,12 +79,16 @@ class SturmLiouville1D:
         A[idx + 1, idx] = self.a_off
         return A
 
-    def apply_generator(self, u: np.ndarray) -> np.ndarray:
-        """L u = -M^{-1} A u (the generator; -L is positive semidefinite)."""
+    def _apply_stiffness(self, u: np.ndarray) -> np.ndarray:
+        """A u, the tridiagonal matvec."""
         Au = self.a_diag * u
         Au[:-1] += self.a_off * u[1:]
         Au[1:] += self.a_off * u[:-1]
-        return -Au / self.m_diag
+        return Au
+
+    def apply_generator(self, u: np.ndarray) -> np.ndarray:
+        """L u = -M^{-1} A u (the generator; -L is positive semidefinite)."""
+        return -self._apply_stiffness(u) / self.m_diag
 
     def full_spectrum(self) -> "Spectrum":
         if self._full is None:
@@ -187,12 +191,10 @@ def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
     # Rayleigh residuals ||A v - mu M v|| per pair
     res = np.empty(k)
     for i in range(k):
-        Av = op.a_diag * V[:, i]
-        Av[:-1] += op.a_off * V[1:, i]
-        Av[1:] += op.a_off * V[:-1, i]
-        res[i] = float(np.linalg.norm(Av - vals[i] * op.m_diag * V[:, i]))
+        v = V[:, i]
+        res[i] = float(np.linalg.norm(op._apply_stiffness(v) - vals[i] * op.m_diag * v))
     scale = float(np.max(np.abs(op.a_diag))) or 1.0
-    if np.any(res > 1e-8 * scale * max(1.0, math.sqrt(n))):
+    if not passes(-res, 1e-8 * scale * max(1.0, math.sqrt(n))):
         raise RuntimeError(f"eigenpair residual too large: {res.max():.3e}")
     return Spectrum(eigenvalues=vals, eigenvectors=V, residuals=res)
 
@@ -307,7 +309,7 @@ def bakry_ledoux_check(
         mean=float(inner.mean()),
         max=float(inner.max()),
         tolerance=tol,
-        passed=bool(inner.min() >= -tol),
+        passed=passes(inner, tol),
         detail={"kappa": kappa, "N": Nbe, "t": t},
     )
 
@@ -327,7 +329,7 @@ def spectral_gap_bound_check(
     return ResidualReport(
         min=slack, mean=slack, max=slack,
         tolerance=tol,
-        passed=bool(slack >= -tol),
+        passed=passes(slack, tol),
         detail={"lambda1": lam1, "bound": bound},
     )
 

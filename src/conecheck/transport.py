@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
-from .model_fns import CurvatureDimension, ExtendedValue, sigma_coeff, tau_coeff
+from .model_fns import CurvatureDimension, ExtendedValue, passes, sigma_coeff, tau_coeff
 from .mms import FiniteMMS, load_mms_json, midpoints
 
 __all__ = [
@@ -67,7 +67,7 @@ class Density:
             raise ValueError("mass vector must match the space")
         if np.any(mass < 0):
             raise ValueError("mass must be nonnegative")
-        if abs(mass.sum() - 1.0) > _MASS_TOL:
+        if not passes(-abs(mass.sum() - 1.0), _MASS_TOL):
             raise ValueError(f"mass must sum to 1 within {_MASS_TOL}, got {mass.sum()!r}")
         if np.any(mass[self.space.weight == 0] > 0):
             raise ValueError("mass on zero-weight atoms breaks absolute continuity")
@@ -138,7 +138,7 @@ class Coupling:
         plan.eliminate_zeros()
         r = float(np.max(np.abs(np.asarray(plan.sum(axis=1)).ravel() - self.mu0.mass)))
         c = float(np.max(np.abs(np.asarray(plan.sum(axis=0)).ravel() - self.mu1.mass)))
-        if max(r, c) > _MARGINAL_TOL:
+        if not passes([-r, -c], _MARGINAL_TOL):
             raise ValueError(f"coupling marginals off by {max(r, c):.3e}")
         for arr in (plan.data, plan.row, plan.col):
             arr.flags.writeable = False
@@ -167,7 +167,7 @@ class CDReport:
         slack = -math.inf if rhs.is_infinite else lhs - rhs.value
         return CDReport(
             t=0.5, Nprime=Nprime, lhs=lhs, rhs=rhs,
-            slack=slack, passed=bool(slack >= -tol), tolerance=tol,
+            slack=slack, passed=passes(slack, tol), tolerance=tol,
         )
 
 
@@ -233,11 +233,11 @@ def _certify_optimality(C, plan, alpha, beta, rtol=1e-9):
     """Dual feasibility and complementary slackness of the LP solution."""
     scale = max(float(C.max()), 1.0)
     reduced = C - alpha[:, None] - beta[None, :]
-    if float(reduced.min()) < -rtol * scale:
+    if not passes(reduced, rtol * scale):
         raise RuntimeError(f"dual infeasibility {-reduced.min():.3e} exceeds tolerance")
-    support_slack = float(np.max(np.abs(reduced[plan > 1e-14 * scale]), initial=0.0))
-    if support_slack > 1e-7 * scale:
-        raise RuntimeError(f"complementary slackness violated by {support_slack:.3e}")
+    support_slack = np.abs(reduced[plan > 1e-14 * scale])
+    if not passes(-support_slack, 1e-7 * scale):
+        raise RuntimeError(f"complementary slackness violated by {support_slack.max():.3e}")
 
 
 def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
@@ -343,12 +343,16 @@ def mcp_check(
     mA = float(m.weight[A].sum())
     if mA <= 0:
         raise ValueError("A must have positive weight")
+
+    def report(cell, violation):
+        return MCPReport(cell, violation, passes(-violation, tol), tol)
+
     pushed = np.zeros(m.n)
     for a in A:
         a = int(a)
         coeff = tau_coeff(cd, t, float(m.dist[x, a]))
         if coeff.is_infinite:
-            return MCPReport(worst_cell=a, max_violation=math.inf, passed=False, tolerance=tol)
+            return report(a, math.inf)
         load = m.weight[a] * coeff.value ** cd.N
         if a == x:
             pushed[x] += load
@@ -361,9 +365,4 @@ def mcp_check(
             pushed[k] += load / len(carried)
     violation = pushed - m.weight
     worst = int(np.argmax(violation))
-    return MCPReport(
-        worst_cell=worst,
-        max_violation=float(violation[worst]),
-        passed=bool(violation[worst] <= tol),
-        tolerance=tol,
-    )
+    return report(worst, float(violation[worst]))

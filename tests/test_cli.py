@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from conecheck import mms
-from conecheck.cli import main
+from conecheck.cli import Report, main
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_loads(text):
+    """RFC 8259 JSON only: a bare NaN, Infinity or -Infinity token is an error."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def read_report(path):
     with open(path) as fh:
-        return json.load(fh)
+        return strict_loads(fh.read())
 
 
 def strip_runtime(report):
@@ -138,7 +147,7 @@ class TestExitCodes:
 def test_cd_check_stdout_is_only_the_report(capsys):
     assert main(["cd-check", "--grid", "60", "--pairs", "1"]) == 0
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["check"] == "cd-star"
+    assert strict_loads(captured.out)["check"] == "cd-star"
     assert captured.err.startswith("pair 0: ")
 
 
@@ -157,7 +166,7 @@ def test_cd_check_solves_one_coupling_per_pair(monkeypatch, capsys):
         calls.clear()
         assert main(["cd-check", "--grid", "60", "--pairs", "2"] + full) == 0
         assert len(calls) == 2  # one per pair, shared by N' = N and 2N
-        assert json.loads(capsys.readouterr().out)["detail"]["nprimes"] == [3.0, 6.0]
+        assert strict_loads(capsys.readouterr().out)["detail"]["nprimes"] == [3.0, 6.0]
 
 
 class TestDeterminism:
@@ -208,3 +217,80 @@ def test_plot_failure_does_not_change_exit_code(tmp_path, monkeypatch):
                  "--out", str(out), "--plot", str(bad_plot)])
     assert code == 0
     assert out.exists()
+
+
+class TestVerdictGate:
+    def test_flat_cone_is_not_a_suspension(self, tmp_path):
+        # the K = 0 cone is flat, not a suspension; a NaN tolerance must not say otherwise
+        space = tmp_path / "flat.json"
+        assert main(["cone", "--K", "0", "--N", "1", "--grid", "8", "--fiber-n", "12",
+                     "--rmax", "2", "--out", str(space), "--report", str(tmp_path / "c.json")]) == 0
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--input", str(space), "--grid", "8", "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert rep["pass"] is False
+        assert rep["detail"]["failed_stage"] == "geodesics-through-poles"
+        assert rep["residuals"]["max"] > 1.0
+        nan_out = tmp_path / "nan.json"
+        assert main(["suspension", "--input", str(space), "--grid", "8", "--tol", "nan",
+                     "--out", str(nan_out)]) == 2
+        assert not nan_out.exists()
+
+    def test_infinite_tolerance_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert main(["heat", "--grid", "100", "--pairs", "1", "--tol", "inf",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["heat", "be-check", "cd-check", "gamma2-identity"])
+    def test_zero_pairs_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([command, "--grid", "60", "--pairs", "0", "--out", str(out)]) == 2
+        assert "--pairs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_flags_are_rejected(self, tmp_path):
+        out = tmp_path / "w.json"
+        assert main(["weyl", "--eps", "3", "--out", str(out)]) == 2
+        assert main(["weyl", "--K", "9", "--grid", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [{"tol": "abc"}, {"gird": 5}, {"pairs": 0},
+                                        {"flavor": "mesh"}, {"grid": True}, [1]])
+    def test_bad_config_is_a_usage_error(self, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert main(["be-check", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_config_values_take_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "120", "pairs": 1, "tol": 1, "fiber-n": 8}))
+        out = tmp_path / "r.json"
+        assert main(["heat", "--config", str(cfg), "--out", str(out)]) == 2  # heat has no --fiber-n
+        cfg.write_text(json.dumps({"grid": "120", "pairs": 1, "tol": 1}))
+        assert main(["heat", "--config", str(cfg), "--out", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert (params["grid"], params["tol"]) == (120, 1.0)
+        assert isinstance(params["tol"], float)
+
+    def test_unvalidated_cone_does_not_pass(self, tmp_path):
+        # 37 rings of 33 atoms plus two apexes: above the 1200 atoms that are validated
+        out = tmp_path / "r.json"
+        code = main(["cone", "--grid", "37", "--fiber-n", "33", "--out",
+                     str(tmp_path / "cone.json"), "--report", str(out)])
+        rep = read_report(out)
+        assert rep["detail"]["points"] == 37 * 33 + 2
+        assert code == 1 and rep["pass"] is False
+        assert rep["detail"]["validated"] is False
+        assert rep["warnings"] and rep["residuals"] == {}
+
+    def test_report_names_nonfinite_numbers(self):
+        report = Report(check="x", params={"tol": 0.1}, passed=False, tolerance=0.1,
+                        residuals={"max": math.inf, "mean": math.nan, "min": -math.inf},
+                        detail={"orders": [1.0, float("nan")]})
+        rep = strict_loads(report.to_json(runtime_ms=0))
+        assert rep["residuals"] == {"max": "inf", "mean": "nan", "min": "-inf"}
+        assert rep["detail"]["orders"] == [1.0, "nan"]

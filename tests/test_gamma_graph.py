@@ -308,6 +308,19 @@ class TestBECheck:
         assert not math.isfinite(rep.min_defect)
         assert rep.witness_vertex is not None
 
+    def test_no_evidence_fails(self):
+        # an edgeless graph has no vertex where the inequality says anything,
+        # and zero samples test nothing: neither is a pass
+        edgeless = WeightedGraph(np.ones(4), np.zeros((4, 4)))
+        rep = be_check(edgeless, -1e6, 2.0, strategy="exhaustive-local")
+        assert not rep.passed and rep.witness_vertex is None
+        assert not be_check(cycle_graph(8), -1e6, 2.0, strategy="sampled", samples=0).passed
+
+    def test_bad_tolerance_raises(self):
+        for tol in (math.nan, math.inf, -1e-3):
+            with pytest.raises(ValueError):
+                be_check(cycle_graph(8), 0.0, 2.0, strategy="sampled", tol=tol, samples=2)
+
     def test_unknown_strategy(self):
         g = complete_graph(2)
         with pytest.raises(ValueError):

@@ -200,6 +200,21 @@ class TestSharpEstimate:
         rep = sharp_gamma2_estimate_check(spec, fam, tol=60 * spec.h**2 + 1e-6)
         assert rep.passed
 
+    def test_nan_member_fails_in_either_order(self):
+        fib = weighted_interval_fiber(129, 1.0)
+        spec = cone_grid(1.0, 2.0, 129, fib)
+        rng = np.random.default_rng(6)
+        good = [(trig(rng, spec.r), trig(rng, fib.x))]
+        u1 = trig(rng, spec.r)
+        u1[64] = np.nan
+        bad = [(u1, trig(rng, fib.x))]
+        tol = 60 * spec.h**2 + 1e-6
+        assert sharp_gamma2_estimate_check(spec, [good], tol).passed
+        for family in ([good, bad], [bad, good]):
+            rep = sharp_gamma2_estimate_check(spec, family, tol)
+            assert not rep.passed
+            assert math.isnan(rep.min_slack)
+
     def test_two_term_sums(self):
         fib = weighted_interval_fiber(129, 1.0)
         spec = cone_grid(1.0, 2.0, 129, fib)

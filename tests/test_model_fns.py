@@ -11,6 +11,7 @@ from conecheck.model_fns import (
     bonnet_myers_bound,
     cos_k,
     dimension_split,
+    passes,
     sigma_coeff,
     sin_k,
     tau_coeff,
@@ -110,6 +111,35 @@ class TestExtendedValue:
         with pytest.raises(TypeError):
             float("nan") <= ExtendedValue.infinity()
         assert ExtendedValue(1.0) != float("nan")
+
+
+class TestPasses:
+    def test_verdict(self):
+        assert passes([0.5, 0.0], 0.0)
+        assert passes(-0.05, 0.1)
+        assert passes(np.array([[0.1, -0.1], [0.2, 0.3]]), 0.1)
+        assert not passes([0.5, -0.2], 0.1)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=8),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 8),
+        st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_no_evidence_never_passes(self, finite, bad, where, tol):
+        assert not passes([], tol)
+        assert not passes(bad, tol)
+        assert not passes(finite[:where] + [bad] + finite[where:], tol)
+        assert passes(finite, tol) == (bool(finite) and min(finite) >= -tol)
+
+    @given(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                     st.floats(max_value=-1e-300)))
+    def test_bad_tolerance_raises(self, tol):
+        with pytest.raises(ValueError):
+            passes([1.0], tol)
+        with pytest.raises(ValueError):
+            passes([], tol)
 
 
 class TestSigma:
