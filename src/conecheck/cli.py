@@ -1,7 +1,9 @@
 """Command-line front end: experiment orchestration, reports, CSV/plot output.
 
 One binary, subcommand style.  Flag precedence is flags > config file >
-defaults; every numeric parameter is echoed verbatim into the report.
+defaults.  A report's params echo every flag the subcommand reads except the
+seed (kept in provenance) and the file paths; a value the subcommand derives,
+such as a default tolerance, replaces the flag's unset default.
 Exit codes: 0 pass, 1 check failed, 2 usage or input error.
 """
 
@@ -31,10 +33,10 @@ _VALIDATE_MAX_ATOMS = 1200  # validate's triangle sweep is O(n^3)
 @dataclass
 class Report:
     check: str
-    params: dict
     residuals: dict
     passed: bool
     tolerance: float
+    params: dict = field(default_factory=dict)
     seed: int | None = None
     warnings: list = field(default_factory=list)
     detail: dict = field(default_factory=dict)
@@ -75,16 +77,6 @@ def _residuals(values) -> dict:
     return {"max": float(arr.max()), "mean": float(arr.mean()), "min": float(arr.min())}
 
 
-def _emit(report: Report, out: str | None, started: float) -> int:
-    text = report.to_json(runtime_ms=int((time.perf_counter() - started) * 1000))
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return _EXIT_PASS if report.passed else _EXIT_FAIL
-
-
 def _maybe_plot(path: str | None, xs, ys, title: str) -> None:
     """Best-effort SVG line chart; plotting failures never change exit codes."""
     if not path:
@@ -122,11 +114,11 @@ def _sample_density_pairs(space, pairs, seed):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes its evidence and returns a Report whose params
+# hold only the values it derived; main echoes the flags and writes it
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    started = time.perf_counter()
+def cmd_spectrum(args) -> Report:
     warnings_list = []
     if args.grid < 64:
         warnings_list.append(f"grid under-resolved (n={args.grid}); convergence not reached")
@@ -134,12 +126,15 @@ def cmd_spectrum(args) -> int:
     k = min(args.grid, 12)
     spec = sp1d.eigen(op, k)
     detail = {"eigenvalues": [float(v) for v in spec.eigenvalues]}
-    slack_values = [0.0]  # no bound to check unless K, nu > 0
+    slack_values = []  # no evidence unless K, nu > 0 give a gap bound
     if args.nu > 0 and args.K > 0:
         cd = CurvatureDimension(args.K * args.nu, args.nu + 1.0)
         gap = sp1d.spectral_gap_bound_check(spec, cd, tol=args.tol)
         detail["gap"] = gap.detail
         slack_values = [gap.min]
+    else:
+        warnings_list.append(f"no spectral gap bound applies for K={args.K:g}, nu={args.nu:g} "
+                             "(it needs K > 0 and nu > 0), so the check cannot pass")
     if args.out:
         csv_path = args.out.rsplit(".", 1)[0] + ".csv"
         with open(csv_path, "w") as fh:
@@ -148,22 +143,17 @@ def cmd_spectrum(args) -> int:
                 fh.write(f"{i},{float(v)!r},{float(r)!r}\n")
         detail["csv"] = csv_path
     _maybe_plot(args.plot, range(k), spec.eigenvalues, "spectrum")
-    report = Report(
+    return Report(
         check="spectrum",
-        params={"K": args.K, "nu": args.nu, "lambda": getattr(args, "lambda"),
-                "grid": args.grid, "tol": args.tol},
         residuals=_residuals(slack_values),
         passed=passes(slack_values, args.tol),
         tolerance=args.tol,
-        seed=args.seed,
         warnings=warnings_list,
         detail=detail,
     )
-    return _emit(report, args.out, started)
 
 
-def cmd_cone(args) -> int:
-    started = time.perf_counter()
+def cmd_cone(args) -> Report:
     if args.input:
         fiber = mmsmod.load_mms_json(args.input)
     else:
@@ -181,22 +171,18 @@ def cmd_cone(args) -> int:
         detail["validated"] = False
         warnings_list.append(f"{space.n} atoms: the space is not validated above "
                              f"{_VALIDATE_MAX_ATOMS} atoms, so the check cannot pass")
-    report = Report(
+    return Report(
         check="cone",
-        params={"K": args.K, "N": args.N, "grid": args.grid,
-                "fiber_n": fiber.n, "out": args.out},
+        params={"fiber_n": fiber.n},
         residuals=_residuals(counts),
         passed=passes([-c for c in counts], 0.0),
         tolerance=0.0,
-        seed=args.seed,
         warnings=warnings_list,
         detail=detail,
     )
-    return _emit(report, args.report, started)
 
 
-def cmd_cd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_cd_check(args) -> Report:
     space = _load_space(args)
     cd = CurvatureDimension(args.cd_K, args.N)
     eps = args.eps if args.eps is not None else 2.0 * _max_gap(space)
@@ -210,17 +196,14 @@ def cmd_cd_check(args) -> int:
         print(f"pair {i}: " + ", ".join(
             f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs), file=sys.stderr)
     _maybe_plot(args.plot, range(len(slacks)), slacks, "cd slack per pair")
-    report = Report(
+    return Report(
         check="cd" if args.full else "cd-star",
-        params={"K": args.K, "nu": args.nu, "cd_K": args.cd_K, "N": args.N,
-                "grid": args.grid, "pairs": args.pairs, "eps": eps, "tol": args.tol},
+        params={"eps": eps},
         residuals=_residuals(slacks),
         passed=passes(slacks, args.tol),
         tolerance=args.tol,
-        seed=args.seed,
         detail={"nprimes": list(nprimes)},
     )
-    return _emit(report, args.out, started)
 
 
 def _max_gap(space) -> float:
@@ -228,8 +211,7 @@ def _max_gap(space) -> float:
     return float(d.min()) if d.size else 1.0
 
 
-def cmd_be_check(args) -> int:
-    started = time.perf_counter()
+def cmd_be_check(args) -> Report:
     if args.flavor == "graph":
         n = args.grid
         h = math.pi / n
@@ -244,7 +226,6 @@ def cmd_be_check(args) -> int:
                           seed=args.seed, vertices=window,
                           sample_fn=lambda rng: _trig(rng, r, 4))
         resid = [rep.min_defect]
-        passed = rep.passed
         detail = {"kappa": args.nu * args.K, "N": args.nu + 1.0,
                   "witness": rep.witness_vertex}
     else:
@@ -260,19 +241,15 @@ def cmd_be_check(args) -> int:
         family = [_random_tensor_member(rng, spec) for _ in range(args.pairs)]
         rep = gc.sharp_gamma2_estimate_check(spec, family, tol=tol)
         resid = [rep.min_slack]
-        passed = rep.passed
         detail = {"min_slack_coarse": rep.min_slack_coarse}
-    report = Report(
+    return Report(
         check=f"be-{args.flavor}",
-        params={"K": args.K, "nu": args.nu, "grid": args.grid,
-                "pairs": args.pairs, "tol": tol},
+        params={"tol": tol},
         residuals=_residuals(resid),
-        passed=passed,
+        passed=rep.passed,
         tolerance=tol,
-        seed=args.seed,
         detail=detail,
     )
-    return _emit(report, args.out, started)
 
 
 def _trig(rng, xs, degree: int):
@@ -290,8 +267,7 @@ def _random_tensor_member(rng, spec, degree: int = 3):
 _WEYL_CASES = [(1.0, 1.5, 2.0, 2.9, 3.0, 5.0), (0.0, "nu", "nu+1")]
 
 
-def cmd_weyl(args) -> int:
-    started = time.perf_counter()
+def cmd_weyl(args) -> Report:
     table, mismatches = [], 0
     for nu in _WEYL_CASES[0]:
         for lam_spec in _WEYL_CASES[1]:
@@ -304,49 +280,40 @@ def cmd_weyl(args) -> int:
             table.append({"nu": nu, "lambda": lam, "self_adjoint": got,
                           "expected": expected})
             mismatches += got != expected
-    report = Report(
+    return Report(
         check="weyl",
-        params={"table_size": len(table)},
         residuals=_residuals([mismatches]),
         passed=passes(-mismatches, 0.0),
         tolerance=0.0,
-        seed=args.seed,
         detail={"table": table},
     )
-    return _emit(report, args.out, started)
 
 
-def cmd_suspension(args) -> int:
-    started = time.perf_counter()
+def cmd_suspension(args) -> Report:
     if args.input:
         space = mmsmod.load_mms_json(args.input)
         x, y = args.x, args.y
         if x is None or y is None:
             x, y = (int(v) for v in np.unravel_index(np.argmax(space.dist), space.dist.shape))
-        N = args.N
     else:
         fiber = mmsmod.circle_mms(args.fiber_n, args.radius)
         grid = mmsmod.radial_grid(1.0, args.N, args.grid)
         space = mmsmod.cone(fiber, 1.0, args.N, grid)
         x, y = space.n - 2, space.n - 1  # the two apex atoms
-        N = args.N
     tol = args.tol if args.tol is not None else 2.0 * math.pi / args.grid
-    rep = mmsmod.suspension_check(space, x, y, tol, N=N)
-    report = Report(
+    rep = mmsmod.suspension_check(space, x, y, tol, N=args.N)
+    return Report(
         check="suspension",
-        params={"grid": args.grid, "N": N, "tol": tol, "x": x, "y": y},
+        params={"tol": tol, "x": x, "y": y},
         residuals=_residuals([rep.max_residual]),
         passed=rep.is_suspension,
         tolerance=tol,
-        seed=args.seed,
         detail={"failed_stage": rep.failed_stage,
                 "equator_size": rep.equator.n if rep.equator is not None else 0},
     )
-    return _emit(report, args.out, started)
 
 
-def cmd_heat(args) -> int:
-    started = time.perf_counter()
+def cmd_heat(args) -> Report:
     op = sp1d.discretize_fiber_operator(args.K, args.nu, getattr(args, "lambda"), args.grid)
     rng = np.random.default_rng(args.seed)
     r = op.grid.nodes
@@ -362,21 +329,16 @@ def cmd_heat(args) -> int:
     u0 = np.cos(r)
     law = sp1d.heat_semigroup_1d(op, sp1d.heat_semigroup_1d(op, u0, 0.1), 0.2)
     law_res = float(np.max(np.abs(law - sp1d.heat_semigroup_1d(op, u0, 0.3))))
-    report = Report(
+    return Report(
         check="heat",
-        params={"K": args.K, "nu": args.nu, "lambda": getattr(args, "lambda"),
-                "grid": args.grid, "pairs": args.pairs, "tol": args.tol},
         residuals=_residuals([np.min(mins)]),
         passed=passes(mins, args.tol) and passes(-law_res, 1e-8),
         tolerance=args.tol,
-        seed=args.seed,
         detail={"semigroup_law_residual": law_res, "times": list(times)},
     )
-    return _emit(report, args.out, started)
 
 
-def cmd_gamma2_identity(args) -> int:
-    started = time.perf_counter()
+def cmd_gamma2_identity(args) -> Report:
     rng = np.random.default_rng(args.seed)
     fiber = gc.circle_fiber(args.fiber_n)
     spec = gc.cone_grid(args.K, args.nu, args.grid, fiber)
@@ -389,17 +351,14 @@ def cmd_gamma2_identity(args) -> int:
         residuals.append(rep.max_residual / max(rep.scale, 1e-12))
         orders.append(rep.observed_order)
     _maybe_plot(args.plot, range(len(residuals)), residuals, "identity residuals")
-    report = Report(
+    return Report(
         check="gamma2-identity",
-        params={"K": args.K, "nu": args.nu, "grid": args.grid,
-                "fiber_n": args.fiber_n, "pairs": args.pairs, "tol": tol},
+        params={"tol": tol},
         residuals=_residuals(residuals),
         passed=passes(-np.asarray(residuals), tol),
         tolerance=tol,
-        seed=args.seed,
         detail={"orders": orders},
     )
-    return _emit(report, args.out, started)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +398,9 @@ _DEFAULTS = {
     "gamma2-identity": {"K": 1.0, "nu": 2.0, "grid": 161, "fiber_n": 64, "pairs": 10,
                         "tol": None, "plot": None, **_COMMON},
 }
+
+# a report's params echo every flag of its subcommand but these
+_UNECHOED = {"seed", "out", "report", "plot", "input"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,10 +458,22 @@ def main(argv=None) -> int:
         _merge_config(args)
         if args.command == "cone" and args.out is None:
             parser.error("cone requires --out for the space file")
-        return args.func(args)
+        started = time.perf_counter()
+        report = args.func(args)
+        echoed = {k: getattr(args, k) for k in _DEFAULTS[args.command] if k not in _UNECHOED}
+        report.params = {**echoed, **report.params}
+        report.seed = args.seed
+        text = report.to_json(runtime_ms=int((time.perf_counter() - started) * 1000))
+        out = args.report if args.command == "cone" else args.out
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return _EXIT_PASS if report.passed else _EXIT_FAIL
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, tr.NoMidpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -227,9 +227,8 @@ class IdentityReport:
     scale: float
 
 
-def _identity_residual(spec: ConeGridSpec, f: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                       margin: int = INTERIOR_MARGIN):
-    """|Gamma2 from first principles - tensor formula| on the interior."""
+def _identity_fields(spec: ConeGridSpec, f: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+    """|Gamma2 from first principles - tensor formula| and the formula, unmasked."""
     h, hf = spec.h, spec.fiber.h
     nu = spec.nu
     per = spec.fiber.periodic
@@ -257,9 +256,7 @@ def _identity_residual(spec: ConeGridSpec, f: np.ndarray, u1: np.ndarray, u2: np
             gf_u2,
         )
     )
-    resid = np.abs(lhs - rhs)
-    scale = float(np.max(np.abs(_mask_interior(rhs, spec, margin))))
-    return float(np.max(_mask_interior(resid, spec, margin))), scale
+    return np.abs(lhs - rhs), rhs
 
 
 def warped_gamma2_identity_check(
@@ -275,9 +272,13 @@ def warped_gamma2_identity_check(
     """
     if spec.fiber.periodic and spec.fiber.n % 2 != 0:
         raise ValueError("periodic fiber needs an even sample count for coarsening")
-    fine, scale = _identity_residual(spec, f, u1, u2)
-    fine_cw, _ = _identity_residual(spec, f, u1, u2, margin=_COARSE_MARGIN)
-    coarse, _ = _identity_residual(spec.coarsen(), f[::2], u1[::2], u2[::2])
+    resid, rhs = _identity_fields(spec, f, u1, u2)
+    fine = float(np.max(_mask_interior(resid, spec, INTERIOR_MARGIN)))
+    scale = float(np.max(np.abs(_mask_interior(rhs, spec, INTERIOR_MARGIN))))
+    fine_cw = float(np.max(_mask_interior(resid, spec, _COARSE_MARGIN)))
+    coarse_spec = spec.coarsen()
+    coarse_resid, _ = _identity_fields(coarse_spec, f[::2], u1[::2], u2[::2])
+    coarse = float(np.max(_mask_interior(coarse_resid, coarse_spec, INTERIOR_MARGIN)))
     order = math.log2(coarse / fine_cw) if fine_cw > 0 and coarse > 0 else float("nan")
     return IdentityReport(
         max_residual=fine, max_residual_coarse=coarse, observed_order=order, scale=scale
@@ -293,15 +294,19 @@ class EstimateReport:
     min_slack_fine_matched: float = 0.0  # fine slack on the coarse window
 
 
-def _estimate_slack(spec: ConeGridSpec, terms, margin: int = INTERIOR_MARGIN) -> float:
+def _estimate_slack(spec: ConeGridSpec, terms) -> np.ndarray:
+    """Pointwise slack of the sharp estimate for the sum of the tensor terms, unmasked."""
     U = np.zeros((spec.r.size, spec.fiber.n))
     for u1, u2 in terms:
         U += np.outer(u1, u2)
     g2 = gamma2_2d(U, spec)
     g = gamma_2d(U, U, spec)
     lc = generator_2d(U, spec)
-    slack = g2 - spec.nu * spec.K * g - lc * lc / (spec.nu + 1.0)
-    return float(np.min(_mask_interior(slack, spec, margin)))
+    return g2 - spec.nu * spec.K * g - lc * lc / (spec.nu + 1.0)
+
+
+def _interior_min(vals: np.ndarray, spec: ConeGridSpec, margin: int = INTERIOR_MARGIN) -> float:
+    return float(np.min(_mask_interior(vals, spec, margin)))
 
 
 def sharp_gamma2_estimate_check(
@@ -316,10 +321,13 @@ def sharp_gamma2_estimate_check(
     is evaluated on the stride-2 subsample over the same physical window, so
     slack ratios measure the convergence order directly.
     """
-    slacks = [_estimate_slack(spec, member) for member in family]
-    fine_cw = [_estimate_slack(spec, member, margin=_COARSE_MARGIN) for member in family]
+    fields = [_estimate_slack(spec, member) for member in family]
+    slacks = [_interior_min(s, spec) for s in fields]
+    fine_cw = [_interior_min(s, spec, _COARSE_MARGIN) for s in fields]
+    coarse_spec = spec.coarsen()
     coarse = [
-        _estimate_slack(spec.coarsen(), [(u1[::2], u2[::2]) for u1, u2 in member])
+        _interior_min(_estimate_slack(coarse_spec, [(u1[::2], u2[::2]) for u1, u2 in member]),
+                      coarse_spec)
         for member in family
     ]
     return EstimateReport(

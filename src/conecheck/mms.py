@@ -245,12 +245,15 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     return FiniteMMS(labels=tuple(labels), dist=dist, weight=weight)
 
 
+# fiber neighbours and radial cells a warped-product edge may span
+_HOP_CAP = 8
+
+
 def warped_product(
     base: RadialGrid,
     f: np.ndarray,
     fiber: FiniteMMS,
     N: float,
-    hop_cap: int = 8,
 ) -> FiniteMMS:
     """Graph-discretized warped product of a radial grid and a fiber.
 
@@ -258,8 +261,8 @@ def warped_product(
     sqrt(dr^2 + f(r)^2 dF^2): horizontal moves cost the radial gap,
     vertical/diagonal moves cost sqrt(dr^2 + fbar^2 d_F(x,y)^2) with fbar the
     mean warp value over the radial span.  Fiber moves are restricted to
-    each atom's ``hop_cap`` nearest fiber neighbours, and radial spans to
-    ``hop_cap`` cells, which keeps the graph sparse at an O(mesh) cost in
+    each atom's ``_HOP_CAP`` nearest fiber neighbours, and radial spans to
+    ``_HOP_CAP`` cells, which keeps the graph sparse at an O(mesh) cost in
     metric accuracy.  The measure is f(r_i)^N * h * fiber weight; no apex
     atoms are added.
     """
@@ -271,8 +274,8 @@ def warped_product(
     nr, nf, h = base.n, fiber.n, base.h
     masked = np.where(np.eye(nf, dtype=bool), np.inf, fiber.dist)
     order = np.argsort(masked, axis=1)
-    hops = order[:, : min(hop_cap, nf - 1)] if nf > 1 else np.zeros((nf, 0), dtype=int)
-    jumps = range(1, min(hop_cap, nr - 1) + 1)
+    hops = order[:, : min(_HOP_CAP, nf - 1)] if nf > 1 else np.zeros((nf, 0), dtype=int)
+    jumps = range(1, min(_HOP_CAP, nr - 1) + 1)
 
     def node(i, x):
         return i * nf + x
@@ -286,7 +289,7 @@ def warped_product(
                     rows.append(a)
                     cols.append(node(i + dj, x))
                     vals.append(dj * h)
-            for j in range(i, min(i + hop_cap, nr - 1) + 1):
+            for j in range(i, min(i + _HOP_CAP, nr - 1) + 1):
                 fbar = float(f[i : j + 1].mean())
                 for y in hops[x]:
                     b = node(j, int(y))
@@ -447,8 +450,9 @@ def save_mms_json(m: FiniteMMS, path) -> None:
         "dist": m.dist.tolist(),
         "weight": m.weight.tolist(),
     }
+    text = json.dumps(payload)  # one C-encoder pass; json.dump streams through Python
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def load_mms_json(path) -> FiniteMMS:

@@ -42,7 +42,6 @@ __all__ = [
     "bakry_ledoux_check",
     "spectral_gap_bound_check",
     "cone_spectrum",
-    "cone_heat",
     "gamma_fd",
 ]
 
@@ -241,28 +240,13 @@ def essential_self_adjointness(nu: float, lambda_fiber: float, K: float = 1.0) -
     return left.kind is WeylKind.LIMIT_POINT and right.kind is WeylKind.LIMIT_POINT
 
 
-def heat_semigroup_1d(
-    op: SturmLiouville1D, u0: np.ndarray, t: float, k: int | None = None
-) -> np.ndarray:
-    """Semigroup action u_t = sum exp(-mu_i t) <u0, v_i>_M v_i.
-
-    Uses the full cached spectrum by default; with a truncation k a warning
-    is raised when the retained modes carry less than 99.9% of the M-norm
-    of u0.
-    """
+def heat_semigroup_1d(op: SturmLiouville1D, u0: np.ndarray, t: float) -> np.ndarray:
+    """Semigroup action u_t = sum exp(-mu_i t) <u0, v_i>_M v_i over the full cached spectrum."""
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
     u0 = np.asarray(u0, dtype=float)
-    spec = op.full_spectrum() if k is None else eigen(op, k)
+    spec = op.full_spectrum()
     coeff = spec.eigenvectors.T @ (op.m_diag * u0)
-    if k is not None:
-        total = float(u0 @ (op.m_diag * u0))
-        kept = float(coeff @ coeff)
-        if total > 0 and kept < 0.999 * total:
-            warnings.warn(
-                f"spectral truncation covers {kept / total:.2%} of the initial norm",
-                RuntimeWarning,
-            )
     return spec.eigenvectors @ (np.exp(-spec.eigenvalues * t) * coeff)
 
 
@@ -361,14 +345,3 @@ def cone_spectrum(
             cache[key] = eigen(op, k_per_fiber).eigenvalues
         out.append((lam, cache[key]))
     return out
-
-
-def cone_heat(
-    op: SturmLiouville1D, u1: np.ndarray, u2: np.ndarray, t: float
-) -> np.ndarray:
-    """Heat flow of the separated product u1 (x) u2 with u2 a fiber eigenfunction.
-
-    The fiber eigenvalue is baked into ``op``; the flow acts on the radial
-    factor only, so the result is (P_t u1) (x) u2.
-    """
-    return np.outer(heat_semigroup_1d(op, u1, t), np.asarray(u2, dtype=float))

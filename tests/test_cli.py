@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conecheck import mms
-from conecheck.cli import Report, main
+from conecheck.cli import _DEFAULTS, Report, main
 
 
 def _reject_constant(token):
@@ -294,3 +294,67 @@ class TestVerdictGate:
         rep = strict_loads(report.to_json(runtime_ms=0))
         assert rep["residuals"] == {"max": "inf", "mean": "nan", "min": "-inf"}
         assert rep["detail"]["orders"] == [1.0, "nan"]
+
+
+class TestReportParams:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--grid", "100"],
+        ["cone", "--grid", "6", "--fiber-n", "8"],
+        ["cd-check", "--grid", "60", "--pairs", "1"],
+        ["be-check", "--grid", "60", "--pairs", "2"],
+        ["be-check", "--flavor", "grid", "--grid", "41", "--fiber-n", "33", "--pairs", "1"],
+        ["weyl"],
+        ["suspension", "--grid", "8", "--fiber-n", "12"],
+        ["heat", "--grid", "60", "--pairs", "1"],
+        ["gamma2-identity", "--grid", "41", "--fiber-n", "16", "--pairs", "1"],
+    ], ids=lambda argv: "-".join(argv[:3:2]) if "--flavor" in argv else argv[0])
+    def test_params_are_the_flag_table(self, argv, tmp_path):
+        out = tmp_path / "r.json"
+        if argv[0] == "cone":
+            argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
+        else:
+            argv = argv + ["--out", str(out)]
+        assert main(argv + ["--seed", "4"]) in (0, 1)
+        rep = read_report(out)
+        unechoed = {"seed", "out", "report", "plot", "input", "config"}
+        assert set(rep["params"]) == set(_DEFAULTS[argv[0]]) - unechoed
+        assert None not in rep["params"].values()
+        assert rep["provenance"]["seed"] == 4
+
+    def test_derived_values_replace_unset_defaults(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["suspension", "--grid", "8", "--fiber-n", "12", "--out", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert params["tol"] == pytest.approx(2.0 * math.pi / 8)
+        assert (params["x"], params["y"]) == (8 * 12, 8 * 12 + 1)  # the two apexes
+        assert (params["fiber_n"], params["radius"]) == (12, 1.0)
+        assert main(["cd-check", "--grid", "60", "--pairs", "1", "--full", "--out", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert params["full"] is True and params["eps"] > 0
+
+    def test_cone_echoes_the_loaded_fiber_size(self, tmp_path):
+        fiber = tmp_path / "fiber.json"
+        mms.save_mms_json(mms.circle_mms(10, 1.0), fiber)
+        out = tmp_path / "r.json"
+        assert main(["cone", "--input", str(fiber), "--fiber-n", "99", "--grid", "6",
+                     "--out", str(tmp_path / "space.json"), "--report", str(out)]) == 0
+        assert read_report(out)["params"]["fiber_n"] == 10
+
+
+def test_eps_without_a_midpoint_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["cd-check", "--grid", "60", "--pairs", "1", "--eps", "0.0001",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no epsilon-midpoint for atoms (")
+    assert "eps=0.0001" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_spectrum_without_a_gap_bound_does_not_pass(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["spectrum", "--nu", "0", "--grid", "200", "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["pass"] is False and rep["residuals"] == {}
+    assert "no spectral gap bound" in rep["warnings"][0]
+    assert len(rep["detail"]["eigenvalues"]) == 12

@@ -288,3 +288,27 @@ class TestConverse:
         rep2 = converse_deduction_check(2.0, g, u + 3.7, tol=10.0)
         assert rep1.min_residual == pytest.approx(rep2.min_residual, abs=1e-10)
         assert rep1.flavor == "graph"
+
+
+def test_fine_field_built_once_per_member(monkeypatch):
+    # each member costs one fine and one coarse evaluation; the two fine masks share one field
+    from conecheck.gamma_calc import grid
+
+    calls = []
+    evaluate = grid.gamma2_2d
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "gamma2_2d", counting)
+    spec = cone_grid(1.0, 2.0, 81, circle_fiber(32))
+    rng = np.random.default_rng(3)
+    members = [[(trig(rng, spec.r), trig(rng, spec.fiber.x))] for _ in range(3)]
+    for (u1, u2), in members:
+        warped_gamma2_identity_check(spec, spec.warp(), u1, u2)
+    assert calls == [(81, 32), (41, 16)] * 3
+    calls.clear()
+    rep = sharp_gamma2_estimate_check(spec, members, tol=1.0)
+    assert sorted(calls) == [(41, 16)] * 3 + [(81, 32)] * 3
+    assert rep.min_slack_fine_matched >= rep.min_slack
