@@ -32,7 +32,6 @@ __all__ = [
     "path_graph_from_interval_model",
     "cycle_graph",
     "complete_graph",
-    "save_certificate_csv",
 ]
 
 _NULL_TOL = 1e-12
@@ -288,13 +287,3 @@ def cycle_graph(n: int, circumference: float = 2.0 * math.pi) -> WeightedGraph:
 def complete_graph(n: int, weight: float = 1.0, measure: float = 1.0) -> WeightedGraph:
     w = weight * (np.ones((n, n)) - np.eye(n))
     return WeightedGraph(vertex_measure=np.full(n, measure), edge_weights=w)
-
-
-def save_certificate_csv(result: CurvatureResult, path) -> None:
-    """Export a minimizer as a CSV vector (vertex index, value)."""
-    if result.certificate is None:
-        raise ValueError("result carries no certificate")
-    with open(path, "w") as fh:
-        fh.write("vertex,value\n")
-        for i, v in enumerate(result.certificate):
-            fh.write(f"{i},{float(v)!r}\n")

@@ -31,7 +31,6 @@ __all__ = [
     "circle_fiber",
     "weighted_interval_fiber",
     "cone_grid",
-    "cone_gamma_mixed",
     "generator_2d",
     "gamma_2d",
     "gamma2_2d",
@@ -194,16 +193,6 @@ def gamma2_2d(u: np.ndarray, spec: ConeGridSpec,
     lu = generator_2d(u, spec, f, df)
     g = gamma_2d(u, u, spec, f)
     return 0.5 * generator_2d(g, spec, f, df) - gamma_2d(u, lu, spec, f)
-
-
-def cone_gamma_mixed(u: np.ndarray, f: np.ndarray, h: float, g: WeightedGraph) -> np.ndarray:
-    """Mixed flavor: FD in the radial direction, exact graph Gamma in the fiber.
-
-    ``u`` has shape (n_radial, n_vertices); returns the same shape.
-    """
-    ur = _d1(u, h, axis=0, periodic=False)
-    fib = np.stack([graph_gamma(g, u[i]) for i in range(u.shape[0])])
-    return ur * ur + fib / (f * f)[:, None]
 
 
 def _mask_interior(vals: np.ndarray, spec: ConeGridSpec, margin: int) -> np.ndarray:

@@ -12,7 +12,6 @@ is pure.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "interval_model_mms",
     "save_mms_json",
     "load_mms_json",
-    "export_mms_csv",
 ]
 
 # Guard band for arccos arguments: values inside [-1-GUARD, 1+GUARD] are
@@ -471,16 +469,3 @@ def load_mms_json(path) -> FiniteMMS:
         dist=dist,
         weight=np.asarray(payload["weight"], dtype=float),
     )
-
-
-def export_mms_csv(m: FiniteMMS, dist_path, weight_path) -> None:
-    with open(dist_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label"] + list(m.labels))
-        for lab, row in zip(m.labels, m.dist):
-            w.writerow([lab] + [repr(float(v)) for v in row])
-    with open(weight_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "weight"])
-        for lab, wt in zip(m.labels, m.weight):
-            w.writerow([lab, repr(float(wt))])

@@ -42,7 +42,6 @@ __all__ = [
     "bakry_ledoux_check",
     "spectral_gap_bound_check",
     "cone_spectrum",
-    "gamma_fd",
 ]
 
 _LIMIT_POINT_THRESHOLD = 0.75  # boundary value 3/4 is limit point
@@ -250,7 +249,7 @@ def heat_semigroup_1d(op: SturmLiouville1D, u0: np.ndarray, t: float) -> np.ndar
     return spec.eigenvectors @ (np.exp(-spec.eigenvalues * t) * coeff)
 
 
-def gamma_fd(u: np.ndarray, h: float) -> np.ndarray:
+def _gamma_fd(u: np.ndarray, h: float) -> np.ndarray:
     """Squared first derivative: central differences inside, one-sided at the ends."""
     g = np.empty_like(u)
     g[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
@@ -277,9 +276,9 @@ def bakry_ledoux_check(
     h = op.grid.h
     u0 = np.asarray(u0, dtype=float)
     Pt_u = heat_semigroup_1d(op, u0, t)
-    gamma_Pt = gamma_fd(Pt_u, h)
+    gamma_Pt = _gamma_fd(Pt_u, h)
     L_Pt = op.apply_generator(Pt_u)
-    Pt_gamma = heat_semigroup_1d(op, gamma_fd(u0, h), t)
+    Pt_gamma = heat_semigroup_1d(op, _gamma_fd(u0, h), t)
     if kappa == 0.0:
         factor = 2.0 * t / Nbe
         decay = 1.0

@@ -10,9 +10,7 @@ point.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
 from .model_fns import CurvatureDimension, ExtendedValue, passes, sigma_coeff, tau_coeff
-from .mms import FiniteMMS, load_mms_json, midpoints
+from .mms import FiniteMMS, midpoints
 
 __all__ = [
     "Density",
@@ -30,10 +28,10 @@ __all__ = [
     "NoMidpointError",
     "density_from_mass",
     "uniform_density",
-    "load_density_json",
     "wasserstein2",
     "displacement_midpoint",
     "renyi_entropy",
+    "convexity_reports",
     "cd_star_check",
     "cd_check",
     "mcp_check",
@@ -99,22 +97,6 @@ def uniform_density(space: FiniteMMS, support: np.ndarray | None = None) -> Dens
         keep[np.asarray(support, dtype=int)] = True
         raw = np.where(keep, raw, 0.0)
     return density_from_mass(space, raw)
-
-
-def load_density_json(path, space: FiniteMMS | None = None) -> Density:
-    """Load a density from JSON {"space": path, "mass": [...]}.
-
-    The space file path is resolved relative to the density file; passing
-    ``space`` skips the lookup (the mass vector must still match it).
-    """
-    with open(path) as fh:
-        payload = json.load(fh)
-    if space is None:
-        ref = payload["space"]
-        if not os.path.isabs(ref):
-            ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        space = load_mms_json(ref)
-    return Density(space, np.asarray(payload["mass"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,10 +260,13 @@ def renyi_entropy(m: FiniteMMS, mu: Density, Nprime: float) -> float:
     return float(np.sum(rho[pos] ** (-1.0 / Nprime) * mu.mass[pos]))
 
 
-def _convexity_reports(m, mu0, mu1, cd, nprimes, eps, tol, coeff) -> list[CDReport]:
-    """One coupling and one midpoint for the pair, then one report per N' in nprimes.
+def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,
+                      nprimes, eps: float, tol: float, coeff) -> list[CDReport]:
+    """One coupling and one midpoint for the pair, then one report per N' in ``nprimes``.
 
-    ``coeff`` is ``sigma_coeff`` (reduced) or ``tau_coeff`` (full); an
+    Each N' (>= cd.N) compares the midpoint's entropy with the coupling
+    average of ``coeff``-weighted endpoint entropies: ``coeff`` is
+    ``sigma_coeff`` (reduced, CD*) or ``tau_coeff`` (full, CD), and an
     infinite coefficient on the support makes that N''s rhs infinite.
     """
     if any(Nprime < cd.N for Nprime in nprimes):
@@ -311,13 +296,13 @@ def cd_star_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimensi
     average of sigma^(1/2)-weighted endpoint entropies; an infinite
     coefficient makes the rhs infinite and the check fail.
     """
-    return _convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, sigma_coeff)[0]
+    return convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, sigma_coeff)[0]
 
 
 def cd_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,
              Nprime: float, eps: float, tol: float) -> CDReport:
     """Same inequality with the tau coefficients (the non-reduced condition)."""
-    return _convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, tau_coeff)[0]
+    return convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, tau_coeff)[0]
 
 
 def mcp_check(

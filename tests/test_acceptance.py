@@ -175,8 +175,9 @@ def test_criterion_6_cd_star_midpoint_inequality():
     worst = math.inf
     for _ in range(20):
         mu0, mu1 = _bump_pair(space, r, rng)
-        for Np in (3.0, 6.0):
-            rep = tr.cd_star_check(space, mu0, mu1, cd, Np, eps=eps, tol=tol)
+        # one coupling per pair, reported at both N'
+        for rep in tr.convexity_reports(space, mu0, mu1, cd, (3.0, 6.0), eps, tol,
+                                        tr.sigma_coeff):
             worst = min(worst, rep.slack)
             assert rep.passed, f"violation {rep.slack:.3e} below -{tol:.3e}"
 

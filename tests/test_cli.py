@@ -276,16 +276,30 @@ class TestVerdictGate:
         assert (params["grid"], params["tol"]) == (120, 1.0)
         assert isinstance(params["tol"], float)
 
-    def test_unvalidated_cone_does_not_pass(self, tmp_path):
-        # 37 rings of 33 atoms plus two apexes: above the 1200 atoms that are validated
+    def test_large_cone_is_validated_by_its_fiber(self, tmp_path):
+        # 37 rings of 33 atoms plus two apexes: certified through the 33-atom fiber
         out = tmp_path / "r.json"
         code = main(["cone", "--grid", "37", "--fiber-n", "33", "--out",
                      str(tmp_path / "cone.json"), "--report", str(out)])
         rep = read_report(out)
         assert rep["detail"]["points"] == 37 * 33 + 2
+        assert code == 0 and rep["pass"] is True
+        assert rep["detail"]["validated"] == "fiber"
+        assert rep["residuals"] == {"max": 0.0, "mean": 0.0, "min": 0.0}
+
+    def test_cone_over_an_invalid_fiber_fails(self, tmp_path):
+        fiber = mms.circle_mms(10, 1.0)
+        d = fiber.dist.copy()
+        d[0, 2] = d[2, 0] = d[0, 1] + d[1, 2] + 0.3  # one seeded triangle defect
+        path = tmp_path / "fiber.json"
+        mms.save_mms_json(mms.FiniteMMS(fiber.labels, d, fiber.weight), path)
+        out = tmp_path / "r.json"
+        code = main(["cone", "--input", str(path), "--grid", "6",
+                     "--out", str(tmp_path / "cone.json"), "--report", str(out)])
+        rep = read_report(out)
         assert code == 1 and rep["pass"] is False
-        assert rep["detail"]["validated"] is False
-        assert rep["warnings"] and rep["residuals"] == {}
+        assert rep["detail"]["validated"] == "fiber"
+        assert rep["residuals"]["min"] > 0
 
     def test_report_names_nonfinite_numbers(self):
         report = Report(check="x", params={"tol": 0.1}, passed=False, tolerance=0.1,

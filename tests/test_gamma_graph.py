@@ -361,16 +361,3 @@ class TestModelGraphs:
         u = np.cos(x)
         # Lu -> -u with O(h^2) error
         assert np.max(np.abs(g.apply_L(u) + u)) <= (2 * math.pi / n) ** 2
-
-
-def test_certificate_csv_export(tmp_path):
-    from conecheck.gamma_calc import save_certificate_csv
-
-    g = complete_graph(3)
-    res = curvature_dimension(g, 0, 4.0)
-    save_certificate_csv(res, tmp_path / "cert.csv")
-    lines = (tmp_path / "cert.csv").read_text().strip().splitlines()
-    assert lines[0] == "vertex,value"
-    assert len(lines) == 4
-    vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
-    assert gamma(g, vals)[0] == pytest.approx(1.0, abs=1e-10)

@@ -7,7 +7,6 @@ from conecheck import gamma_calc as gc
 from conecheck.gamma_calc import (
     INTERIOR_MARGIN,
     circle_fiber,
-    cone_gamma_mixed,
     cone_grid,
     converse_deduction_check,
     cycle_graph,
@@ -107,21 +106,6 @@ class TestConeOperators:
         fd = generator_2d(U, spec)
         diff = _mask_interior(np.abs(dense - fd), spec, INTERIOR_MARGIN)
         assert np.max(diff) <= 50 * h**2
-
-    def test_mixed_flavor_gamma(self):
-        g = cycle_graph(32, 2 * math.pi)
-        x = 2 * math.pi * np.arange(32) / 32
-        r = np.linspace(0.5, math.pi - 0.5, 81)
-        h = r[1] - r[0]
-        U = np.outer(np.sin(r), np.cos(x))
-        f = np.sin(r)
-        got = cone_gamma_mixed(U, f, h, g)
-        # graph Gamma of cos is (1/2m) sum w (cos(y)-cos(x))^2, close to sin^2
-        expect = np.outer(np.cos(r) ** 2, np.cos(x) ** 2) + np.outer(
-            np.ones_like(r), np.sin(x) ** 2
-        )
-        inner = slice(2, -2)
-        assert np.max(np.abs(got[inner] - expect[inner])) <= 0.02
 
 
 class TestWarpedIdentity:

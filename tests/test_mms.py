@@ -10,7 +10,6 @@ from conecheck.mms import (
     circle_mms,
     cone,
     diameter,
-    export_mms_csv,
     interval_model_mms,
     load_mms_json,
     midpoints,
@@ -328,11 +327,3 @@ class TestSerialization:
         }))
         m = load_mms_json(p)
         assert m.dist[0, 0] == 0.0
-
-    def test_csv_export(self, tmp_path):
-        m = two_point()
-        export_mms_csv(m, tmp_path / "d.csv", tmp_path / "w.csv")
-        lines = (tmp_path / "d.csv").read_text().strip().splitlines()
-        assert lines[0] == "label,a,b"
-        wl = (tmp_path / "w.csv").read_text().strip().splitlines()
-        assert wl[1].startswith("a,")

@@ -14,12 +14,12 @@ from conecheck.spectral1d import (
     discretize_fiber_operator,
     eigen,
     essential_self_adjointness,
-    gamma_fd,
     heat_semigroup_1d,
     schrodinger_transform,
     spectral_gap_bound_check,
     weyl_classify,
 )
+from conecheck.spectral1d import _gamma_fd
 
 
 class TestDiscretization:
@@ -312,5 +312,5 @@ def test_gamma_fd_exactness_on_quadratics():
     h = 0.1
     x = np.arange(12) * h
     u = 3.0 * x * x + 2.0 * x + 1.0
-    g = gamma_fd(u, h)
+    g = _gamma_fd(u, h)
     assert np.allclose(g[1:-1], (6.0 * x[1:-1] + 2.0) ** 2)

@@ -13,6 +13,7 @@ from conecheck.transport import (
     NoMidpointError,
     cd_check,
     cd_star_check,
+    convexity_reports,
     density_from_mass,
     displacement_midpoint,
     mcp_check,
@@ -20,7 +21,6 @@ from conecheck.transport import (
     uniform_density,
     wasserstein2,
 )
-from conecheck.transport import _convexity_reports
 
 
 def lebesgue_interval(n=120, length=math.pi):
@@ -348,7 +348,7 @@ def test_multi_nprime_core_matches_single_checks(case):
     nprimes = (cd.N, 2.0 * cd.N)
     tol = 0.1
     for coeff, single in ((sigma_coeff, cd_star_check), (tau_coeff, cd_check)):
-        reports = _convexity_reports(space, mu0, mu1, cd, nprimes, eps, tol, coeff)
+        reports = convexity_reports(space, mu0, mu1, cd, nprimes, eps, tol, coeff)
         assert [r.Nprime for r in reports] == list(nprimes)
         for Np, rep in zip(nprimes, reports):
             ref = single(space, mu0, mu1, cd, Np, eps, tol)
@@ -356,7 +356,7 @@ def test_multi_nprime_core_matches_single_checks(case):
                 ref.lhs, ref.rhs, ref.slack, ref.passed)
             assert repr(rep.rhs) == repr(ref.rhs)
     if case == 2:
-        tau = _convexity_reports(space, mu0, mu1, cd, nprimes, eps, tol, tau_coeff)
+        tau = convexity_reports(space, mu0, mu1, cd, nprimes, eps, tol, tau_coeff)
         assert tau[0].rhs.is_infinite and not tau[0].passed
         assert not tau[1].rhs.is_infinite
 
@@ -364,7 +364,7 @@ def test_multi_nprime_core_matches_single_checks(case):
 def test_multi_nprime_core_rejects_small_nprime():
     space, mu0, mu1, cd, eps = _pair_cases()[0]
     with pytest.raises(ValueError):
-        _convexity_reports(space, mu0, mu1, cd, (2 * cd.N, cd.N - 0.5), eps, 0.1, sigma_coeff)
+        convexity_reports(space, mu0, mu1, cd, (2 * cd.N, cd.N - 0.5), eps, 0.1, sigma_coeff)
 
 
 class TestMCP:
@@ -400,31 +400,3 @@ class TestMCP:
         # understated dimension hits the blow-up branch of the coefficient
         bad_n = mcp_check(c, apex, A, CurvatureDimension(1.0, 1.3), 0.5, tol=2.5 * h, eps=h)
         assert not bad_n.passed
-
-
-class TestDensityIO:
-    def test_density_json_round_trip(self, tmp_path):
-        import json as _json
-
-        space = lebesgue_interval(12)
-        mms.save_mms_json(space, tmp_path / "space.json")
-        mu = uniform_density(space, np.arange(3, 9))
-        (tmp_path / "mu.json").write_text(_json.dumps(
-            {"space": "space.json", "mass": mu.mass.tolist()}))
-        from conecheck.transport import load_density_json
-
-        back = load_density_json(tmp_path / "mu.json")
-        assert np.allclose(back.mass, mu.mass)
-        assert back.space.n == space.n
-
-    def test_density_json_validates(self, tmp_path):
-        import json as _json
-
-        space = lebesgue_interval(4)
-        mms.save_mms_json(space, tmp_path / "space.json")
-        (tmp_path / "bad.json").write_text(_json.dumps(
-            {"space": "space.json", "mass": [0.5, 0.5, 0.5, 0.5]}))
-        from conecheck.transport import load_density_json
-
-        with pytest.raises(ValueError):
-            load_density_json(tmp_path / "bad.json")
