@@ -121,7 +121,8 @@ def cmd_spectrum(args) -> Report:
     warnings_list = []
     if args.grid < 64:
         warnings_list.append(f"grid under-resolved (n={args.grid}); convergence not reached")
-    op = sp1d.discretize_fiber_operator(args.K, args.nu, getattr(args, "lambda"), args.grid)
+    op = sp1d.discretize_fiber_operator(args.K, args.nu, getattr(args, "lambda"), args.grid,
+                                        r_max=args.rmax if args.K <= 0 else None)
     k = min(args.grid, 12)
     spec = sp1d.eigen(op, k)
     detail = {"eigenvalues": [float(v) for v in spec.eigenvalues]}
@@ -376,8 +377,8 @@ _FLAGS = {
 # every flag a subcommand reads, with its default (None: derived or unset)
 _COMMON = {"seed": 0, "out": None}
 _DEFAULTS = {
-    "spectrum": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 2000, "tol": 1e-2, "plot": None,
-                 **_COMMON},
+    "spectrum": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 2000, "rmax": math.pi, "tol": 1e-2,
+                 "plot": None, **_COMMON},
     "cone": {"K": 1.0, "N": 1.0, "grid": 64, "fiber_n": 32, "radius": 1.0, "rmax": math.pi,
              "input": None, "report": None, **_COMMON},
     "cd-check": {"K": 1.0, "nu": 2.0, "cd_K": 2.0, "N": 3.0, "grid": 400, "pairs": 5, "tol": 0.2,

@@ -1,11 +1,14 @@
 """Exact discrete optimal transport and displacement-convexity checks.
 
-Couplings are solved as exact transportation LPs (simplex, with certified
-dual feasibility); geodesic interpolation is replaced by its finite
-surrogate, the epsilon-midpoint layer at t = 1/2.  On top of these the
-module evaluates the reduced and full convexity inequalities for
-Renyi-type entropies and the contraction property of transports from a
-point.
+Couplings are exact.  When the two supports embed isometrically in R the
+plan is the monotone (north-west corner) rearrangement with potentials
+built along its staircase; otherwise it is the transportation LP solved by
+simplex.  Either plan is accepted only after one shared certificate of
+dual feasibility and complementary slackness.  Geodesic interpolation is
+replaced by its finite surrogate, the epsilon-midpoint layer at t = 1/2.
+On top of these the module evaluates the reduced and full convexity
+inequalities for Renyi-type entropies and the contraction property of
+transports from a point.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ __all__ = [
 
 _MARGINAL_TOL = 1e-9
 _MASS_TOL = 1e-12
+# Largest defect | |x_i - x_j| - d_ij |, relative to the diameter, at which
+# the supports count as a line.  The staircase potentials add the cost along
+# up to |S| cells, so a defect reaches the dual check about |S| times over;
+# 1e-12 keeps that below the certificate's 1e-9 for supports of hundreds of
+# atoms, while round-off on a cone ray is 1e-15 (K >= 0) to 1e-13 (K < 0).
+_LINE_TOL = 1e-12
 
 
 class NoMidpointError(RuntimeError):
@@ -166,10 +175,14 @@ class MCPReport:
 def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupling]:
     """Exact quadratic-cost optimal transport between two densities on m.
 
-    Solved as the transportation LP restricted to the supports, by simplex
-    at tightened feasibility tolerances; optimality is certified through
-    complementary slackness against the returned potentials before the
-    coupling is accepted.
+    Solved on the supports.  When their union embeds isometrically in R
+    (an interval, or one ray of a cone) the plan is the monotone
+    rearrangement, with potentials built along its staircase; otherwise it
+    is the transportation LP, by simplex at tightened feasibility
+    tolerances, with its equality duals.  Either way optimality is
+    certified by ``_certify_optimality`` (dual feasibility and
+    complementary slackness) before the coupling is accepted, and a plan
+    that fails raises RuntimeError.
     """
     if mu0.space is not m or mu1.space is not m:
         raise ValueError("densities must live on the given space")
@@ -184,26 +197,14 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
     elif nc == 1:
         plan_s = a[:, None].copy()
     else:
-        cost = C.ravel()
-        ii = np.repeat(np.arange(nr), nc)
-        jj = np.tile(np.arange(nc), nr)
-        var = np.arange(nr * nc)
-        A_eq = coo_array(
-            (np.ones(2 * nr * nc), (np.concatenate([ii, nr + jj]), np.concatenate([var, var]))),
-            shape=(nr + nc, nr * nc),
-        ).tocsr()
-        b_eq = np.concatenate([a, b])
-        res = linprog(
-            cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
-        )
-        if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        plan_s = res.x.reshape(nr, nc)
-        _certify_optimality(C, plan_s, res.eqlin.marginals[:nr], res.eqlin.marginals[nr:])
+        support = np.union1d(rows, cols)
+        x = _line_coordinates(m.dist[np.ix_(support, support)])
+        if x is None:
+            plan_s, alpha, beta = _lp_plan(C, a, b)
+        else:
+            plan_s, alpha, beta = _monotone_plan(C, a, b, x[np.searchsorted(support, rows)],
+                                                 x[np.searchsorted(support, cols)])
+        _certify_optimality(C, plan_s, alpha, beta)
 
     sr, sc = np.nonzero(plan_s > 0)
     plan = coo_array((plan_s[sr, sc], (rows[sr], cols[sc])), shape=(m.n, m.n))
@@ -211,8 +212,84 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
     return math.sqrt(max(cost_val, 0.0)), Coupling(plan=plan, mu0=mu0, mu1=mu1)
 
 
+def _line_coordinates(dist: np.ndarray) -> np.ndarray | None:
+    """Coordinates x with |x_i - x_j| = dist_ij, or None when the atoms are not on a line.
+
+    x_i is the distance from an atom farthest from atom 0; on a line that atom
+    is an end, so x is an isometric embedding in R exactly when one exists.
+    Every pair is tested, within _LINE_TOL of the diameter.
+    """
+    x = dist[int(np.argmax(dist[0]))]
+    defect = np.abs(np.subtract.outer(x, x))
+    defect -= dist
+    return x if passes(-np.abs(defect), _LINE_TOL * float(x.max())) else None
+
+
+def _monotone_plan(C, a, b, xr, xc):
+    """North-west corner plan of rows and columns sorted by their line coordinates.
+
+    The optimal quadratic-cost plan on a line (Villani 2003, Thm 2.18).  Each
+    step fills one cell and moves on by one row or one column, the row first
+    when both run out, so the nr + nc - 1 cells, zero-mass ones included, form
+    a connected staircase; the potentials satisfy alpha_i + beta_j = C_ij on
+    each of them.  Returns (plan, alpha, beta) in the order of ``C``.
+    """
+    nr, nc = C.shape
+    ro, co = np.argsort(xr, kind="stable").tolist(), np.argsort(xc, kind="stable").tolist()
+    a, b = a.tolist(), b.tolist()
+    plan, alpha, beta = np.zeros((nr, nc)), np.zeros(nr), np.zeros(nc)
+    i = j = 0
+    r, c = ro[0], co[0]
+    left_r, left_c = a[r], b[c]
+    beta[c] = C[r, c]
+    while True:
+        t = min(left_r, left_c)
+        plan[r, c] = t
+        left_r -= t
+        left_c -= t
+        if i == nr - 1 and j == nc - 1:
+            return plan, alpha, beta
+        if j == nc - 1 or (i < nr - 1 and left_r <= left_c):
+            i += 1
+            r = ro[i]
+            left_r = a[r]
+            alpha[r] = C[r, c] - beta[c]
+        else:
+            j += 1
+            c = co[j]
+            left_c = b[c]
+            beta[c] = C[r, c] - alpha[r]
+
+
+def _lp_plan(C, a, b):
+    """The transportation LP by dual simplex at tightened feasibility tolerances.
+
+    Returns (plan, alpha, beta): the reduced plan and the equality duals.
+    """
+    nr, nc = C.shape
+    cost = C.ravel()
+    ii = np.repeat(np.arange(nr), nc)
+    jj = np.tile(np.arange(nc), nr)
+    var = np.arange(nr * nc)
+    A_eq = coo_array(
+        (np.ones(2 * nr * nc), (np.concatenate([ii, nr + jj]), np.concatenate([var, var]))),
+        shape=(nr + nc, nr * nc),
+    ).tocsr()
+    b_eq = np.concatenate([a, b])
+    res = linprog(
+        cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return res.x.reshape(nr, nc), res.eqlin.marginals[:nr], res.eqlin.marginals[nr:]
+
+
 def _certify_optimality(C, plan, alpha, beta, rtol=1e-9):
-    """Dual feasibility and complementary slackness of the LP solution."""
+    """Dual feasibility and complementary slackness of a plan and its potentials."""
     scale = max(float(C.max()), 1.0)
     reduced = C - alpha[:, None] - beta[None, :]
     if not passes(reduced, rtol * scale):

@@ -206,7 +206,7 @@ class TestConfig:
               "--grid", "300", "--tol", "0.25", "--out", str(out)])
         params = read_report(out)["params"]
         assert params == {"K": 1.0, "nu": 2.0, "lambda": 1.5,
-                          "grid": 300, "tol": 0.25}
+                          "grid": 300, "rmax": math.pi, "tol": 0.25}
 
 
 def test_plot_failure_does_not_change_exit_code(tmp_path, monkeypatch):
@@ -370,5 +370,15 @@ def test_spectrum_without_a_gap_bound_does_not_pass(tmp_path):
     assert main(["spectrum", "--nu", "0", "--grid", "200", "--out", str(out)]) == 1
     rep = read_report(out)
     assert rep["pass"] is False and rep["residuals"] == {}
+    assert "no spectral gap bound" in rep["warnings"][0]
+    assert len(rep["detail"]["eigenvalues"]) == 12
+
+
+@pytest.mark.parametrize("flags, rmax", [(["--K", "-1"], math.pi), (["--K", "0", "--rmax", "2"], 2.0)])
+def test_spectrum_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["spectrum", *flags, "--grid", "100", "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["pass"] is False and rep["params"]["rmax"] == rmax
     assert "no spectral gap bound" in rep["warnings"][0]
     assert len(rep["detail"]["eigenvalues"]) == 12

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conecheck import gamma_calc as gc
 from conecheck.gamma_calc import (
     INTERIOR_MARGIN,
     circle_fiber,

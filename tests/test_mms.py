@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from conecheck import mms
 from conecheck.mms import (
     FiniteMMS,
     circle_mms,

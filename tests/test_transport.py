@@ -6,6 +6,7 @@ import pytest
 from scipy.sparse import coo_array, coo_matrix
 
 from conecheck import mms
+from conecheck import transport as tr
 from conecheck.model_fns import CurvatureDimension, sigma_coeff, tau_coeff
 from conecheck.transport import (
     Coupling,
@@ -98,6 +99,106 @@ class TestWasserstein:
         d12, _ = wasserstein2(space, mus[1], mus[2])
         d02, _ = wasserstein2(space, mus[0], mus[2])
         assert d02 <= d01 + d12 + 1e-8
+
+
+def _bump(space, r, centre, width):
+    raw = space.weight * np.exp(-(((r - centre) / width) ** 2))
+    raw[np.abs(r - centre) > 3 * width] = 0.0
+    return density_from_mass(space, raw)
+
+
+def _count_lp_calls(monkeypatch):
+    """Route ``transport.linprog`` through a counter; returns the list it appends to."""
+    calls, linprog = [], tr.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "linprog", counted)
+    return calls
+
+
+class TestMonotonePath:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lp_on_random_bump_pairs(self, seed, monkeypatch):
+        n = 400
+        space = mms.interval_model_mms(1.0, 2.0, n)
+        h = math.pi / n
+        r = (np.arange(n) + 0.5) * h
+        rng = np.random.default_rng(seed)
+        mu0, mu1 = (_bump(space, r, rng.uniform(0.6, math.pi - 0.6), rng.uniform(0.04, 0.15))
+                    for _ in range(2))
+        rows, cols = np.nonzero(mu0.mass)[0], np.nonzero(mu1.mass)[0]
+        C = space.dist[np.ix_(rows, cols)] ** 2
+        a, b = mu0.mass[rows], mu1.mass[cols]
+        lp = tr._lp_plan(C, a, b)[0]
+        mono = tr._monotone_plan(C, a, b, r[rows], r[cols])[0]
+        w_lp, w_mono = math.sqrt(np.sum(lp * C)), math.sqrt(np.sum(mono * C))
+        assert w_mono == pytest.approx(w_lp, rel=1e-12)
+        assert np.count_nonzero(mono) == np.count_nonzero(lp)
+
+        cd = CurvatureDimension(2.0, 3.0)
+        args = (space, mu0, mu1, cd, (3.0, 6.0), 2 * h, 0.1, sigma_coeff)
+        calls = _count_lp_calls(monkeypatch)
+        fast = convexity_reports(*args)
+        assert calls == []
+        monkeypatch.setattr(tr, "_line_coordinates", lambda dist: None)
+        slow = convexity_reports(*args)
+        assert len(calls) == 1
+        for f, s in zip(fast, slow):
+            assert f.slack == pytest.approx(s.slack, rel=0, abs=1e-12)
+            assert f.passed == s.passed
+
+    def test_shifted_uniform_ties_at_every_step(self):
+        space = lebesgue_interval(60)
+        h = math.pi / 60
+        idx = np.arange(60)
+        mu0 = density_from_mass(space, (idx < 20).astype(float))
+        mu1 = density_from_mass(space, ((idx >= 10) & (idx < 30)).astype(float))
+        cost, q = wasserstein2(space, mu0, mu1)
+        assert q.plan.row.tolist() == list(range(20))
+        assert q.plan.col.tolist() == list(range(10, 30))
+        assert np.all(q.plan.data == 1.0 / 20)
+        assert cost == pytest.approx(10 * h, rel=1e-12)
+        rows, cols = idx[:20], idx[10:30]
+        C = space.dist[np.ix_(rows, cols)] ** 2
+        plan, alpha, beta = tr._monotone_plan(C, mu0.mass[rows], mu1.mass[cols], rows * h, cols * h)
+        tr._certify_optimality(C, plan, alpha, beta)
+        tight = np.abs(C - alpha[:, None] - beta[None, :]) <= 1e-15
+        assert np.count_nonzero(tight) >= rows.size + cols.size - 1  # zero-mass cells too
+
+    def test_certificate_rejects_the_antimonotone_plan(self):
+        rng = np.random.default_rng(8)
+        space = lebesgue_interval(40)
+        x = space.dist[0]
+        rows, cols = np.arange(5, 20), np.arange(12, 35)
+        a = rng.gamma(2.0, size=rows.size)
+        b = rng.gamma(2.0, size=cols.size)
+        a, b = a / a.sum(), b / b.sum()
+        C = space.dist[np.ix_(rows, cols)] ** 2
+        tr._certify_optimality(C, *tr._monotone_plan(C, a, b, x[rows], x[cols]))
+        with pytest.raises(RuntimeError, match="dual infeasibility"):
+            tr._certify_optimality(C, *tr._monotone_plan(C, a, b, x[rows], -x[cols]))
+
+    def test_cone_takes_the_lp_only_across_the_fiber(self, monkeypatch):
+        nf, nr = 16, 12
+        c = mms.cone(mms.circle_mms(nf, 1.0), 1.0, 2.0, mms.radial_grid(1.0, 2.0, nr))
+
+        def on_rays(cells, rays):
+            return uniform_density(c, np.array([k * nf + j for k in cells for j in rays]))
+
+        calls = _count_lp_calls(monkeypatch)
+        wasserstein2(c, on_rays(range(2, 6), [0, 1]), on_rays(range(6, 10), [8, 9]))
+        assert len(calls) == 1
+
+        ray0, ray1 = on_rays(range(1, 5), [3]), on_rays(range(5, 11), [3])
+        cost, _ = wasserstein2(c, ray0, ray1)
+        assert len(calls) == 1
+        monkeypatch.setattr(tr, "_line_coordinates", lambda dist: None)
+        cost_lp, _ = wasserstein2(c, ray0, ray1)
+        assert len(calls) == 2
+        assert cost == pytest.approx(cost_lp, rel=1e-12)
 
 
 class TestDensity:
