@@ -308,7 +308,8 @@ def cmd_suspension(args) -> Report:
 
 
 def cmd_heat(args) -> Report:
-    op = sp1d.discretize_fiber_operator(args.K, args.nu, getattr(args, "lambda"), args.grid)
+    op = sp1d.discretize_fiber_operator(args.K, args.nu, getattr(args, "lambda"), args.grid,
+                                        r_max=args.rmax if args.K <= 0 else None)
     rng = np.random.default_rng(args.seed)
     r = op.grid.nodes
     mins = []
@@ -388,7 +389,8 @@ _DEFAULTS = {
     "weyl": {**_COMMON},
     "suspension": {"N": 1.0, "grid": 25, "fiber_n": 100, "radius": 1.0, "input": None,
                    "x": None, "y": None, "tol": None, **_COMMON},
-    "heat": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 400, "pairs": 5, "tol": 5e-2, **_COMMON},
+    "heat": {"K": 1.0, "nu": 1.0, "lambda": 0.0, "grid": 400, "rmax": math.pi, "pairs": 5,
+             "tol": 5e-2, **_COMMON},
     "gamma2-identity": {"K": 1.0, "nu": 2.0, "grid": 161, "fiber_n": 64, "pairs": 10,
                         "tol": None, "plot": None, **_COMMON},
 }

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..model_fns import passes
 from ..spectral1d import discretize_fiber_operator
@@ -211,6 +210,8 @@ def curvature_dimension(g: WeightedGraph, x: int, N: float) -> CurvatureResult:
     inconsistently), the infimum is -inf.  The returned certificate
     satisfies Gamma(u)(x) = 1 and attains kappa.
     """
+    import scipy.linalg
+
     if not np.any(g.edge_weights[x] > 0):
         return CurvatureResult(vertex=x, N=N, kappa=None, certificate=None)
     ball2, P, ell, Q = _local_forms(g, x)

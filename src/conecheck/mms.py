@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .model_fns import cos_k, passes, sin_k
 
@@ -100,8 +98,8 @@ class Violation:
 def validate(m: FiniteMMS, slack: float = 1e-9, allow_zero_weight: bool = True) -> list:
     """Return all invariant violations of ``m`` (empty list == valid).
 
-    Triangle defects are reported once per (i, j, k) with the worst k kept
-    for each pair to bound the output size.
+    Triangle defects d(i, k) > d(i, j) + d(j, k) are reported once per pair
+    i < k, at its worst intermediate j, to bound the output size.
     """
     out = []
     d, w = m.dist, m.weight
@@ -264,6 +262,8 @@ def warped_product(
     metric accuracy.  The measure is f(r_i)^N * h * fiber weight; no apex
     atoms are added.
     """
+    from scipy.sparse import coo_matrix
+
     f = np.asarray(f, dtype=float)
     if f.shape != (base.n,):
         raise ValueError("warp samples must match the base grid nodes")
@@ -305,6 +305,13 @@ def warped_product(
     labels = tuple(f"{i}:{lab}" for i in range(nr) for lab in fiber.labels)
     weight = np.outer(f**N * h, fiber.weight).ravel()
     return FiniteMMS(labels=labels, dist=dist, weight=weight)
+
+
+def dijkstra(*args, **kwargs):
+    """``scipy.sparse.csgraph.dijkstra``, imported on the first call."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(*args, **kwargs)
 
 
 def diameter(m: FiniteMMS) -> float:
@@ -460,6 +467,8 @@ def load_mms_json(path) -> FiniteMMS:
     dist = np.asarray(payload["dist"], dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("dist must be a square matrix")
+    if not np.all(np.isfinite(dist)):  # before fill_diagonal can hide a NaN
+        raise ValueError("distances and weights must be finite")
     if np.max(np.abs(dist - dist.T)) > 1e-9:
         raise ValueError("dist must be symmetric")
     dist = 0.5 * (dist + dist.T)

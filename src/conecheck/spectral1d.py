@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model_fns import CurvatureDimension, cos_k, passes, sin_k
 from .mms import RadialGrid, radial_grid
@@ -175,6 +174,8 @@ def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
     Solved via the symmetric similarity M^{-1/2} A M^{-1/2} with LAPACK
     bisection + inverse iteration, which is reproducible for fixed input.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = op.n
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}]")

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
 from .model_fns import CurvatureDimension, ExtendedValue, passes, sigma_coeff, tau_coeff
 from .mms import FiniteMMS, midpoints
@@ -91,6 +89,9 @@ class Density:
 def density_from_mass(space: FiniteMMS, raw: np.ndarray) -> Density:
     """Normalize a nonnegative vector (zeroed on weightless atoms) into a Density."""
     raw = np.asarray(raw, dtype=float).copy()
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ValueError(f"mass vector has a non-finite entry {raw[bad[0]]} at atom {bad[0]}")
     raw[space.weight == 0] = 0.0
     s = raw.sum()
     if s <= 0:
@@ -122,6 +123,8 @@ class Coupling:
     mu1: Density
 
     def __post_init__(self):
+        from scipy.sparse import coo_array
+
         plan = coo_array(self.plan, dtype=float)
         if np.any(plan.data < 0):
             raise ValueError("transport plan must be nonnegative")
@@ -184,6 +187,8 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
     complementary slackness) before the coupling is accepted, and a plan
     that fails raises RuntimeError.
     """
+    from scipy.sparse import coo_array
+
     if mu0.space is not m or mu1.space is not m:
         raise ValueError("densities must live on the given space")
     rows = np.nonzero(mu0.mass > 0)[0]
@@ -266,6 +271,8 @@ def _lp_plan(C, a, b):
 
     Returns (plan, alpha, beta): the reduced plan and the equality duals.
     """
+    from scipy.sparse import coo_array
+
     nr, nc = C.shape
     cost = C.ravel()
     ii = np.repeat(np.arange(nr), nc)
@@ -286,6 +293,13 @@ def _lp_plan(C, a, b):
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return res.x.reshape(nr, nc), res.eqlin.marginals[:nr], res.eqlin.marginals[nr:]
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _certify_optimality(C, plan, alpha, beta, rtol=1e-9):

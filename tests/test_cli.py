@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,3 +386,42 @@ def test_spectrum_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path):
     assert rep["pass"] is False and rep["params"]["rmax"] == rmax
     assert "no spectral gap bound" in rep["warnings"][0]
     assert len(rep["detail"]["eigenvalues"]) == 12
+
+
+@pytest.mark.parametrize("flags, rmax", [(["--K", "-1"], math.pi), (["--K", "0", "--rmax", "2"], 2.0)])
+def test_heat_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["heat", *flags, "--grid", "100", "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["pass"] is True and rep["params"]["rmax"] == rmax
+    assert math.isfinite(rep["residuals"]["min"])
+
+
+_FOOTPRINT = """
+import json, sys
+argv = json.loads(sys.argv[1])
+from conecheck.cli import main
+code = main(argv) if argv else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, unloaded", [
+    ([], None, "scipy"),
+    (["weyl"], 0, "scipy"),
+    (["cone", "--grid", "8", "--fiber-n", "12", "--out", "{tmp}/c.json",
+      "--report", "{tmp}/r.json"], 0, "scipy"),
+    (["suspension", "--grid", "8", "--fiber-n", "12"], 0, "scipy"),
+    (["suspension", "--input", "{tmp}/missing.json"], 2, "scipy"),
+    (["cd-check", "--grid", "60", "--pairs", "1"], 0, "scipy.optimize"),
+], ids=["import", "weyl", "cone", "suspension", "suspension-missing-input", "cd-check-line"])
+def test_subcommands_import_only_the_scipy_they_call(argv, code, unloaded, tmp_path):
+    # a fresh interpreter each time: scipy's import is most of a run's start-up
+    src = str(pathlib.Path(mms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    got_code, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    assert got_code == code, run.stderr
+    assert [m for m in loaded if m == unloaded or m.startswith(unloaded + ".")] == []

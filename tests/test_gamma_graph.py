@@ -119,12 +119,17 @@ class TestGammaBasics:
         with pytest.raises(ValueError):
             WeightedGraph(np.ones(2), np.array([[1.0, 1.0], [1.0, 0.0]]))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_rejected(self, bad):
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), where=st.integers(0, 35), in_edges=st.booleans())
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad, n, where, in_edges):
+        m, w = np.ones(n), np.ones((n, n)) - np.eye(n)
+        if in_edges:
+            w.flat[where % w.size] = bad
+        else:
+            m[where % n] = bad
         with pytest.raises(ValueError, match="finite"):
-            WeightedGraph(np.array([1.0, bad]), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="finite"):
-            WeightedGraph(np.ones(2), np.array([[0.0, bad], [bad, 0.0]]))
+            WeightedGraph(m, w)
 
 
 class TestCurvature:

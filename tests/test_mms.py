@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conecheck.mms import (
     FiniteMMS,
@@ -18,6 +20,11 @@ from conecheck.mms import (
     validate,
     warped_product,
 )
+
+
+def _path_metric(n):
+    """Distances |i - j| of n atoms on a line."""
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
 
 
 def two_point(d=1.0):
@@ -39,13 +46,17 @@ class TestValidate:
         viols = validate(m)
         assert any(v.kind == "triangle" for v in viols)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_rejected_at_construction(self, bad):
-        d = np.array([[0.0, bad], [bad, 0.0]])
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), where=st.integers(0, 35), in_dist=st.booleans())
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_at_construction(self, bad, n, where, in_dist):
+        d, w = _path_metric(n), np.ones(n)
+        if in_dist:
+            d.flat[where % d.size] = bad
+        else:
+            w[where % n] = bad
         with pytest.raises(ValueError, match="finite"):
-            FiniteMMS(("a", "b"), d, np.ones(2))
-        with pytest.raises(ValueError, match="finite"):
-            FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, bad]))
+            FiniteMMS(tuple(range(n)), d, w)
 
     def test_zero_weight_flagged_when_disallowed(self):
         m = FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
@@ -315,6 +326,22 @@ class TestSerialization:
             "weight": [1.0, 1.0],
         }))
         with pytest.raises(ValueError):
+            load_mms_json(p)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 6), where=st.integers(0, 35), in_dist=st.booleans(),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_json_rejects_non_finite(self, tmp_path, n, where, in_dist, bad):
+        # json writes NaN, Infinity and -Infinity, and reads them back as floats
+        d, w = _path_metric(n), np.ones(n)
+        if in_dist:
+            d.flat[where % d.size] = bad  # any entry, the diagonal included
+        else:
+            w[where % n] = bad
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"labels": list(range(n)), "dist": d.tolist(), "weight": w.tolist()}))
+        with pytest.raises(ValueError, match="finite"):
             load_mms_json(p)
 
     def test_json_enforces_zero_diagonal(self, tmp_path):

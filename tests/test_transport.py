@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_array, coo_matrix
 
 from conecheck import mms
@@ -217,6 +219,16 @@ class TestDensity:
             Density(c, bad)
         fixed = density_from_mass(c, np.ones(c.n))
         assert fixed.mass[-1] == 0.0 and fixed.mass[-2] == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(where=st.integers(0, 31), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_mass_rejected(self, where, bad):
+        # a 32-atom cone; atoms 30 and 31 are its weightless apexes
+        c = mms.cone(mms.circle_mms(6, 1.0), 1.0, 1.0, mms.radial_grid(1.0, 1.0, 5))
+        raw = np.ones(c.n)
+        raw[where] = bad
+        with pytest.raises(ValueError, match=f"non-finite entry {bad} at atom {where}"):
+            density_from_mass(c, raw)
 
     def test_coupling_marginal_guard(self):
         space = lebesgue_interval(4)
