@@ -287,7 +287,9 @@ def cmd_suspension(args) -> Report:
     if args.input:
         space = mmsmod.load_mms_json(args.input)
         x, y = args.x, args.y
-        if x is None or y is None:
+        if (x is None) != (y is None):
+            raise ValueError("--x and --y name the two poles: give both or neither")
+        if x is None:
             x, y = (int(v) for v in np.unravel_index(np.argmax(space.dist), space.dist.shape))
     else:
         fiber = mmsmod.circle_mms(args.fiber_n, args.radius)

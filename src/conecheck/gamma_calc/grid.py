@@ -196,6 +196,10 @@ def gamma2_2d(u: np.ndarray, spec: ConeGridSpec,
 
 
 def _mask_interior(vals: np.ndarray, spec: ConeGridSpec, margin: int) -> np.ndarray:
+    for axis in (0,) if spec.fiber.periodic else (0, 1):
+        if vals.shape[axis] <= 2 * margin:
+            raise ValueError(f"the {('radial', 'fiber')[axis]} axis has {vals.shape[axis]} "
+                             f"samples, none inside a margin of {margin} cells at each end")
     out = vals[margin:-margin, :]
     if not spec.fiber.periodic:
         out = out[:, margin:-margin]

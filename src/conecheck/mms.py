@@ -318,20 +318,17 @@ def diameter(m: FiniteMMS) -> float:
     return float(m.dist.max()) if m.n else 0.0
 
 
-def midpoints(m: FiniteMMS, i: int, j: int, eps: float) -> list:
-    """All epsilon-midpoints of atoms i and j, best (smallest deviation) first.
+def midpoints(m: FiniteMMS, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
+    """Epsilon-midpoints of the pairs (i[p], j[p]), one boolean row per pair.
 
-    k qualifies when both |d(i,k) - d(i,j)/2| and |d(k,j) - d(i,j)/2| are
-    <= eps; ties in total deviation break by index.  An empty list is a
-    valid answer at coarse resolution.
+    Row p marks every atom k with both |d(i,k) - d(i,j)/2| and
+    |d(k,j) - d(i,j)/2| <= eps.  An empty row is a valid answer at coarse
+    resolution.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    half = 0.5 * m.dist[i, j]
-    da = np.abs(m.dist[i] - half)
-    db = np.abs(m.dist[:, j] - half)
-    ok = np.nonzero((da <= eps) & (db <= eps))[0]
-    return sorted((int(k) for k in ok), key=lambda k: (da[k] + db[k], k))
+    half = 0.5 * m.dist[i, j][:, None]
+    return (np.abs(m.dist[i] - half) <= eps) & (np.abs(m.dist[:, j].T - half) <= eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,8 +353,11 @@ def suspension_check(
     (4) the law of cosines for the suspension metric must hold for every
     pair up to ``tol``.  Equator atom weights are the summed weights of the
     atoms projecting onto them, normalized by the sin^N mass of their radial
-    fibers.  Geometric failure is reported, never raised.
+    fibers.  Geometric failure is reported, never raised; poles that are
+    not atoms of ``m`` raise ValueError.
     """
+    if not (0 <= x < m.n and 0 <= y < m.n):
+        raise ValueError(f"poles ({x}, {y}) must be atoms of the space, 0 to {m.n - 1}")
     d = m.dist
 
     def fail(stage, res):

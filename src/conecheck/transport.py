@@ -313,6 +313,32 @@ def _certify_optimality(C, plan, alpha, beta, rtol=1e-9):
         raise RuntimeError(f"complementary slackness violated by {support_slack.max():.3e}")
 
 
+def _push(m: FiniteMMS, i: np.ndarray, j: np.ndarray, mass: np.ndarray, eps: float) -> np.ndarray:
+    """Move each pair's mass from atom i[p] onto the epsilon-midpoints of (i[p], j[p]).
+
+    The mass splits evenly over the pair's positive-weight midpoints and is
+    summed in pair order; a pair i == j stays put.  When every midpoint of a
+    pair is weightless (an apex), its mass goes to the positive-weight atom
+    nearest each one, ties by index.  A pair with no midpoint at all raises
+    NoMidpointError.
+    """
+    weighted = m.weight > 0
+    mids = midpoints(m, i, j, eps)
+    stay = i == j
+    mids[stay] = np.arange(m.n) == i[stay][:, None]
+    bare = np.flatnonzero(~mids.any(axis=1))
+    if bare.size:
+        raise NoMidpointError(int(i[bare[0]]), int(j[bare[0]]), eps)
+    carried = mids & (weighted | stay[:, None])
+    for p in np.flatnonzero(~carried.any(axis=1)):
+        near = m.dist[mids[p]] + np.where(weighted, 0.0, np.inf)
+        carried[p, np.argmin(near, axis=1)] = True
+    p, k = np.nonzero(carried)
+    out = np.zeros(m.n)
+    np.add.at(out, k, (mass / carried.sum(axis=1))[p])
+    return out
+
+
 def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     """Push the plan half-way: each pair's mass spreads over its epsilon-midpoints.
 
@@ -320,26 +346,7 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     midpoint of a pair is weightless, its share is re-routed to the
     positive-weight atom nearest that midpoint (ties by index).
     """
-    out = np.zeros(m.n)
-    w = m.weight
-    for i, j, mass in _support(q):
-        if i == j:  # zero-length transport stays put
-            out[i] += mass
-            continue
-        mids = midpoints(m, i, j, eps)
-        if not mids:
-            raise NoMidpointError(i, j, eps)
-        carried = [k for k in mids if w[k] > 0]
-        if not carried:
-            rerouted = set()
-            for k in mids:
-                order = np.argsort(m.dist[k] + np.where(w > 0, 0.0, np.inf))
-                rerouted.add(int(order[0]))
-            carried = sorted(rerouted)
-        share = mass / len(carried)
-        for k in carried:
-            out[k] += share
-    return density_from_mass(m, out)
+    return density_from_mass(m, _push(m, q.plan.row, q.plan.col, q.plan.data, eps))
 
 
 def renyi_entropy(m: FiniteMMS, mu: Density, Nprime: float) -> float:
@@ -408,8 +415,9 @@ def mcp_check(
     """Midpoint surrogate of the contraction property of transports from atom x.
 
     Mass m(a)/m(A) moves from x toward each a in A and lands on the
-    epsilon-midpoints; each receiving cell must dominate the pushed mass
-    scaled by tau^(1/2)(d(x,a))^N m(A), cell by cell, up to tol.
+    epsilon-midpoints, by the push of ``displacement_midpoint``; each
+    receiving cell must dominate the pushed mass scaled by
+    tau^(1/2)(d(x,a))^N m(A), cell by cell, up to tol.
     """
     if t != 0.5:
         raise ValueError("only the midpoint time t = 1/2 is supported")
@@ -423,22 +431,13 @@ def mcp_check(
     def report(cell, violation):
         return MCPReport(cell, violation, passes(-violation, tol), tol)
 
-    pushed = np.zeros(m.n)
-    for a in A:
-        a = int(a)
+    load = np.empty(A.size)
+    for p, a in enumerate(A.tolist()):
         coeff = tau_coeff(cd, t, float(m.dist[x, a]))
         if coeff.is_infinite:
             return report(a, math.inf)
-        load = m.weight[a] * coeff.value ** cd.N
-        if a == x:
-            pushed[x] += load
-            continue
-        mids = midpoints(m, x, a, eps)
-        carried = [k for k in mids if m.weight[k] > 0]
-        if not carried:
-            raise NoMidpointError(x, a, eps)
-        for k in carried:
-            pushed[k] += load / len(carried)
+        load[p] = m.weight[a] * coeff.value ** cd.N
+    pushed = _push(m, np.full(A.size, x), A, load, eps)
     violation = pushed - m.weight
     worst = int(np.argmax(violation))
     return report(worst, float(violation[worst]))

@@ -78,6 +78,19 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("poles", [["--x", "3"], ["--x", "-1", "--y", "73"],
+                                       ["--x", "0", "--y", "99"]],
+                             ids=["lone-x", "negative-x", "y-past-the-end"])
+    def test_suspension_poles_are_checked(self, poles, tmp_path, capsys):
+        space = tmp_path / "cone.json"
+        assert main(["cone", "--grid", "6", "--fiber-n", "12", "--out", str(space),
+                     "--report", str(tmp_path / "c.json")]) == 0
+        assert mms.load_mms_json(space).n == 74
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--input", str(space), "--out", str(out)] + poles) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_cone_requires_out(self):
         assert main(["cone", "--fiber-n", "8", "--grid", "6"]) == 2
 
@@ -366,6 +379,18 @@ def test_eps_without_a_midpoint_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no epsilon-midpoint for atoms (")
     assert "eps=0.0001" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["be-check", "--flavor", "grid", "--fiber-n", "16"],
+                                  ["be-check", "--flavor", "grid", "--grid", "20"],
+                                  ["gamma2-identity", "--grid", "20"]],
+                         ids=["be-check-fiber-16", "be-check-grid-20", "gamma2-identity-grid-20"])
+def test_grid_too_small_for_the_margin_is_an_input_error(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ") and "none inside a margin of 12 cells" in err
     assert not out.exists()
 
 

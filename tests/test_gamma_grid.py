@@ -220,6 +220,26 @@ class TestSharpEstimate:
         assert float(np.min(_mask_interior(slack, spec, INTERIOR_MARGIN))) < -0.5
 
 
+@pytest.mark.parametrize("nr, nf, axis, n", [(20, 161, "radial", 20), (161, 16, "fiber", 16)])
+def test_grid_checks_reject_an_empty_window(nr, nf, axis, n):
+    spec = cone_grid(1.0, 2.0, nr, weighted_interval_fiber(nf, 1.0))
+    rng = np.random.default_rng(3)
+    pair = (trig(rng, spec.r), trig(rng, spec.fiber.x))
+    msg = f"the {axis} axis has {n} samples, none inside a margin of 12 cells"
+    with pytest.raises(ValueError, match=msg):
+        sharp_gamma2_estimate_check(spec, [[pair]], tol=1.0)
+    with pytest.raises(ValueError, match=msg):
+        warped_gamma2_identity_check(spec, spec.warp(), *pair)
+
+
+def test_grid_checks_run_on_25_samples_per_axis():
+    spec = cone_grid(1.0, 2.0, 25, weighted_interval_fiber(25, 1.0))
+    rng = np.random.default_rng(3)
+    pair = (trig(rng, spec.r), trig(rng, spec.fiber.x))
+    assert math.isfinite(sharp_gamma2_estimate_check(spec, [[pair]], tol=1.0).min_slack)
+    assert math.isfinite(warped_gamma2_identity_check(spec, spec.warp(), *pair).max_residual)
+
+
 class TestLeibnizGridFlavor:
     def test_product_rule_holds_to_second_order(self):
         # unlike the graph flavor, the FD calculus is a derivation up to O(h^2)

@@ -174,27 +174,29 @@ class TestDiameterMidpoints:
 
     def test_midpoint_of_self(self):
         m = two_point()
-        assert midpoints(m, 0, 0, 0.0) == [0]
+        assert midpoints(m, [0], [0], 0.0).tolist() == [[True, False]]
 
     def test_path_midpoint(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         m = FiniteMMS(("0", "1", "2"), d, np.ones(3))
-        assert midpoints(m, 0, 2, 0.0) == [1]
+        assert midpoints(m, [0], [2], 0.0).tolist() == [[False, True, False]]
 
     def test_circle_antipodes_two_midpoints(self):
         n = 8
         c = circle_mms(n, 1.0)
-        got = midpoints(c, 0, n // 2, 0.0)
-        # brute force
-        half = c.dist[0, n // 2] / 2
-        brute = [k for k in range(n)
-                 if abs(c.dist[0, k] - half) == 0 and abs(c.dist[k, n // 2] - half) == 0]
-        assert got == sorted(brute)
-        assert len(got) == 2
+        got = midpoints(c, np.array([0, 1]), np.array([n // 2, 1 + n // 2]), 0.0)
+        assert got.shape == (2, n)
+        for row, (i, j) in zip(got, [(0, n // 2), (1, 1 + n // 2)]):
+            # brute force
+            half = c.dist[i, j] / 2
+            brute = [abs(c.dist[i, k] - half) == 0 and abs(c.dist[k, j] - half) == 0
+                     for k in range(n)]
+            assert row.tolist() == brute
+            assert row.sum() == 2
 
     def test_empty_is_valid(self):
         m = two_point(1.0)
-        assert midpoints(m, 0, 1, 0.0) == []
+        assert not midpoints(m, [0], [1], 0.0).any()
 
 
 class TestModels:
@@ -301,6 +303,11 @@ class TestSuspension:
         rep = suspension_check(t, int(x), int(y), tol=0.2, N=1.0)
         assert not rep.is_suspension
         assert rep.failed_stage in ("pole-distance", "geodesics-through-poles")
+
+    @pytest.mark.parametrize("x, y", [(-1, 1), (0, 2), (2, 0)])
+    def test_poles_must_be_atoms(self, x, y):
+        with pytest.raises(ValueError, match="poles"):
+            suspension_check(two_point(math.pi), x, y, tol=1e-6)
 
     def test_never_raises_on_geometric_failure(self):
         m = two_point(1.0)  # poles not even at distance pi

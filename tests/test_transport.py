@@ -309,6 +309,71 @@ class TestDisplacementMidpoint:
         assert np.all(c.dist[-1, support] <= 2 * h)
 
 
+def _reference_push(m, q, eps):
+    """The push one plan cell at a time: the reference the vectorized push must equal."""
+    out = np.zeros(m.n)
+    w = m.weight
+    for i, j, mass in zip(q.plan.row.tolist(), q.plan.col.tolist(), q.plan.data.tolist()):
+        if i == j:
+            out[i] += mass
+            continue
+        half = 0.5 * m.dist[i, j]
+        mids = np.flatnonzero((np.abs(m.dist[i] - half) <= eps)
+                              & (np.abs(m.dist[:, j] - half) <= eps)).tolist()
+        assert mids
+        carried = [k for k in mids if w[k] > 0]
+        if not carried:
+            rerouted = set()
+            for k in mids:
+                order = np.argsort(m.dist[k] + np.where(w > 0, 0.0, np.inf))
+                rerouted.add(int(order[0]))
+            carried = sorted(rerouted)
+        share = mass / len(carried)
+        for k in carried:
+            out[k] += share
+    return density_from_mass(m, out).mass
+
+
+def _push_cases():
+    """(space, mu0, mu1, eps): line bump pairs, full-support pairs, a cone bump
+    pair and the transport through a flat cone's apex."""
+    n = 400
+    line = mms.interval_model_mms(1.0, 2.0, n)
+    h = math.pi / n
+    r = (np.arange(n) + 0.5) * h
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(4):
+        c0 = rng.uniform(0.6, math.pi - 1.4)
+        cases.append((line, _bump(line, r, c0, 0.12), _bump(line, r, c0 + 0.8, 0.12), 2 * h))
+    for _ in range(2):
+        mu0, mu1 = (density_from_mass(line, line.weight * rng.gamma(2.0, size=n))
+                    for _ in range(2))
+        cases.append((line, mu0, mu1, 2 * h))
+
+    sphere = mms.cone(mms.circle_mms(16, 1.0), 1.0, 1.0, mms.radial_grid(1.0, 1.0, 12))
+    hc = math.pi / 12
+
+    def cone_bump(atom):
+        d = sphere.dist[atom]
+        return density_from_mass(sphere, sphere.weight * np.where(d <= 0.9, np.exp(-(d / 0.6) ** 2), 0.0))
+
+    cases.append((sphere, cone_bump(4 * 16), cone_bump(7 * 16 + 5), 2 * hc))
+
+    flat = mms.cone(mms.circle_mms(16, 2.0), 0.0, 1.0, mms.radial_grid(0.0, 1.0, 32, r_max=2.0))
+    m0 = np.zeros(flat.n); m0[20 * 16] = 1.0
+    m1 = np.zeros(flat.n); m1[20 * 16 + 8] = 1.0
+    cases.append((flat, Density(flat, m0), Density(flat, m1), 1.0 / 64))  # only the apex
+    return cases
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_push_matches_the_per_cell_reference(case):
+    space, mu0, mu1, eps = _push_cases()[case]
+    _, q = wasserstein2(space, mu0, mu1)
+    assert np.array_equal(displacement_midpoint(space, q, eps).mass, _reference_push(space, q, eps))
+
+
 class TestRenyi:
     def test_uniform_closed_form(self):
         space = lebesgue_interval(50)
@@ -513,3 +578,18 @@ class TestMCP:
         # understated dimension hits the blow-up branch of the coefficient
         bad_n = mcp_check(c, apex, A, CurvatureDimension(1.0, 1.3), 0.5, tol=2.5 * h, eps=h)
         assert not bad_n.passed
+
+    def test_apex_midpoint_is_rerouted_as_in_the_displacement_midpoint(self):
+        # flat cone over a radius-2 circle: atoms 320 and 328 are antipodal on
+        # ring 20, and at eps = h/4 their only midpoint is the weightless apex
+        c = mms.cone(mms.circle_mms(16, 2.0), 0.0, 1.0, mms.radial_grid(0.0, 1.0, 32, r_max=2.0))
+        h = 2.0 / 32
+        m0 = np.zeros(c.n); m0[320] = 1.0
+        m1 = np.zeros(c.n); m1[328] = 1.0
+        _, q = wasserstein2(c, Density(c, m0), Density(c, m1))
+        assert np.flatnonzero(displacement_midpoint(c, q, h / 4).mass).tolist() == [0]
+        cd = CurvatureDimension(0.0, 2.0)
+        rep = mcp_check(c, 320, np.array([328]), cd, 0.5, tol=2.5 * h, eps=h / 4)
+        load = c.weight[328] * tau_coeff(cd, 0.5, c.dist[320, 328]).value ** cd.N
+        assert rep.worst_cell == 0
+        assert rep.max_violation == pytest.approx(load - c.weight[0], rel=1e-12)
