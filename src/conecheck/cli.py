@@ -284,18 +284,19 @@ def cmd_weyl(args) -> Report:
 
 
 def cmd_suspension(args) -> Report:
+    x, y = args.x, args.y
+    if (x is None) != (y is None):
+        raise ValueError("--x and --y name the two poles: give both or neither")
     if args.input:
         space = mmsmod.load_mms_json(args.input)
-        x, y = args.x, args.y
-        if (x is None) != (y is None):
-            raise ValueError("--x and --y name the two poles: give both or neither")
         if x is None:
             x, y = (int(v) for v in np.unravel_index(np.argmax(space.dist), space.dist.shape))
     else:
         fiber = mmsmod.circle_mms(args.fiber_n, args.radius)
         grid = mmsmod.radial_grid(1.0, args.N, args.grid)
         space = mmsmod.cone(fiber, 1.0, args.N, grid)
-        x, y = space.n - 2, space.n - 1  # the two apex atoms
+        if x is None:
+            x, y = space.n - 2, space.n - 1  # the two apex atoms
     tol = args.tol if args.tol is not None else 2.0 * math.pi / args.grid
     rep = mmsmod.suspension_check(space, x, y, tol, N=args.N)
     return Report(

@@ -132,7 +132,7 @@ def be_check(
     evidence, and the check fails.
     """
     vert = np.arange(g.n) if vertices is None else np.asarray(vertices, dtype=int)
-    inv_n = 0.0 if math.isinf(N) else 1.0 / N
+    inv_n = 1.0 / N
     worst, witness, slacks = math.inf, None, []
     if strategy == "sampled":
         rng = np.random.default_rng(seed)
@@ -215,8 +215,7 @@ def curvature_dimension(g: WeightedGraph, x: int, N: float) -> CurvatureResult:
     if not np.any(g.edge_weights[x] > 0):
         return CurvatureResult(vertex=x, N=N, kappa=None, certificate=None)
     ball2, P, ell, Q = _local_forms(g, x)
-    if not math.isinf(N):
-        Q = Q - np.outer(ell, ell) / N
+    Q = Q - np.outer(ell, ell) / N
 
     evals, evecs = scipy.linalg.eigh(P)
     cut = _NULL_TOL * max(float(evals[-1]), 1.0)

@@ -42,6 +42,9 @@ __all__ = [
 # clamped, anything further out is a genuine numeric-domain failure.
 _ACOS_GUARD = 1e-12
 
+# How far a distance may miss a metric invariant before validate flags it.
+_VALIDATE_SLACK = 1e-9
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -95,8 +98,10 @@ class Violation:
         return f"{self.kind} violation at {self.indices}: {self.magnitude:.3e}"
 
 
-def validate(m: FiniteMMS, slack: float = 1e-9, allow_zero_weight: bool = True) -> list:
+def validate(m: FiniteMMS) -> list:
     """Return all invariant violations of ``m`` (empty list == valid).
+
+    A weight may be zero (an apex carries none) but not negative.
 
     Triangle defects d(i, k) > d(i, j) + d(j, k) are reported once per pair
     i < k, at its worst intermediate j, to bound the output size.
@@ -105,16 +110,15 @@ def validate(m: FiniteMMS, slack: float = 1e-9, allow_zero_weight: bool = True) 
     d, w = m.dist, m.weight
     n = m.n
     for i in range(n):
-        if abs(d[i, i]) > slack:
+        if abs(d[i, i]) > _VALIDATE_SLACK:
             out.append(Violation("diagonal", (i,), abs(d[i, i])))
     asym = np.abs(d - d.T)
-    for i, j in zip(*np.nonzero(np.triu(asym, 1) > slack)):
+    for i, j in zip(*np.nonzero(np.triu(asym, 1) > _VALIDATE_SLACK)):
         out.append(Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
-    neg = d < -slack
+    neg = d < -_VALIDATE_SLACK
     for i, j in zip(*np.nonzero(np.triu(neg, 1))):
         out.append(Violation("negative-distance", (int(i), int(j)), float(-d[i, j])))
-    lo = 0.0 if allow_zero_weight else np.finfo(float).tiny
-    for i in np.nonzero(w < lo)[0]:
+    for i in np.nonzero(w < 0.0)[0]:
         out.append(Violation("weight", (int(i),), float(-w[i])))
     # d[i,k] <= d[i,j] + d[j,k]: sweep over the intermediate index j.
     ds = 0.5 * (d + d.T)
@@ -122,7 +126,7 @@ def validate(m: FiniteMMS, slack: float = 1e-9, allow_zero_weight: bool = True) 
     for j in range(n):
         defect = ds - (ds[:, [j]] + ds[[j], :])
         np.maximum(worst, defect, out=worst)
-    for i, k in zip(*np.nonzero(np.triu(worst, 1) > slack)):
+    for i, k in zip(*np.nonzero(np.triu(worst, 1) > _VALIDATE_SLACK)):
         out.append(Violation("triangle", (int(i), int(k)), float(worst[i, k])))
     return out
 

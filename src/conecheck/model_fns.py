@@ -12,7 +12,6 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +30,8 @@ __all__ = [
 ]
 
 # Below _EXACT_LIMIT the sine ratio is returned as its analytic limit t;
-# inside [_EXACT_LIMIT, _TAYLOR_BAND] a 3-term series avoids cancellation.
+# above it the direct ratio has no cancellation to avoid.
 _EXACT_LIMIT = 1e-8
-_TAYLOR_BAND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -56,14 +54,13 @@ class CurvatureDimension:
             raise ValueError(f"dimension parameter must be >= 1, got {self.N}")
 
 
-@functools.total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExtendedValue:
     """A nonnegative real extended by a distinguished infinity.
 
-    Infinity is a tag, never ``float('inf')`` inside arithmetic: comparisons
-    are total and serialization is explicit.  ``as_float`` refuses to
-    produce an IEEE infinity so the tag cannot silently leak into numerics.
+    Infinity is a tag, never ``float('inf')`` inside arithmetic, and the
+    type has no ordering.  ``as_float`` refuses to produce an IEEE infinity
+    so the tag cannot silently leak into numerics.
     """
 
     value: float = 0.0
@@ -87,34 +84,6 @@ class ExtendedValue:
         if self.infinite:
             raise ValueError("infinite extended value has no float representation")
         return self.value
-
-    def _key(self, other):
-        if isinstance(other, ExtendedValue):
-            return other.infinite, other.value
-        if isinstance(other, (int, float)) and not math.isnan(other):  # NaN is unordered
-            return False, float(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        k = self._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return (self.infinite, self.value) == k
-
-    def __lt__(self, other):
-        k = self._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return (self.infinite, self.value) < k
-
-    def __hash__(self):  # a finite value hashes as the float it equals
-        return hash((True, 0.0)) if self.infinite else hash(self.value)
-
-    def to_json(self):
-        return "inf" if self.infinite else self.value
-
-    def __repr__(self):
-        return "ExtendedValue(inf)" if self.infinite else f"ExtendedValue({self.value!r})"
 
 
 def passes(slacks, tol: float) -> bool:
@@ -168,36 +137,16 @@ def cos_k(K: float, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def _poly_sin(y: float) -> float:
-    # 3-term series of sin(y) for |y| << 1
-    y2 = y * y
-    return y * (1.0 - y2 / 6.0 + y2 * y2 / 120.0)
-
-
-def _poly_sinh(y: float) -> float:
-    y2 = y * y
-    return y * (1.0 + y2 / 6.0 + y2 * y2 / 120.0)
-
-
 def _sigma_raw(K: float, N: float, t: float, theta: float) -> ExtendedValue:
     """sigma coefficient for any positive dimension-like parameter N."""
-    if theta == 0.0 or K == 0.0:
+    x = math.sqrt(abs(K) / N) * theta
+    if x < _EXACT_LIMIT:  # includes theta = 0 and K = 0
         return ExtendedValue(t)
-    if K > 0:
-        x = math.sqrt(K / N) * theta
-        if x >= math.pi:
-            return ExtendedValue.infinity()
-        if x < _EXACT_LIMIT:
-            return ExtendedValue(t)
-        if x <= _TAYLOR_BAND:
-            return ExtendedValue(_poly_sin(x * t) / _poly_sin(x))
-        return ExtendedValue(math.sin(x * t) / math.sin(x))
-    x = math.sqrt(-K / N) * theta
-    if x < _EXACT_LIMIT:
-        return ExtendedValue(t)
-    if x <= _TAYLOR_BAND:
-        return ExtendedValue(_poly_sinh(x * t) / _poly_sinh(x))
-    return ExtendedValue(math.sinh(x * t) / math.sinh(x))
+    if K < 0:
+        return ExtendedValue(math.sinh(x * t) / math.sinh(x))
+    if x >= math.pi:
+        return ExtendedValue.infinity()
+    return ExtendedValue(math.sin(x * t) / math.sin(x))
 
 
 def sigma_coeff(cd: CurvatureDimension, t: float, theta: float) -> ExtendedValue:
@@ -257,6 +206,4 @@ def bonnet_myers_bound(cd: CurvatureDimension) -> ExtendedValue:
     """
     if cd.K <= 0:
         return ExtendedValue.infinity()
-    if cd.N == 1.0:
-        return ExtendedValue(0.0)
     return ExtendedValue(math.pi * math.sqrt((cd.N - 1.0) / cd.K))

@@ -6,8 +6,8 @@ The central object is the operator
 
 discretized in divergence form against the weight sin_K^nu, self-adjoint by
 construction.  On top of the discretization: a deterministic eigensolver,
-the unitary transform to Schroedinger form and its endpoint classification
-(which answers essential self-adjointness analytically), the heat
+the unitary transform to Schroedinger form (whose inverse-square
+coefficient answers essential self-adjointness analytically), the heat
 semigroup, the dimensional gradient estimate check, the spectral-gap bound,
 and assembly of product-space spectra by separation of variables.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -28,14 +27,10 @@ from .mms import RadialGrid, radial_grid
 __all__ = [
     "SturmLiouville1D",
     "Spectrum",
-    "Endpoint",
-    "WeylKind",
-    "WeylClassification",
     "ResidualReport",
     "discretize_fiber_operator",
     "eigen",
     "schrodinger_transform",
-    "weyl_classify",
     "essential_self_adjointness",
     "heat_semigroup_1d",
     "bakry_ledoux_check",
@@ -100,23 +95,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, M-orthonormal
     residuals: np.ndarray
-
-
-class Endpoint(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
-class WeylKind(Enum):
-    LIMIT_POINT = "LimitPoint"
-    LIMIT_CIRCLE = "LimitCircle"
-
-
-@dataclass(frozen=True)
-class WeylClassification:
-    endpoint: Endpoint
-    kind: WeylKind
-    coefficient: float  # leading 1/(r-r0)^2 coefficient at the endpoint
 
 
 @dataclass(frozen=True)
@@ -198,6 +176,11 @@ def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=V, residuals=res)
 
 
+def _inverse_square_coefficient(nu: float, lambda_fiber: float) -> float:
+    """c0 = nu(nu-2)/4 + lambda, the 1/(r - r0)^2 coefficient of V at a finite endpoint."""
+    return nu * (nu - 2.0) / 4.0 + lambda_fiber
+
+
 def schrodinger_transform(K: float, nu: float, lambda_fiber: float):
     """Potential of the unitarily equivalent -d^2/dr^2 + V(r) form.
 
@@ -206,7 +189,7 @@ def schrodinger_transform(K: float, nu: float, lambda_fiber: float):
     c0 = nu(nu-2)/4 + lambda.  The sign of the lambda term follows the
     endpoint asymptotics of the transformed operator.
     """
-    c0 = nu * (nu - 2.0) / 4.0 + lambda_fiber
+    c0 = _inverse_square_coefficient(nu, lambda_fiber)
 
     def V(r):
         s = sin_k(K, r)
@@ -216,28 +199,15 @@ def schrodinger_transform(K: float, nu: float, lambda_fiber: float):
     return V, c0
 
 
-def weyl_classify(
-    nu: float, lambda_fiber: float, endpoint: Endpoint, K: float = 1.0
-) -> WeylClassification:
-    """Limit-point/limit-circle type of the transformed operator at an endpoint.
+def essential_self_adjointness(nu: float, lambda_fiber: float) -> bool:
+    """True iff the minimal operator has a unique self-adjoint extension.
 
-    Finite endpoints are limit point exactly when the inverse-square
-    coefficient c0 = nu(nu-2)/4 + lambda reaches 3/4 (the threshold itself
-    is limit point); the right endpoint sits at infinity for K <= 0 and is
-    always limit point there.
+    A finite endpoint is limit point exactly when the inverse-square
+    coefficient c0 of ``schrodinger_transform`` reaches 3/4 (the threshold
+    itself is limit point); both finite endpoints share c0, and an endpoint
+    at infinity (K <= 0) is always limit point, so c0 alone decides.
     """
-    if endpoint is Endpoint.RIGHT and K <= 0:
-        return WeylClassification(endpoint, WeylKind.LIMIT_POINT, math.inf)
-    c0 = nu * (nu - 2.0) / 4.0 + lambda_fiber
-    kind = WeylKind.LIMIT_POINT if c0 >= _LIMIT_POINT_THRESHOLD else WeylKind.LIMIT_CIRCLE
-    return WeylClassification(endpoint, kind, c0)
-
-
-def essential_self_adjointness(nu: float, lambda_fiber: float, K: float = 1.0) -> bool:
-    """True iff the minimal operator has a unique self-adjoint extension."""
-    left = weyl_classify(nu, lambda_fiber, Endpoint.LEFT, K)
-    right = weyl_classify(nu, lambda_fiber, Endpoint.RIGHT, K)
-    return left.kind is WeylKind.LIMIT_POINT and right.kind is WeylKind.LIMIT_POINT
+    return _inverse_square_coefficient(nu, lambda_fiber) >= _LIMIT_POINT_THRESHOLD
 
 
 def heat_semigroup_1d(op: SturmLiouville1D, u0: np.ndarray, t: float) -> np.ndarray:

@@ -408,7 +408,6 @@ def mcp_check(
     x: int,
     A: np.ndarray,
     cd: CurvatureDimension,
-    t: float,
     tol: float,
     eps: float,
 ) -> MCPReport:
@@ -419,8 +418,6 @@ def mcp_check(
     receiving cell must dominate the pushed mass scaled by
     tau^(1/2)(d(x,a))^N m(A), cell by cell, up to tol.
     """
-    if t != 0.5:
-        raise ValueError("only the midpoint time t = 1/2 is supported")
     A = np.asarray(A, dtype=int)
     if A.size == 0:
         raise ValueError("A must be nonempty")
@@ -433,7 +430,7 @@ def mcp_check(
 
     load = np.empty(A.size)
     for p, a in enumerate(A.tolist()):
-        coeff = tau_coeff(cd, t, float(m.dist[x, a]))
+        coeff = tau_coeff(cd, 0.5, float(m.dist[x, a]))
         if coeff.is_infinite:
             return report(a, math.inf)
         load[p] = m.weight[a] * coeff.value ** cd.N

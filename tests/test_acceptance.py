@@ -356,7 +356,7 @@ def test_criterion_10_exact_algebra_suites():
                            mms.circle_mms(10, 1.0), 1.0),
     ]
     for c in constructions:
-        viols = mms.validate(c, slack=1e-9)
+        viols = mms.validate(c)
         assert viols == [], f"metric violations: {viols[:3]}"
     msgs.append(f"metric axioms on {len(constructions)} constructions")
 

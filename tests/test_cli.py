@@ -101,6 +101,22 @@ class TestExitCodes:
         assert code == 0
         assert read_report(out)["pass"] is True
 
+    def test_suspension_builtin_tests_given_poles(self, tmp_path):
+        # two rim atoms of the built cone are not the poles of a suspension
+        out = tmp_path / "s.json"
+        code = main(["suspension", "--grid", "8", "--fiber-n", "12",
+                     "--x", "3", "--y", "5", "--out", str(out)])
+        assert code == 1
+        params = read_report(out)["params"]
+        assert (params["x"], params["y"]) == (3, 5)
+
+    def test_suspension_builtin_lone_pole(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--grid", "8", "--fiber-n", "12", "--x", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_suspension_rejects_torus(self, tmp_path):
         n1 = n2 = 6
         c1, c2 = mms.circle_mms(n1, 0.5), mms.circle_mms(n2, 0.5)

@@ -60,8 +60,9 @@ class TestValidate:
 
     def test_zero_weight_flagged_when_disallowed(self):
         m = FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
-        assert validate(m) == []
-        assert any(v.kind == "weight" for v in validate(m, allow_zero_weight=False))
+        assert validate(m) == []  # zero weight is allowed, as for an apex
+        neg = FiniteMMS(("a", "b"), m.dist, np.array([1.0, -0.5]))
+        assert [v.kind for v in validate(neg)] == ["weight"]
 
 
 class TestRadialGrid:
@@ -119,7 +120,7 @@ class TestCone:
         fib = circle_mms(10, 1.0)
         g = radial_grid(1.0, 2.0, 8)
         c = cone(fib, 1.0, 2.0, g)
-        assert validate(c, slack=1e-9) == []
+        assert validate(c) == []
 
     def test_product_mass(self):
         fib = circle_mms(10, 1.0)

@@ -6,8 +6,6 @@ import pytest
 from conecheck import gamma_calc as gc
 from conecheck.model_fns import CurvatureDimension, sin_k
 from conecheck.spectral1d import (
-    Endpoint,
-    WeylKind,
     bakry_ledoux_check,
     cone_spectrum,
     discretize_fiber_operator,
@@ -16,7 +14,6 @@ from conecheck.spectral1d import (
     heat_semigroup_1d,
     schrodinger_transform,
     spectral_gap_bound_check,
-    weyl_classify,
 )
 from conecheck.spectral1d import _gamma_fd
 
@@ -133,11 +130,9 @@ class TestSchrodingerWeyl:
         assert np.allclose(tv, vals, atol=5e-3)
 
     def test_weyl_table(self):
-        assert weyl_classify(3.0, 0.0, Endpoint.LEFT).kind is WeylKind.LIMIT_POINT
-        assert weyl_classify(2.0, 0.0, Endpoint.LEFT).kind is WeylKind.LIMIT_CIRCLE
-        assert weyl_classify(1.0, 1.0, Endpoint.LEFT).kind is WeylKind.LIMIT_POINT
-        # the right endpoint sits at infinity for K <= 0
-        assert weyl_classify(1.0, 0.0, Endpoint.RIGHT, K=-1.0).kind is WeylKind.LIMIT_POINT
+        assert essential_self_adjointness(3.0, 0.0) is True  # c0 = 3/4: limit point
+        assert essential_self_adjointness(2.0, 0.0) is False  # c0 = 0: limit circle
+        assert essential_self_adjointness(1.0, 1.0) is True  # c0 = 3/4: limit point
 
     def test_esa_cases(self):
         assert essential_self_adjointness(3.0, 0.0) is True

@@ -549,7 +549,7 @@ class TestMCP:
     def test_fixed_point_trivial(self):
         space = lebesgue_interval(20)
         rep = mcp_check(space, 5, np.array([5]), CurvatureDimension(0.0, 2.0),
-                        t=0.5, tol=0.0, eps=0.4)
+                        tol=0.0, eps=0.4)
         assert rep.passed
 
     def test_lebesgue_contraction(self):
@@ -560,7 +560,7 @@ class TestMCP:
         h = 2.0 / n
         A = np.arange(n // 2, n)
         rep = mcp_check(space, 0, A, CurvatureDimension(0.0, 1.0),
-                        t=0.5, tol=2.5 * h, eps=h)
+                        tol=2.5 * h, eps=h)
         assert rep.passed
 
     def test_wrong_parameters_fail_on_cone(self):
@@ -570,13 +570,13 @@ class TestMCP:
         apex = c.n - 2
         A = np.array([ring * 12 + j for ring in (9, 10) for j in range(12)])
         h = grid.h
-        ok = mcp_check(c, apex, A, CurvatureDimension(1.0, 2.0), 0.5, tol=2.5 * h, eps=h)
+        ok = mcp_check(c, apex, A, CurvatureDimension(1.0, 2.0), tol=2.5 * h, eps=h)
         assert ok.passed
         # overstated curvature drives the distortion coefficient up
-        bad_k = mcp_check(c, apex, A, CurvatureDimension(2.2, 2.0), 0.5, tol=2.5 * h, eps=h)
+        bad_k = mcp_check(c, apex, A, CurvatureDimension(2.2, 2.0), tol=2.5 * h, eps=h)
         assert not bad_k.passed
         # understated dimension hits the blow-up branch of the coefficient
-        bad_n = mcp_check(c, apex, A, CurvatureDimension(1.0, 1.3), 0.5, tol=2.5 * h, eps=h)
+        bad_n = mcp_check(c, apex, A, CurvatureDimension(1.0, 1.3), tol=2.5 * h, eps=h)
         assert not bad_n.passed
 
     def test_apex_midpoint_is_rerouted_as_in_the_displacement_midpoint(self):
@@ -589,7 +589,7 @@ class TestMCP:
         _, q = wasserstein2(c, Density(c, m0), Density(c, m1))
         assert np.flatnonzero(displacement_midpoint(c, q, h / 4).mass).tolist() == [0]
         cd = CurvatureDimension(0.0, 2.0)
-        rep = mcp_check(c, 320, np.array([328]), cd, 0.5, tol=2.5 * h, eps=h / 4)
+        rep = mcp_check(c, 320, np.array([328]), cd, tol=2.5 * h, eps=h / 4)
         load = c.weight[328] * tau_coeff(cd, 0.5, c.dist[320, 328]).value ** cd.N
         assert rep.worst_cell == 0
         assert rep.max_violation == pytest.approx(load - c.weight[0], rel=1e-12)
