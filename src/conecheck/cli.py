@@ -207,14 +207,13 @@ def _max_gap(space) -> float:
 
 def cmd_be_check(args) -> Report:
     if args.flavor == "graph":
-        n = args.grid
-        h = math.pi / n
-        tol = args.tol if args.tol is not None else 5.0 * h
-        g = gc.path_graph_from_interval_model(args.K, args.nu, n)
-        # smooth seeded test functions; the window avoids the degenerate-weight
-        # endpoints, where rough functions have divergent discrete curvature
-        r = (np.arange(n) + 0.5) * h
-        window = np.nonzero((r > 0.4) & (r < math.pi - 0.4))[0]
+        grid = mmsmod.radial_grid(args.K, args.nu, args.grid)
+        tol = args.tol if args.tol is not None else 5.0 * grid.h
+        g = gc.path_graph_from_interval_model(args.K, args.nu, args.grid)
+        # smooth seeded test functions; the window avoids the degenerate-weight ends
+        # of (0, pi/sqrt(K)), where rough functions have divergent discrete curvature
+        r, pad = grid.nodes, 0.4 / math.sqrt(args.K)
+        window = np.nonzero((r > pad) & (r < math.pi / math.sqrt(args.K) - pad))[0]
         rep = gc.be_check(g, kappa=args.nu * args.K, N=args.nu + 1.0,
                           strategy="sampled", tol=tol, samples=args.pairs,
                           seed=args.seed, vertices=window,

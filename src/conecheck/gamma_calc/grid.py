@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model_fns import cos_k, passes, sin_k
-from .graph import WeightedGraph, gamma as graph_gamma
 
 __all__ = [
     "FiberSpec",
@@ -337,10 +336,10 @@ class ConverseReport:
     min_residual: float
     passed: bool
     tolerance: float
-    flavor: str
 
 
-def converse_deduction_check(nu: float, fiber, u2: np.ndarray, tol: float) -> ConverseReport:
+def converse_deduction_check(nu: float, fiber: FiberSpec, u2: np.ndarray,
+                             tol: float) -> ConverseReport:
     """Pointwise curvature-dimension residual recovered on the fiber.
 
     The deduction inequality carries an extra -(L u + nu u)^2/((nu+1) nu)
@@ -349,21 +348,12 @@ def converse_deduction_check(nu: float, fiber, u2: np.ndarray, tol: float) -> Co
 
         Gamma2(u) - (nu - 1) Gamma(u) - (1/nu)(L u)^2  >=  0
 
-    evaluated exactly on a WeightedGraph fiber or by finite differences on a
-    grid fiber.
+    evaluated by finite differences on the grid fiber.
     """
     u2 = np.asarray(u2, dtype=float)
-    if isinstance(fiber, WeightedGraph):
-        from .graph import gamma2 as graph_gamma2
-
-        lu = fiber.apply_L(u2)
-        resid = graph_gamma2(fiber, u2) - (nu - 1.0) * graph_gamma(fiber, u2) - lu * lu / nu
-        return ConverseReport(float(resid.min()), passes(resid, tol), tol, "graph")
-    if not isinstance(fiber, FiberSpec):
-        raise TypeError("fiber must be a WeightedGraph or a FiberSpec")
     d1 = _d1(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
     lu = _fiber_generator(u2[None, :], fiber)[0]
     resid = _fiber_gamma2(u2, fiber) - (nu - 1.0) * d1 * d1 - lu * lu / nu
     if not fiber.periodic:
         resid = resid[INTERIOR_MARGIN:-INTERIOR_MARGIN]
-    return ConverseReport(float(resid.min()), passes(resid, tol), tol, "grid")
+    return ConverseReport(float(resid.min()), passes(resid, tol), tol)

@@ -465,10 +465,19 @@ def save_mms_json(m: FiniteMMS, path) -> None:
 
 
 def load_mms_json(path) -> FiniteMMS:
-    """Load a space from JSON, enforcing symmetry and a zero diagonal."""
+    """Load a space from a JSON object with labels, dist and weight; symmetric, zero diagonal."""
     with open(path) as fh:
         payload = json.load(fh)
-    dist = np.asarray(payload["dist"], dtype=float)
+    if not isinstance(payload, dict):
+        raise ValueError(f"space file {path} holds a JSON {type(payload).__name__}, not an object")
+    for key in ("labels", "dist", "weight"):
+        if key not in payload:
+            raise ValueError(f"space file {path} has no {key!r} key")
+    try:
+        labels, weight = tuple(payload["labels"]), np.asarray(payload["weight"], dtype=float)
+        dist = np.asarray(payload["dist"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"space file {path} has a malformed entry: {exc}") from None
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("dist must be a square matrix")
     if not np.all(np.isfinite(dist)):  # before fill_diagonal can hide a NaN
@@ -477,8 +486,4 @@ def load_mms_json(path) -> FiniteMMS:
         raise ValueError("dist must be symmetric")
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
-    return FiniteMMS(
-        labels=tuple(payload["labels"]),
-        dist=dist,
-        weight=np.asarray(payload["weight"], dtype=float),
-    )
+    return FiniteMMS(labels=labels, dist=dist, weight=weight)

@@ -7,8 +7,7 @@ simplex.  Either plan is accepted only after one shared certificate of
 dual feasibility and complementary slackness.  Geodesic interpolation is
 replaced by its finite surrogate, the epsilon-midpoint layer at t = 1/2.
 On top of these the module evaluates the reduced and full convexity
-inequalities for Renyi-type entropies and the contraction property of
-transports from a point.
+inequalities for Renyi-type entropies.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "Density",
     "Coupling",
     "CDReport",
-    "MCPReport",
     "NoMidpointError",
     "density_from_mass",
     "uniform_density",
@@ -35,7 +33,6 @@ __all__ = [
     "convexity_reports",
     "cd_star_check",
     "cd_check",
-    "mcp_check",
 ]
 
 _MARGINAL_TOL = 1e-9
@@ -163,16 +160,6 @@ class CDReport:
             t=0.5, Nprime=Nprime, lhs=lhs, rhs=rhs,
             slack=slack, passed=passes(slack, tol), tolerance=tol,
         )
-
-
-@dataclass(frozen=True)
-class MCPReport:
-    """Cell-by-cell verdict of the contraction inequality from a point."""
-
-    worst_cell: int
-    max_violation: float
-    passed: bool
-    tolerance: float
 
 
 def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupling]:
@@ -313,15 +300,16 @@ def _certify_optimality(C, plan, alpha, beta, rtol=1e-9):
         raise RuntimeError(f"complementary slackness violated by {support_slack.max():.3e}")
 
 
-def _push(m: FiniteMMS, i: np.ndarray, j: np.ndarray, mass: np.ndarray, eps: float) -> np.ndarray:
-    """Move each pair's mass from atom i[p] onto the epsilon-midpoints of (i[p], j[p]).
+def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
+    """Push the plan half-way: each pair's mass spreads over its epsilon-midpoints.
 
-    The mass splits evenly over the pair's positive-weight midpoints and is
-    summed in pair order; a pair i == j stays put.  When every midpoint of a
-    pair is weightless (an apex), its mass goes to the positive-weight atom
-    nearest each one, ties by index.  A pair with no midpoint at all raises
-    NoMidpointError.
+    The mass of a cell (i, j) splits evenly over the pair's positive-weight
+    midpoints and is summed in row-major cell order; a cell i == j stays put.
+    When every midpoint of a pair is weightless (an apex), its mass goes to
+    the positive-weight atom nearest each one, ties by index.  A pair with
+    no midpoint at all raises NoMidpointError.
     """
+    i, j, mass = q.plan.row, q.plan.col, q.plan.data
     weighted = m.weight > 0
     mids = midpoints(m, i, j, eps)
     stay = i == j
@@ -336,17 +324,7 @@ def _push(m: FiniteMMS, i: np.ndarray, j: np.ndarray, mass: np.ndarray, eps: flo
     p, k = np.nonzero(carried)
     out = np.zeros(m.n)
     np.add.at(out, k, (mass / carried.sum(axis=1))[p])
-    return out
-
-
-def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
-    """Push the plan half-way: each pair's mass spreads over its epsilon-midpoints.
-
-    Zero-weight atoms (apexes) are excluded from receiving mass; when every
-    midpoint of a pair is weightless, its share is re-routed to the
-    positive-weight atom nearest that midpoint (ties by index).
-    """
-    return density_from_mass(m, _push(m, q.plan.row, q.plan.col, q.plan.data, eps))
+    return density_from_mass(m, out)
 
 
 def renyi_entropy(m: FiniteMMS, mu: Density, Nprime: float) -> float:
@@ -401,40 +379,3 @@ def cd_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,
              Nprime: float, eps: float, tol: float) -> CDReport:
     """Same inequality with the tau coefficients (the non-reduced condition)."""
     return convexity_reports(m, mu0, mu1, cd, (Nprime,), eps, tol, tau_coeff)[0]
-
-
-def mcp_check(
-    m: FiniteMMS,
-    x: int,
-    A: np.ndarray,
-    cd: CurvatureDimension,
-    tol: float,
-    eps: float,
-) -> MCPReport:
-    """Midpoint surrogate of the contraction property of transports from atom x.
-
-    Mass m(a)/m(A) moves from x toward each a in A and lands on the
-    epsilon-midpoints, by the push of ``displacement_midpoint``; each
-    receiving cell must dominate the pushed mass scaled by
-    tau^(1/2)(d(x,a))^N m(A), cell by cell, up to tol.
-    """
-    A = np.asarray(A, dtype=int)
-    if A.size == 0:
-        raise ValueError("A must be nonempty")
-    mA = float(m.weight[A].sum())
-    if mA <= 0:
-        raise ValueError("A must have positive weight")
-
-    def report(cell, violation):
-        return MCPReport(cell, violation, passes(-violation, tol), tol)
-
-    load = np.empty(A.size)
-    for p, a in enumerate(A.tolist()):
-        coeff = tau_coeff(cd, 0.5, float(m.dist[x, a]))
-        if coeff.is_infinite:
-            return report(a, math.inf)
-        load[p] = m.weight[a] * coeff.value ** cd.N
-    pushed = _push(m, np.full(A.size, x), A, load, eps)
-    violation = pushed - m.weight
-    worst = int(np.argmax(violation))
-    return report(worst, float(violation[worst]))

@@ -410,6 +410,48 @@ def test_grid_too_small_for_the_margin_is_an_input_error(argv, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload, named", [
+    ([[0.0, 1.0], [1.0, 0.0]], "holds a JSON list, not an object"),
+    ({"labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]}, "has no 'weight' key"),
+    ({"labels": 2, "dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [1.0, 1.0]}, "malformed entry"),
+], ids=["list", "no-weight", "int-labels"])
+@pytest.mark.parametrize("argv", [["cd-check"], ["suspension"],
+                                  ["cone", "--out", "{tmp}/cone.json", "--report", "{tmp}/r.json"]],
+                         ids=lambda argv: argv[0])
+def test_malformed_space_file_is_a_usage_error(argv, payload, named, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "r.json"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert main([*argv, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: space file ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("K", [4.0, 9.0])
+def test_be_check_graph_samples_the_model_interval(K, tmp_path):
+    # the graph lives on (0, pi/sqrt(K)); its step and window scale with it
+    out = tmp_path / "b.json"
+    assert main(["be-check", "--K", str(K), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["tolerance"] == pytest.approx(5.0 * math.pi / math.sqrt(K) / 160, rel=1e-12)
+    assert rep["detail"]["kappa"] == 2.0 * K
+
+
+def test_plot_is_written_without_changing_the_report(tmp_path):
+    pytest.importorskip("matplotlib")
+    out, svg = tmp_path / "r.json", tmp_path / "p.svg"
+    argv = ["spectrum", "--grid", "300", "--out", str(out)]
+    code = main(argv)
+    plain = strip_runtime(read_report(out))
+    assert main([*argv, "--plot", str(svg)]) == code
+    assert strip_runtime(read_report(out)) == plain
+    assert "<svg" in svg.read_text()
+
+
 def test_spectrum_without_a_gap_bound_does_not_pass(tmp_path):
     out = tmp_path / "r.json"
     assert main(["spectrum", "--nu", "0", "--grid", "200", "--out", str(out)]) == 1

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from conecheck.gamma_calc import (
     circle_fiber,
     cone_grid,
     converse_deduction_check,
-    cycle_graph,
     gamma_2d,
     generator_2d,
     sharp_gamma2_estimate_check,
@@ -16,6 +17,8 @@ from conecheck.gamma_calc import (
     weighted_interval_fiber,
 )
 from conecheck.gamma_calc.grid import _mask_interior, gamma2_2d
+
+GAMMA_CALC = Path(__file__).resolve().parent.parent / "src" / "conecheck" / "gamma_calc"
 
 
 def trig(rng, xs, degree=3, normalize=True):
@@ -282,15 +285,37 @@ class TestConverse:
             rep = converse_deduction_check(2.0, fib, trig(rng, fib.x), tol=60 * fib.h**2 + 1e-6)
             assert rep.passed
 
-    def test_graph_flavor_shift_invariance(self):
-        # the constant shift used in the deduction leaves all terms unchanged
-        g = cycle_graph(48)
-        rng = np.random.default_rng(10)
-        u = rng.standard_normal(48)
-        rep1 = converse_deduction_check(2.0, g, u, tol=10.0)
-        rep2 = converse_deduction_check(2.0, g, u + 3.7, tol=10.0)
-        assert rep1.min_residual == pytest.approx(rep2.min_residual, abs=1e-10)
-        assert rep1.flavor == "graph"
+
+def imported_modules(source: str, package: str) -> set:
+    """Absolute names of the modules, and the names from them, that a source imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            out.add(module)
+            out.update(f"{module}.{a.name}" for a in node.names)
+    return out
+
+
+def test_import_scan_resolves_relative_imports():
+    source = "from . import graph\nfrom .grid import x\nfrom ..mms import y\nimport numpy as np\n"
+    got = imported_modules(source, "conecheck.gamma_calc")
+    assert {"conecheck.gamma_calc.graph", "conecheck.gamma_calc.grid",
+            "conecheck.mms", "numpy"} <= got
+
+
+@pytest.mark.parametrize("module, other", [("grid", "graph"), ("graph", "grid")])
+def test_flavors_do_not_import_each_other(module, other):
+    # the package keeps the exact graph calculus and the FD grid calculus apart
+    source = (GAMMA_CALC / f"{module}.py").read_text()
+    banned = f"conecheck.gamma_calc.{other}"
+    found = sorted(m for m in imported_modules(source, "conecheck.gamma_calc")
+                   if m == banned or m.startswith(banned + "."))
+    assert not found, f"gamma_calc/{module}.py imports {found}"
 
 
 def test_fine_field_built_once_per_member(monkeypatch):

@@ -19,7 +19,6 @@ from conecheck.transport import (
     convexity_reports,
     density_from_mass,
     displacement_midpoint,
-    mcp_check,
     renyi_entropy,
     uniform_density,
     wasserstein2,
@@ -309,7 +308,7 @@ class TestDisplacementMidpoint:
         assert np.all(c.dist[-1, support] <= 2 * h)
 
 
-def _reference_push(m, q, eps):
+def _reference_midpoint(m, q, eps):
     """The push one plan cell at a time: the reference the vectorized push must equal."""
     out = np.zeros(m.n)
     w = m.weight
@@ -371,7 +370,7 @@ def _push_cases():
 def test_push_matches_the_per_cell_reference(case):
     space, mu0, mu1, eps = _push_cases()[case]
     _, q = wasserstein2(space, mu0, mu1)
-    assert np.array_equal(displacement_midpoint(space, q, eps).mass, _reference_push(space, q, eps))
+    assert np.array_equal(displacement_midpoint(space, q, eps).mass, _reference_midpoint(space, q, eps))
 
 
 class TestRenyi:
@@ -543,53 +542,3 @@ def test_multi_nprime_core_rejects_small_nprime():
     space, mu0, mu1, cd, eps = _pair_cases()[0]
     with pytest.raises(ValueError):
         convexity_reports(space, mu0, mu1, cd, (2 * cd.N, cd.N - 0.5), eps, 0.1, sigma_coeff)
-
-
-class TestMCP:
-    def test_fixed_point_trivial(self):
-        space = lebesgue_interval(20)
-        rep = mcp_check(space, 5, np.array([5]), CurvatureDimension(0.0, 2.0),
-                        tol=0.0, eps=0.4)
-        assert rep.passed
-
-    def test_lebesgue_contraction(self):
-        # flat interval: tau = 1/2, pushed density doubles locally; the
-        # midpoint map contracts by 2 so cells receive ~2 sources each
-        n = 200
-        space = lebesgue_interval(n, 2.0)
-        h = 2.0 / n
-        A = np.arange(n // 2, n)
-        rep = mcp_check(space, 0, A, CurvatureDimension(0.0, 1.0),
-                        tol=2.5 * h, eps=h)
-        assert rep.passed
-
-    def test_wrong_parameters_fail_on_cone(self):
-        fib = mms.circle_mms(12, 1.0)
-        grid = mms.radial_grid(1.0, 1.0, 15)
-        c = mms.cone(fib, 1.0, 1.0, grid)
-        apex = c.n - 2
-        A = np.array([ring * 12 + j for ring in (9, 10) for j in range(12)])
-        h = grid.h
-        ok = mcp_check(c, apex, A, CurvatureDimension(1.0, 2.0), tol=2.5 * h, eps=h)
-        assert ok.passed
-        # overstated curvature drives the distortion coefficient up
-        bad_k = mcp_check(c, apex, A, CurvatureDimension(2.2, 2.0), tol=2.5 * h, eps=h)
-        assert not bad_k.passed
-        # understated dimension hits the blow-up branch of the coefficient
-        bad_n = mcp_check(c, apex, A, CurvatureDimension(1.0, 1.3), tol=2.5 * h, eps=h)
-        assert not bad_n.passed
-
-    def test_apex_midpoint_is_rerouted_as_in_the_displacement_midpoint(self):
-        # flat cone over a radius-2 circle: atoms 320 and 328 are antipodal on
-        # ring 20, and at eps = h/4 their only midpoint is the weightless apex
-        c = mms.cone(mms.circle_mms(16, 2.0), 0.0, 1.0, mms.radial_grid(0.0, 1.0, 32, r_max=2.0))
-        h = 2.0 / 32
-        m0 = np.zeros(c.n); m0[320] = 1.0
-        m1 = np.zeros(c.n); m1[328] = 1.0
-        _, q = wasserstein2(c, Density(c, m0), Density(c, m1))
-        assert np.flatnonzero(displacement_midpoint(c, q, h / 4).mass).tolist() == [0]
-        cd = CurvatureDimension(0.0, 2.0)
-        rep = mcp_check(c, 320, np.array([328]), cd, tol=2.5 * h, eps=h / 4)
-        load = c.weight[328] * tau_coeff(cd, 0.5, c.dist[320, 328]).value ** cd.N
-        assert rep.worst_cell == 0
-        assert rep.max_violation == pytest.approx(load - c.weight[0], rel=1e-12)
