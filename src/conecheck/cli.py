@@ -211,9 +211,9 @@ def cmd_be_check(args) -> Report:
         tol = args.tol if args.tol is not None else 5.0 * grid.h
         g = gc.path_graph_from_interval_model(args.K, args.nu, args.grid)
         # smooth seeded test functions; the window avoids the degenerate-weight ends
-        # of (0, pi/sqrt(K)), where rough functions have divergent discrete curvature
-        r, pad = grid.nodes, 0.4 / math.sqrt(args.K)
-        window = np.nonzero((r > pad) & (r < math.pi / math.sqrt(args.K) - pad))[0]
+        # of (0, r_max), where rough functions have divergent discrete curvature
+        r, pad = grid.nodes, 0.4 * grid.r_max / math.pi
+        window = np.nonzero((r > pad) & (r < grid.r_max - pad))[0]
         rep = gc.be_check(g, kappa=args.nu * args.K, N=args.nu + 1.0,
                           strategy="sampled", tol=tol, samples=args.pairs,
                           seed=args.seed, vertices=window,

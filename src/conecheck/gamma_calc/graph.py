@@ -102,12 +102,8 @@ def gamma2(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
 class BEReport:
     """Worst observed defect of Gamma2 >= kappa Gamma + (1/N)(Lu)^2."""
 
-    kappa: float
-    N: float
-    strategy: str
     min_defect: float
     passed: bool
-    tolerance: float
     witness_vertex: int | None = None
 
 
@@ -155,7 +151,7 @@ def be_check(
                 worst, witness = float(slack), int(x)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return BEReport(kappa, N, strategy, worst, passes(slacks, tol), tol, witness)
+    return BEReport(worst, passes(slacks, tol), witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +164,6 @@ class CurvatureResult:
     the local forms.
     """
 
-    vertex: int
-    N: float
     kappa: float | None
     certificate: np.ndarray | None
     roundoff: float = 0.0
@@ -213,7 +207,7 @@ def curvature_dimension(g: WeightedGraph, x: int, N: float) -> CurvatureResult:
     import scipy.linalg
 
     if not np.any(g.edge_weights[x] > 0):
-        return CurvatureResult(vertex=x, N=N, kappa=None, certificate=None)
+        return CurvatureResult(kappa=None, certificate=None)
     ball2, P, ell, Q = _local_forms(g, x)
     Q = Q - np.outer(ell, ell) / N
 
@@ -236,12 +230,12 @@ def curvature_dimension(g: WeightedGraph, x: int, N: float) -> CurvatureResult:
         Qnr = null.T @ Q @ rang
         nn_vals, nn_vecs = scipy.linalg.eigh(Qnn)
         if nn_vals.size and float(nn_vals[0]) < -1e-10 * scale:
-            return CurvatureResult(vertex=x, N=N, kappa=-math.inf, certificate=None)
+            return CurvatureResult(kappa=-math.inf, certificate=None)
         # directions with Qnn ~ 0 must not couple linearly into the range block
         keep = nn_vals > 1e-10 * scale  # pseudo-inverse cutoff at the problem scale
         zero_dirs = nn_vecs[:, ~keep]
         if zero_dirs.size and float(np.abs(zero_dirs.T @ Qnr).max()) > 1e-8 * scale:
-            return CurvatureResult(vertex=x, N=N, kappa=-math.inf, certificate=None)
+            return CurvatureResult(kappa=-math.inf, certificate=None)
         Qnn_pinv = (nn_vecs[:, keep] / nn_vals[keep]) @ nn_vecs[:, keep].T
         Qt = Qrr - Qnr.T @ Qnn_pinv @ Qnr
         s_from_w = lambda w: -Qnn_pinv @ (Qnr @ w)
@@ -255,7 +249,7 @@ def curvature_dimension(g: WeightedGraph, x: int, N: float) -> CurvatureResult:
         coords = coords + null @ s_from_w(w)
     cert = np.zeros(g.n)
     cert[ball2] = coords
-    return CurvatureResult(vertex=x, N=N, kappa=kappa_val, certificate=cert, roundoff=roundoff)
+    return CurvatureResult(kappa=kappa_val, certificate=cert, roundoff=roundoff)
 
 
 # ---------------------------------------------------------------------------

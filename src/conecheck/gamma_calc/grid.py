@@ -42,6 +42,10 @@ __all__ = [
 # composition (two chained 4th-order first derivatives).
 INTERIOR_MARGIN = 6
 
+# Distance the sampled windows keep from the degenerate ends of their
+# model intervals, where the sin weight vanishes.
+_WINDOW_PAD = 0.35
+
 
 @dataclass(frozen=True, eq=False)
 class FiberSpec:
@@ -68,9 +72,10 @@ def circle_fiber(n: int, circumference: float = 2.0 * math.pi) -> FiberSpec:
     return FiberSpec(x=np.arange(n) * h, periodic=True, weight_exponent=0.0)
 
 
-def weighted_interval_fiber(n: int, nu_f: float, lo: float = 0.35, hi: float = math.pi - 0.35) -> FiberSpec:
+def weighted_interval_fiber(n: int, nu_f: float) -> FiberSpec:
     """Window of (0, pi) carrying the sin^nu_f model weight (curvature 1)."""
-    return FiberSpec(x=np.linspace(lo, hi, n), periodic=False, weight_exponent=nu_f)
+    return FiberSpec(x=np.linspace(_WINDOW_PAD, math.pi - _WINDOW_PAD, n), periodic=False,
+                     weight_exponent=nu_f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +102,10 @@ class ConeGridSpec:
         return ConeGridSpec(r=self.r[::2], fiber=fib, K=self.K, nu=self.nu)
 
 
-def cone_grid(K: float, nu: float, nr: int, fiber: FiberSpec,
-              lo: float = 0.35, hi: float | None = None) -> ConeGridSpec:
-    if K > 0:
-        hi = math.pi / math.sqrt(K) - lo if hi is None else hi
-    elif hi is None:
-        raise ValueError("an upper window bound is required for K <= 0")
-    return ConeGridSpec(r=np.linspace(lo, hi, nr), fiber=fiber, K=K, nu=nu)
+def cone_grid(K: float, nu: float, nr: int, fiber: FiberSpec) -> ConeGridSpec:
+    """Window (0.35, L - 0.35) of the model interval, L = pi/sqrt(K) for K > 0 and pi otherwise."""
+    L = math.pi / math.sqrt(K) if K > 0 else math.pi
+    return ConeGridSpec(r=np.linspace(_WINDOW_PAD, L - _WINDOW_PAD, nr), fiber=fiber, K=K, nu=nu)
 
 
 def _d1(vals: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
@@ -214,7 +216,6 @@ _COARSE_MARGIN = 2 * INTERIOR_MARGIN
 @dataclass(frozen=True)
 class IdentityReport:
     max_residual: float
-    max_residual_coarse: float
     observed_order: float
     scale: float
 
@@ -272,9 +273,7 @@ def warped_gamma2_identity_check(
     coarse_resid, _ = _identity_fields(coarse_spec, f[::2], u1[::2], u2[::2])
     coarse = float(np.max(_mask_interior(coarse_resid, coarse_spec, INTERIOR_MARGIN)))
     order = math.log2(coarse / fine_cw) if fine_cw > 0 and coarse > 0 else float("nan")
-    return IdentityReport(
-        max_residual=fine, max_residual_coarse=coarse, observed_order=order, scale=scale
-    )
+    return IdentityReport(max_residual=fine, observed_order=order, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,6 @@ class EstimateReport:
     min_slack: float
     min_slack_coarse: float
     passed: bool
-    tolerance: float
     min_slack_fine_matched: float = 0.0  # fine slack on the coarse window
 
 
@@ -327,7 +325,6 @@ def sharp_gamma2_estimate_check(
         min_slack_coarse=float(np.min(coarse)),
         min_slack_fine_matched=float(np.min(fine_cw)),
         passed=passes(slacks, tol),
-        tolerance=tol,
     )
 
 
@@ -335,7 +332,6 @@ def sharp_gamma2_estimate_check(
 class ConverseReport:
     min_residual: float
     passed: bool
-    tolerance: float
 
 
 def converse_deduction_check(nu: float, fiber: FiberSpec, u2: np.ndarray,
@@ -356,4 +352,4 @@ def converse_deduction_check(nu: float, fiber: FiberSpec, u2: np.ndarray,
     resid = _fiber_gamma2(u2, fiber) - (nu - 1.0) * d1 * d1 - lu * lu / nu
     if not fiber.periodic:
         resid = resid[INTERIOR_MARGIN:-INTERIOR_MARGIN]
-    return ConverseReport(float(resid.min()), passes(resid, tol), tol)
+    return ConverseReport(float(resid.min()), passes(resid, tol))

@@ -157,19 +157,15 @@ class RadialGrid:
 
 
 def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> RadialGrid:
-    """Build the radial grid on (0, pi/sqrt(K)) for K > 0, else on (0, r_max)."""
+    """Build the radial grid on (0, r_max); r_max defaults to pi/sqrt(K) for K > 0, else pi."""
     if n < 2:
         raise ValueError("radial grid needs n >= 2 cells")
     if N < 0:
         raise ValueError("radial weight exponent must be >= 0")
-    if K > 0:
-        L = math.pi / math.sqrt(K)
-        if r_max is not None and r_max > L * (1 + 1e-12):
+    L = math.pi / math.sqrt(K) if K > 0 else math.pi
+    if r_max is not None:
+        if K > 0 and r_max > L * (1 + 1e-12):
             raise ValueError(f"grid exceeds the model interval [0, {L:.6g}] for K={K}")
-        L = r_max if r_max is not None else L
-    else:
-        if r_max is None:
-            raise ValueError("r_max is required for K <= 0")
         L = float(r_max)
     h = L / n
     nodes = (np.arange(n) + 0.5) * h
@@ -341,7 +337,6 @@ class SuspensionReport:
 
     is_suspension: bool
     equator: FiniteMMS | None
-    poles: tuple
     max_residual: float
     failed_stage: str | None = None
 
@@ -365,7 +360,7 @@ def suspension_check(
     d = m.dist
 
     def fail(stage, res):
-        return SuspensionReport(False, None, (x, y), res, stage)
+        return SuspensionReport(False, None, res, stage)
 
     res0 = abs(d[x, y] - math.pi)
     if not passes(-res0, tol):
@@ -378,7 +373,7 @@ def suspension_check(
     interior = np.nonzero((theta > tol) & (theta < math.pi - tol))[0]
     if interior.size == 0:
         # two-pole space: a suspension over the empty interior
-        return SuspensionReport(True, None, (x, y), 0.0, None)
+        return SuspensionReport(True, None, 0.0, None)
 
     dev = np.abs(theta[interior] - math.pi / 2.0)
     eq_idx = interior[dev <= dev.min() + 1e-9]
@@ -413,8 +408,8 @@ def suspension_check(
         labels=tuple(m.labels[int(k)] for k in eq_idx), dist=eq_dist, weight=eq_weight
     )
     if not passes(-resid, tol):
-        return SuspensionReport(False, equator, (x, y), resid, "law-of-cosines")
-    return SuspensionReport(True, equator, (x, y), resid, None)
+        return SuspensionReport(False, equator, resid, "law-of-cosines")
+    return SuspensionReport(True, equator, resid, None)
 
 
 def _theta_step(theta: np.ndarray, interior: np.ndarray) -> float:

@@ -64,10 +64,10 @@ class ExtendedValue:
     """
 
     value: float = 0.0
-    infinite: bool = False
+    is_infinite: bool = False
 
     def __post_init__(self):
-        if self.infinite:
+        if self.is_infinite:
             object.__setattr__(self, "value", 0.0)
         elif not (math.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"finite extended value must be >= 0, got {self.value}")
@@ -76,12 +76,8 @@ class ExtendedValue:
     def infinity(cls) -> "ExtendedValue":
         return cls(0.0, True)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.infinite
-
     def as_float(self) -> float:
-        if self.infinite:
+        if self.is_infinite:
             raise ValueError("infinite extended value has no float representation")
         return self.value
 

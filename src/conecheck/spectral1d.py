@@ -6,10 +6,10 @@ The central object is the operator
 
 discretized in divergence form against the weight sin_K^nu, self-adjoint by
 construction.  On top of the discretization: a deterministic eigensolver,
-the unitary transform to Schroedinger form (whose inverse-square
-coefficient answers essential self-adjointness analytically), the heat
-semigroup, the dimensional gradient estimate check, the spectral-gap bound,
-and assembly of product-space spectra by separation of variables.
+essential self-adjointness from the inverse-square coefficient of the
+Schroedinger form, the heat semigroup, the dimensional gradient estimate
+check, the spectral-gap bound, and assembly of product-space spectra by
+separation of variables.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_fns import CurvatureDimension, cos_k, passes, sin_k
+from .model_fns import CurvatureDimension, passes, sin_k
 from .mms import RadialGrid, radial_grid
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "ResidualReport",
     "discretize_fiber_operator",
     "eigen",
-    "schrodinger_transform",
     "essential_self_adjointness",
     "heat_semigroup_1d",
     "bakry_ledoux_check",
@@ -45,15 +44,13 @@ _LIMIT_POINT_THRESHOLD = 0.75  # boundary value 3/4 is limit point
 class SturmLiouville1D:
     """Tridiagonal discretization of the weighted radial operator.
 
+    ``grid`` carries K and the weight exponent nu (as its N);
     ``a_diag``/``a_off`` hold the symmetric positive-semidefinite stiffness
     matrix A, ``m_diag`` the diagonal mass matrix; generalized eigenvalues
     of (A, M) are the eigenvalues of -L.  The full spectrum is computed
     lazily and cached for semigroup evaluation.
     """
 
-    K: float
-    nu: float
-    lambda_fiber: float
     grid: RadialGrid
     a_diag: np.ndarray
     a_off: np.ndarray
@@ -63,13 +60,6 @@ class SturmLiouville1D:
     @property
     def n(self) -> int:
         return self.grid.n
-
-    def stiffness_matrix(self) -> np.ndarray:
-        A = np.diag(self.a_diag)
-        idx = np.arange(self.n - 1)
-        A[idx, idx + 1] = self.a_off
-        A[idx + 1, idx] = self.a_off
-        return A
 
     def _apply_stiffness(self, u: np.ndarray) -> np.ndarray:
         """A u, the tridiagonal matvec."""
@@ -104,7 +94,6 @@ class ResidualReport:
     min: float
     mean: float
     max: float
-    tolerance: float
     passed: bool
     detail: dict | None = None
 
@@ -140,10 +129,7 @@ def discretize_fiber_operator(
     a_diag = pot.copy()
     a_diag[:-1] += a
     a_diag[1:] += a
-    return SturmLiouville1D(
-        K=K, nu=nu, lambda_fiber=lambda_fiber, grid=grid,
-        a_diag=a_diag, a_off=-a, m_diag=grid.cell_weights,
-    )
+    return SturmLiouville1D(grid=grid, a_diag=a_diag, a_off=-a, m_diag=grid.cell_weights)
 
 
 def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
@@ -177,33 +163,20 @@ def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
 
 
 def _inverse_square_coefficient(nu: float, lambda_fiber: float) -> float:
-    """c0 = nu(nu-2)/4 + lambda, the 1/(r - r0)^2 coefficient of V at a finite endpoint."""
-    return nu * (nu - 2.0) / 4.0 + lambda_fiber
+    """c0 = nu(nu-2)/4 + lambda, the 1/(r - r0)^2 coefficient at a finite endpoint.
 
-
-def schrodinger_transform(K: float, nu: float, lambda_fiber: float):
-    """Potential of the unitarily equivalent -d^2/dr^2 + V(r) form.
-
-    V(r) = ((nu^2/4) cos_K^2(r) - nu/2 + lambda) / sin_K^2(r) up to an
-    additive constant, with endpoint behaviour c0/(r - r0)^2 where
-    c0 = nu(nu-2)/4 + lambda.  The sign of the lambda term follows the
-    endpoint asymptotics of the transformed operator.
+    The unitary substitution u = sin_K^(-nu/2) psi turns the operator into
+    -psi'' + V psi with V(r) = ((nu^2/4) cos_K^2(r) - nu/2 + lambda)/sin_K^2(r)
+    up to an additive constant, and V(r) ~ c0/(r - r0)^2 at each endpoint.
     """
-    c0 = _inverse_square_coefficient(nu, lambda_fiber)
-
-    def V(r):
-        s = sin_k(K, r)
-        c = cos_k(K, r)
-        return ((nu * nu / 4.0) * c * c - nu / 2.0 + lambda_fiber) / (s * s)
-
-    return V, c0
+    return nu * (nu - 2.0) / 4.0 + lambda_fiber
 
 
 def essential_self_adjointness(nu: float, lambda_fiber: float) -> bool:
     """True iff the minimal operator has a unique self-adjoint extension.
 
     A finite endpoint is limit point exactly when the inverse-square
-    coefficient c0 of ``schrodinger_transform`` reaches 3/4 (the threshold
+    coefficient c0 of the Schroedinger form reaches 3/4 (the threshold
     itself is limit point); both finite endpoints share c0, and an endpoint
     at infinity (K <= 0) is always limit point, so c0 alone decides.
     """
@@ -262,9 +235,7 @@ def bakry_ledoux_check(
         min=float(inner.min()),
         mean=float(inner.mean()),
         max=float(inner.max()),
-        tolerance=tol,
         passed=passes(inner, tol),
-        detail={"kappa": kappa, "N": Nbe, "t": t},
     )
 
 
@@ -282,7 +253,6 @@ def spectral_gap_bound_check(
     slack = lam1 - bound
     return ResidualReport(
         min=slack, mean=slack, max=slack,
-        tolerance=tol,
         passed=passes(slack, tol),
         detail={"lambda1": lam1, "bound": bound},
     )
@@ -294,7 +264,6 @@ def cone_spectrum(
     nu: float,
     k_per_fiber: int,
     n: int,
-    r_max: float | None = None,
 ) -> list:
     """Product-space spectrum by separation of variables.
 
@@ -311,7 +280,7 @@ def cone_spectrum(
             lam = 0.0
         key = round(lam, 12)
         if key not in cache:
-            op = discretize_fiber_operator(K, nu, lam, n, r_max=r_max)
+            op = discretize_fiber_operator(K, nu, lam, n)
             cache[key] = eigen(op, k_per_fiber).eigenvalues
         out.append((lam, cache[key]))
     return out

@@ -43,6 +43,8 @@ _MASS_TOL = 1e-12
 # 1e-12 keeps that below the certificate's 1e-9 for supports of hundreds of
 # atoms, while round-off on a cone ray is 1e-15 (K >= 0) to 1e-13 (K < 0).
 _LINE_TOL = 1e-12
+# Largest dual infeasibility of a plan's potentials, relative to the largest cost.
+_DUAL_RTOL = 1e-9
 
 
 class NoMidpointError(RuntimeError):
@@ -143,23 +145,13 @@ def _support(q: Coupling):
 
 @dataclass(frozen=True)
 class CDReport:
-    """One displacement-convexity evaluation at the midpoint time."""
+    """One displacement-convexity evaluation at the midpoint time t = 1/2."""
 
-    t: float
     Nprime: float
     lhs: float
     rhs: ExtendedValue
     slack: float  # lhs - rhs; -inf sentinel when rhs is the tagged infinity
     passed: bool
-    tolerance: float
-
-    @staticmethod
-    def build(Nprime: float, lhs: float, rhs: ExtendedValue, tol: float) -> "CDReport":
-        slack = -math.inf if rhs.is_infinite else lhs - rhs.value
-        return CDReport(
-            t=0.5, Nprime=Nprime, lhs=lhs, rhs=rhs,
-            slack=slack, passed=passes(slack, tol), tolerance=tol,
-        )
 
 
 def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupling]:
@@ -289,11 +281,11 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def _certify_optimality(C, plan, alpha, beta, rtol=1e-9):
+def _certify_optimality(C, plan, alpha, beta):
     """Dual feasibility and complementary slackness of a plan and its potentials."""
     scale = max(float(C.max()), 1.0)
     reduced = C - alpha[:, None] - beta[None, :]
-    if not passes(reduced, rtol * scale):
+    if not passes(reduced, _DUAL_RTOL * scale):
         raise RuntimeError(f"dual infeasibility {-reduced.min():.3e} exceeds tolerance")
     support_slack = np.abs(reduced[plan > 1e-14 * scale])
     if not passes(-support_slack, 1e-7 * scale):
@@ -361,7 +353,12 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
             total += mass * c.value * (rho0[i] ** (-1.0 / Nprime) + rho1[j] ** (-1.0 / Nprime))
         return ExtendedValue(total)
 
-    return [CDReport.build(Np, renyi_entropy(m, mid, Np), rhs(Np), tol) for Np in nprimes]
+    reports = []
+    for Np in nprimes:
+        lhs, r = renyi_entropy(m, mid, Np), rhs(Np)
+        slack = -math.inf if r.is_infinite else lhs - r.value
+        reports.append(CDReport(Np, lhs, r, slack, passes(slack, tol)))
+    return reports
 
 
 def cd_star_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,

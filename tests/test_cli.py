@@ -480,6 +480,20 @@ def test_heat_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path):
     assert math.isfinite(rep["residuals"]["min"])
 
 
+_K_NONPOSITIVE = [[*argv, "--K", K] for K in ("0", "-1")
+                  for argv in (["cd-check"], ["be-check"], ["be-check", "--flavor", "grid"],
+                               ["gamma2-identity"])]
+
+
+@pytest.mark.parametrize("argv", _K_NONPOSITIVE, ids=" ".join)
+def test_flat_and_hyperbolic_models_run_on_length_pi(argv, tmp_path):
+    # without --rmax, K <= 0 samples the model interval (0, pi), as spectrum and heat do
+    out = tmp_path / "r.json"
+    code = main([*argv, "--out", str(out)])
+    assert code in (0, 1)
+    assert read_report(out)["pass"] is (code == 0)
+
+
 _FOOTPRINT = """
 import json, sys
 argv = json.loads(sys.argv[1])

@@ -51,7 +51,7 @@ class TestConeOperators:
 
     def test_distance_like_function_on_flat_cone(self):
         fib = circle_fiber(96)
-        spec = cone_grid(0.0, 1.0, 101, fib, lo=0.5, hi=2.0)
+        spec = cone_grid(0.0, 1.0, 101, fib)
         U = np.outer(spec.r, np.cos(fib.x))
         g = _mask_interior(gamma_2d(U, U, spec), spec, INTERIOR_MARGIN)
         assert np.max(np.abs(g - 1.0)) <= 1e-5

@@ -79,9 +79,9 @@ class TestRadialGrid:
             err = abs(g.cell_weights.sum() - math.pi / 2)
             assert err <= 2.0 * (math.pi / n) ** 2
 
-    def test_kneg_requires_rmax(self):
-        with pytest.raises(ValueError):
-            radial_grid(0.0, 1.0, 10)
+    def test_kneg_defaults_to_length_pi(self):
+        for K in (0.0, -1.0):
+            assert radial_grid(K, 1.0, 10).r_max == pytest.approx(math.pi)
         g = radial_grid(-1.0, 1.0, 10, r_max=2.0)
         assert g.r_max == pytest.approx(2.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conecheck import gamma_calc as gc
-from conecheck.model_fns import CurvatureDimension, sin_k
+from conecheck.model_fns import CurvatureDimension, cos_k, sin_k
 from conecheck.spectral1d import (
     bakry_ledoux_check,
     cone_spectrum,
@@ -12,10 +12,17 @@ from conecheck.spectral1d import (
     eigen,
     essential_self_adjointness,
     heat_semigroup_1d,
-    schrodinger_transform,
     spectral_gap_bound_check,
 )
-from conecheck.spectral1d import _gamma_fd
+from conecheck.spectral1d import _gamma_fd, _inverse_square_coefficient
+
+
+def schrodinger_potential(K, nu, lam):
+    """V of the unitarily equivalent -d^2/dr^2 + V form, up to an additive constant."""
+    def V(r):
+        s, c = sin_k(K, r), cos_k(K, r)
+        return ((nu * nu / 4.0) * c * c - nu / 2.0 + lam) / (s * s)
+    return V
 
 
 class TestDiscretization:
@@ -30,8 +37,10 @@ class TestDiscretization:
 
     def test_self_adjoint_and_psd(self):
         op = discretize_fiber_operator(1.0, 2.0, 1.5, 64)
-        A = op.stiffness_matrix()
-        assert np.max(np.abs(A - A.T)) <= 1e-12
+        # <Lu, v>_M = <u, Lv>_M
+        u, v = np.random.default_rng(3).standard_normal((2, op.n))
+        Lu, Lv = op.apply_generator(u), op.apply_generator(v)
+        assert abs(v @ (op.m_diag * Lu) - u @ (op.m_diag * Lv)) <= 1e-12 * np.abs(op.a_diag).sum()
         spec = eigen(op, op.n)
         assert spec.eigenvalues[0] >= -1e-10
 
@@ -93,20 +102,17 @@ class TestDiscretization:
 
 class TestSchrodingerWeyl:
     def test_free_potential(self):
-        V, c0 = schrodinger_transform(1.0, 0.0, 0.0)
-        assert c0 == 0.0
-        assert abs(V(math.pi / 2)) <= 1e-12
+        assert _inverse_square_coefficient(0.0, 0.0) == 0.0
+        assert abs(schrodinger_potential(1.0, 0.0, 0.0)(math.pi / 2)) <= 1e-12
 
     def test_threshold_cases(self):
-        _, c0 = schrodinger_transform(1.0, 3.0, 0.0)
-        assert c0 == pytest.approx(0.75)
-        _, c0 = schrodinger_transform(1.0, 1.0, 1.0)
-        assert c0 == pytest.approx(0.75)
+        assert _inverse_square_coefficient(3.0, 0.0) == pytest.approx(0.75)
+        assert _inverse_square_coefficient(1.0, 1.0) == pytest.approx(0.75)
 
     def test_endpoint_asymptotics(self):
         # V(r) ~ c0 / r^2 near both endpoints
         for nu, lam in ((2.5, 0.7), (1.0, 2.0)):
-            V, c0 = schrodinger_transform(1.0, nu, lam)
+            V, c0 = schrodinger_potential(1.0, nu, lam), _inverse_square_coefficient(nu, lam)
             for r in (1e-4, 1e-5):
                 assert V(r) * r * r == pytest.approx(c0, rel=1e-3)
                 assert V(math.pi - r) * r * r == pytest.approx(c0, rel=1e-3)
@@ -117,7 +123,7 @@ class TestSchrodingerWeyl:
         nu, lam = 2.0, 1.0
         op = discretize_fiber_operator(1.0, nu, lam, 1500)
         vals = eigen(op, 3).eigenvalues
-        V, _ = schrodinger_transform(1.0, nu, lam)
+        V = schrodinger_potential(1.0, nu, lam)
         n = 3000
         h = math.pi / (n + 1)
         r = np.arange(1, n + 1) * h
@@ -287,7 +293,8 @@ class TestConeSpectrum:
 
         # dense product generator: radial part + (1/sin^2) fiber part
         op0 = discretize_fiber_operator(1.0, 1.0, 0.0, nr)
-        Lr = np.diag(1.0 / op0.m_diag) @ (-op0.stiffness_matrix())
+        A = np.diag(op0.a_diag) + np.diag(op0.a_off, 1) + np.diag(op0.a_off, -1)
+        Lr = np.diag(1.0 / op0.m_diag) @ -A
         inv_sin2 = np.diag(1.0 / np.sin(r) ** 2)
         Lprod = np.kron(Lr, np.eye(nf)) + np.kron(inv_sin2, Lf)
         M = np.kron(np.diag(op0.m_diag), np.diag(g.vertex_measure))
