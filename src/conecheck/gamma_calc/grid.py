@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..model_fns import cos_k, passes, sin_k
+from ..model_fns import cos_k, model_interval, passes, sin_k
 
 __all__ = [
     "FiberSpec",
@@ -98,13 +98,15 @@ class ConeGridSpec:
         return sin_k(self.K, self.r)
 
     def coarsen(self) -> "ConeGridSpec":
+        if self.fiber.periodic and self.fiber.n % 2 != 0:
+            raise ValueError("periodic fiber needs an even sample count for coarsening")
         fib = FiberSpec(self.fiber.x[::2], self.fiber.periodic, self.fiber.weight_exponent)
         return ConeGridSpec(r=self.r[::2], fiber=fib, K=self.K, nu=self.nu)
 
 
 def cone_grid(K: float, nu: float, nr: int, fiber: FiberSpec) -> ConeGridSpec:
-    """Window (0.35, L - 0.35) of the model interval, L = pi/sqrt(K) for K > 0 and pi otherwise."""
-    L = math.pi / math.sqrt(K) if K > 0 else math.pi
+    """Window (0.35, L - 0.35) of the model interval (0, L), L = ``model_interval(K)``."""
+    L = model_interval(K)
     return ConeGridSpec(r=np.linspace(_WINDOW_PAD, L - _WINDOW_PAD, nr), fiber=fiber, K=K, nu=nu)
 
 
@@ -263,8 +265,6 @@ def warped_gamma2_identity_check(
     comes from the stride-2 subsample of the same data, so the observed
     order log2(coarse/fine) needs no re-sampling.
     """
-    if spec.fiber.periodic and spec.fiber.n % 2 != 0:
-        raise ValueError("periodic fiber needs an even sample count for coarsening")
     resid, rhs = _identity_fields(spec, f, u1, u2)
     fine = float(np.max(_mask_interior(resid, spec, INTERIOR_MARGIN)))
     scale = float(np.max(np.abs(_mask_interior(rhs, spec, INTERIOR_MARGIN))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_fns import cos_k, passes, sin_k
+from .model_fns import cos_k, model_interval, passes, sin_k
 
 __all__ = [
     "FiniteMMS",
@@ -135,9 +135,9 @@ def validate(m: FiniteMMS) -> list:
 class RadialGrid:
     """Uniform cell-centered grid on the radial interval with sin_K^N cell weights.
 
-    ``nodes`` are the cell midpoints, strictly inside (0, L); ``cell_weights``
+    ``nodes`` are the cell midpoints, strictly inside (0, r_max); ``cell_weights``
     are the midpoint-rule weights sin_K(r_i)^N * h, a second-order positive
-    quadrature of the radial measure; ``h = L/n`` is the step that built both.
+    quadrature of the radial measure; ``h = r_max/n`` is the step that built both.
     """
 
     K: float
@@ -146,31 +146,24 @@ class RadialGrid:
     nodes: np.ndarray
     cell_weights: np.ndarray
     h: float
+    r_max: float
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(self.nodes))
         object.__setattr__(self, "cell_weights", _freeze(self.cell_weights))
 
-    @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1] + 0.5 * self.h)
-
 
 def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> RadialGrid:
-    """Build the radial grid on (0, r_max); r_max defaults to pi/sqrt(K) for K > 0, else pi."""
+    """Build the radial grid on (0, L), L = ``model_interval(K, r_max)``."""
     if n < 2:
         raise ValueError("radial grid needs n >= 2 cells")
-    if N < 0:
-        raise ValueError("radial weight exponent must be >= 0")
-    L = math.pi / math.sqrt(K) if K > 0 else math.pi
-    if r_max is not None:
-        if K > 0 and r_max > L * (1 + 1e-12):
-            raise ValueError(f"grid exceeds the model interval [0, {L:.6g}] for K={K}")
-        L = float(r_max)
+    if not 0.0 <= N < math.inf:
+        raise ValueError(f"radial weight exponent must be finite and >= 0, got {N}")
+    L = model_interval(K, r_max)
     h = L / n
     nodes = (np.arange(n) + 0.5) * h
     cw = sin_k(K, nodes) ** N * h
-    return RadialGrid(K=K, N=N, n=n, nodes=nodes, cell_weights=cw, h=h)
+    return RadialGrid(K=K, N=N, n=n, nodes=nodes, cell_weights=cw, h=h, r_max=L)
 
 
 def _cone_arg_to_distance(K: float, arg: np.ndarray) -> np.ndarray:
@@ -198,8 +191,6 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     """
     if grid.K != K or grid.N != N:
         raise ValueError("grid parameters must match the cone parameters")
-    if K > 0 and grid.r_max > math.pi / math.sqrt(K) * (1 + 1e-12):
-        raise ValueError("grid exceeds the model interval for K > 0")
     r = grid.nodes
     nr, nf = grid.n, fiber.n
     dcap = np.minimum(fiber.dist, math.pi)
@@ -230,7 +221,7 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     labels = [f"{i}:{lab}" for i in range(nr) for lab in fiber.labels]
     labels.append("apex0")
     if K > 0:
-        L = math.pi / math.sqrt(K)
+        L = model_interval(K)
         dist[nbody + 1, :nbody] = L - np.repeat(r, nf)
         dist[:nbody, nbody + 1] = dist[nbody + 1, :nbody]
         dist[nbody, nbody + 1] = dist[nbody + 1, nbody] = L
@@ -325,8 +316,8 @@ def midpoints(m: FiniteMMS, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndar
     |d(k,j) - d(i,j)/2| <= eps.  An empty row is a valid answer at coarse
     resolution.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     half = 0.5 * m.dist[i, j][:, None]
     return (np.abs(m.dist[i] - half) <= eps) & (np.abs(m.dist[:, j].T - half) <= eps)
 

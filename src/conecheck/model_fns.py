@@ -1,10 +1,10 @@
 """Closed-form model functions.
 
-Generalized sine/cosine for constant curvature K, the volume-distortion
-coefficients entering displacement-convexity inequalities, the elementary
-dimension-splitting identity, the sharp diameter bound for positive
-curvature, and ``passes``, the one gate that turns the slacks of any check
-into its verdict.
+Generalized sine/cosine for constant curvature K, the length of its model
+interval, the volume-distortion coefficients entering displacement-convexity
+inequalities, the elementary dimension-splitting identity, the sharp diameter
+bound for positive curvature, and ``passes``, the one gate that turns the
+slacks of any check into its verdict.
 
 All functions are pure and operate on value types; they are safe for
 unrestricted concurrent use.
@@ -22,6 +22,7 @@ __all__ = [
     "ExtendedValue",
     "sin_k",
     "cos_k",
+    "model_interval",
     "sigma_coeff",
     "tau_coeff",
     "dimension_split",
@@ -106,8 +107,7 @@ def sin_k(K: float, t):
     if np.any(t_arr < 0):
         raise ValueError("sin_k requires t >= 0")
     if K > 0:
-        rk = math.sqrt(K)
-        tmax = math.pi / rk
+        rk, tmax = math.sqrt(K), model_interval(K)
         if np.any(t_arr > tmax * (1.0 + 1e-12) + 1e-12):
             raise ValueError(f"sin_k domain error: t > pi/sqrt(K) = {tmax:.6g} for K={K}")
         out = np.sin(rk * t_arr) / rk
@@ -131,6 +131,22 @@ def cos_k(K: float, t):
     else:
         out = np.cosh(math.sqrt(-K) * t_arr)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def model_interval(K: float, r_max: float | None = None) -> float:
+    """Length L of the model interval (0, L) of curvature K, or ``r_max`` once checked.
+
+    L is pi/sqrt(K), where sin_K first vanishes, for K > 0 and pi for K <= 0;
+    ``r_max`` must be finite, > 0 and, for K > 0, at most that L.
+    """
+    if not math.isfinite(K):
+        raise ValueError(f"curvature parameter must be finite, got {K}")
+    L = math.pi / math.sqrt(K) if K > 0 else math.pi
+    if r_max is None:
+        return L
+    if not (0.0 < r_max < math.inf and (K <= 0 or r_max <= L * (1 + 1e-12))):
+        raise ValueError(f"r_max must be finite, > 0 and at most pi/sqrt(K) if K > 0, got {r_max}")
+    return float(r_max)
 
 
 def _sigma_raw(K: float, N: float, t: float, theta: float) -> ExtendedValue:

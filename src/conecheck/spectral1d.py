@@ -117,8 +117,8 @@ def discretize_fiber_operator(
         raise ValueError("discretization needs n >= 3 cells")
     if n < 8:
         warnings.warn(f"n={n} is under-resolved; results are qualitative", RuntimeWarning)
-    if lambda_fiber < 0:
-        raise ValueError("fiber eigenvalue must be >= 0")
+    if not 0.0 <= lambda_fiber < math.inf:
+        raise ValueError(f"fiber eigenvalue must be finite and >= 0, got {lambda_fiber}")
     grid = radial_grid(K, nu, n, r_max=r_max)
     h = grid.h
     r = grid.nodes

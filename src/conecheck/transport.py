@@ -47,13 +47,8 @@ _LINE_TOL = 1e-12
 _DUAL_RTOL = 1e-9
 
 
-class NoMidpointError(RuntimeError):
+class NoMidpointError(ValueError):
     """Raised when a transported pair has no epsilon-midpoint at the given eps."""
-
-    def __init__(self, i: int, j: int, eps: float):
-        super().__init__(f"no epsilon-midpoint for atoms ({i}, {j}) at eps={eps}")
-        self.pair = (i, j)
-        self.eps = eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +131,6 @@ class Coupling:
         for arr in (plan.data, plan.row, plan.col):
             arr.flags.writeable = False
         object.__setattr__(self, "plan", plan)
-
-
-def _support(q: Coupling):
-    """(i, j, mass) over the plan's positive entries, in row-major order."""
-    return zip(q.plan.row.tolist(), q.plan.col.tolist(), q.plan.data.tolist())
 
 
 @dataclass(frozen=True)
@@ -308,7 +298,8 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     mids[stay] = np.arange(m.n) == i[stay][:, None]
     bare = np.flatnonzero(~mids.any(axis=1))
     if bare.size:
-        raise NoMidpointError(int(i[bare[0]]), int(j[bare[0]]), eps)
+        raise NoMidpointError(f"no epsilon-midpoint for atoms ({i[bare[0]]}, {j[bare[0]]}) "
+                              f"at eps={eps}")
     carried = mids & (weighted | stay[:, None])
     for p in np.flatnonzero(~carried.any(axis=1)):
         near = m.dist[mids[p]] + np.where(weighted, 0.0, np.inf)
@@ -346,7 +337,7 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
     def rhs(Nprime):
         cdN = CurvatureDimension(cd.K, Nprime)
         total = 0.0
-        for i, j, mass in _support(q):
+        for i, j, mass in zip(q.plan.row.tolist(), q.plan.col.tolist(), q.plan.data.tolist()):
             c = coeff(cdN, 0.5, float(m.dist[i, j]))
             if c.is_infinite:
                 return ExtendedValue.infinity()

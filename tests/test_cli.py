@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conecheck import mms
+from conecheck import spectral1d as sp1d
 from conecheck.cli import _DEFAULTS, Report, main
 
 
@@ -42,6 +43,11 @@ class TestExitCodes:
         assert rep["pass"] is True
         assert rep["detail"]["gap"]["lambda1"] == pytest.approx(2.0, rel=0.01)
         assert (tmp_path / "r.csv").exists()
+        # the CSV takes the report's name, not the text before a dot in its directory
+        dotted = tmp_path / "run.v2"
+        dotted.mkdir()
+        assert main(["spectrum", "--grid", "100", "--out", str(dotted / "report")]) == 0
+        assert (dotted / "report.csv").exists() and not (tmp_path / "run.csv").exists()
 
     def test_spectrum_underresolved_warns_and_fails(self, tmp_path):
         out = tmp_path / "r.json"
@@ -398,15 +404,51 @@ def test_eps_without_a_midpoint_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["be-check", "--flavor", "grid", "--fiber-n", "16"],
-                                  ["be-check", "--flavor", "grid", "--grid", "20"],
-                                  ["gamma2-identity", "--grid", "20"]],
-                         ids=["be-check-fiber-16", "be-check-grid-20", "gamma2-identity-grid-20"])
-def test_grid_too_small_for_the_margin_is_an_input_error(argv, tmp_path, capsys):
+_ODD_FIBER = "periodic fiber needs an even sample count for coarsening"
+
+
+# both grid checks compare against the stride-2 coarsening, which an odd
+# periodic fiber cannot give uniformly
+@pytest.mark.parametrize("argv, message", [
+    (["be-check", "--flavor", "grid", "--fiber-n", "16"],
+     "the fiber axis has 16 samples, none inside a margin of 12 cells at each end"),
+    (["be-check", "--flavor", "grid", "--grid", "20"],
+     "the radial axis has 20 samples, none inside a margin of 12 cells at each end"),
+    (["gamma2-identity", "--grid", "20"],
+     "the radial axis has 20 samples, none inside a margin of 12 cells at each end"),
+    (["be-check", "--flavor", "grid", "--nu", "1", "--fiber-n", "63", "--grid", "81",
+      "--pairs", "3"], _ODD_FIBER),
+    (["gamma2-identity", "--fiber-n", "63", "--grid", "81", "--pairs", "1"], _ODD_FIBER),
+], ids=["be-check-fiber-16", "be-check-grid-20", "gamma2-identity-grid-20",
+        "be-check-odd-fiber", "gamma2-identity-odd-fiber"])
+def test_grid_too_small_for_the_margin_is_an_input_error(argv, message, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cd-check", "--grid", "60", "--pairs", "1", "--eps", "inf"],
+    ["cd-check", "--grid", "60", "--pairs", "1", "--eps", "nan"],
+    ["heat", "--grid", "60", "--pairs", "1", "--lambda", "nan"],
+    ["spectrum", "--grid", "60", "--nu", "nan"],
+    ["spectrum", "--grid", "60", "--K", "0", "--rmax", "inf"],
+    ["heat", "--grid", "60", "--pairs", "1", "--K", "0", "--rmax", "nan"],
+    ["cone", "--grid", "6", "--fiber-n", "8", "--K", "1", "--rmax", "nan"],
+    ["spectrum", "--grid", "60", "--K", "nan"],
+    *([command, "--grid", "41", "--pairs", "1", "--K", "nan"]
+      for command in ("heat", "cd-check", "be-check", "gamma2-identity")),
+], ids=" ".join)
+def test_non_finite_flags_are_input_errors(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    if argv[0] == "cone":
+        argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
+    else:
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the ") and "none inside a margin of 12 cells" in err
+    assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -461,20 +503,42 @@ def test_spectrum_without_a_gap_bound_does_not_pass(tmp_path):
     assert len(rep["detail"]["eigenvalues"]) == 12
 
 
-@pytest.mark.parametrize("flags, rmax", [(["--K", "-1"], math.pi), (["--K", "0", "--rmax", "2"], 2.0)])
-def test_spectrum_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path):
+# --rmax is used for every K up to pi/sqrt(K) and echoed; an unset one is that
+# bound (pi for K <= 0); past it is an input error (rmax None)
+_RMAX_CASES = [(["--K", "-1"], math.pi), (["--K", "0", "--rmax", "2"], 2.0),
+               (["--K", "4"], math.pi / 2), (["--K", "1", "--rmax", "2"], 2.0),
+               (["--K", "4", "--rmax", "9"], None)]
+
+
+def _rmax_rejected(code, out, capsys):
+    err = capsys.readouterr().err
+    return code == 2 and not out.exists() and err.startswith("error: r_max must be finite")
+
+
+@pytest.mark.parametrize("flags, rmax", _RMAX_CASES)
+def test_spectrum_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main(["spectrum", *flags, "--grid", "100", "--out", str(out)]) == 1
+    code = main(["spectrum", *flags, "--grid", "100", "--out", str(out)])
+    if rmax is None:
+        assert _rmax_rejected(code, out, capsys)
+        return
+    gap_bound = float(flags[1]) > 0  # the Lichnerowicz bound needs K > 0
+    assert code == (0 if gap_bound else 1)
     rep = read_report(out)
-    assert rep["pass"] is False and rep["params"]["rmax"] == rmax
-    assert "no spectral gap bound" in rep["warnings"][0]
-    assert len(rep["detail"]["eigenvalues"]) == 12
+    assert rep["pass"] is gap_bound and rep["params"]["rmax"] == rmax
+    assert ("no spectral gap bound" in " ".join(rep.get("warnings", []))) is not gap_bound
+    op = sp1d.discretize_fiber_operator(float(flags[1]), 1.0, 0.0, 100, r_max=rmax)
+    assert rep["detail"]["eigenvalues"] == pytest.approx(sp1d.eigen(op, 12).eigenvalues, rel=1e-12)
 
 
-@pytest.mark.parametrize("flags, rmax", [(["--K", "-1"], math.pi), (["--K", "0", "--rmax", "2"], 2.0)])
-def test_heat_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path):
+@pytest.mark.parametrize("flags, rmax", _RMAX_CASES)
+def test_heat_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main(["heat", *flags, "--grid", "100", "--out", str(out)]) == 0
+    code = main(["heat", *flags, "--grid", "100", "--out", str(out)])
+    if rmax is None:
+        assert _rmax_rejected(code, out, capsys)
+        return
+    assert code == 0
     rep = read_report(out)
     assert rep["pass"] is True and rep["params"]["rmax"] == rmax
     assert math.isfinite(rep["residuals"]["min"])

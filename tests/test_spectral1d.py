@@ -27,11 +27,14 @@ def schrodinger_potential(K, nu, lam):
 
 class TestDiscretization:
     @pytest.mark.parametrize("K,nu,n,r_max", [(1.0, 2.0, 60, None), (4.0, 1.5, 97, None),
-                                              (0.0, 1.0, 50, 2.0), (-1.0, 3.0, 60, 3.0)])
+                                              (0.0, 1.0, 50, 2.0), (-1.0, 3.0, 60, 3.0),
+                                              (1.0, 1.0, 25, None), (1.0, 1.0, 400, None),
+                                              (1.0, 1.0, 800, None)])
     def test_one_step_and_one_mass(self, K, nu, n, r_max):
         op = discretize_fiber_operator(K, nu, 0.0, n, r_max=r_max)
         L = math.pi / math.sqrt(K) if r_max is None else r_max
         assert op.grid.h == L / n
+        assert op.grid.r_max == L  # the interval itself, not rebuilt from the nodes
         assert np.array_equal(op.m_diag, op.grid.cell_weights)
         assert np.array_equal(op.m_diag, sin_k(K, op.grid.nodes) ** nu * op.grid.h)
 
