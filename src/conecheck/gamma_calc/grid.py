@@ -57,6 +57,8 @@ class FiberSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=float))
+        if not math.isfinite(self.weight_exponent):
+            raise ValueError(f"fiber weight exponent nu_f must be finite, got {self.weight_exponent}")
 
     @property
     def h(self) -> float:
@@ -89,6 +91,8 @@ class ConeGridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", np.ascontiguousarray(self.r, dtype=float))
+        if not math.isfinite(self.nu):
+            raise ValueError(f"warp exponent nu must be finite, got {self.nu}")
 
     @property
     def h(self) -> float:

@@ -122,9 +122,10 @@ def validate(m: FiniteMMS) -> list:
         out.append(Violation("weight", (int(i),), float(-w[i])))
     # d[i,k] <= d[i,j] + d[j,k]: sweep over the intermediate index j.
     ds = 0.5 * (d + d.T)
-    worst = np.zeros((n, n))
+    worst, defect = np.zeros((n, n)), np.empty((n, n))
     for j in range(n):
-        defect = ds - (ds[:, [j]] + ds[[j], :])
+        np.add(ds[:, j : j + 1], ds[j : j + 1, :], out=defect)
+        np.subtract(ds, defect, out=defect)
         np.maximum(worst, defect, out=worst)
     for i, k in zip(*np.nonzero(np.triu(worst, 1) > _VALIDATE_SLACK)):
         out.append(Violation("triangle", (int(i), int(k)), float(worst[i, k])))
@@ -153,12 +154,16 @@ class RadialGrid:
         object.__setattr__(self, "cell_weights", _freeze(self.cell_weights))
 
 
+def _check_exponent(N: float) -> None:
+    if not 0.0 <= N < math.inf:
+        raise ValueError(f"radial weight exponent must be finite and >= 0, got {N}")
+
+
 def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> RadialGrid:
     """Build the radial grid on (0, L), L = ``model_interval(K, r_max)``."""
     if n < 2:
         raise ValueError("radial grid needs n >= 2 cells")
-    if not 0.0 <= N < math.inf:
-        raise ValueError(f"radial weight exponent must be finite and >= 0, got {N}")
+    _check_exponent(N)
     L = model_interval(K, r_max)
     h = L / n
     nodes = (np.arange(n) + 0.5) * h
@@ -252,47 +257,67 @@ def warped_product(
     ``_HOP_CAP`` cells, which keeps the graph sparse at an O(mesh) cost in
     metric accuracy.  The measure is f(r_i)^N * h * fiber weight; no apex
     atoms are added.
+
+    When the assembled graph is invariant under the fiber rotation
+    x -> x+1 mod nf (its undirected edges and their weights are exactly
+    the same after relabelling, as for a circle fiber), Dijkstra runs only
+    from the atoms (i, 0) and d[(i,x), (j,y)] = d[(i,0), (j, y-x mod nf)];
+    otherwise it runs from every atom.  Both give the same matrix bit for
+    bit, since Dijkstra's distances are minima over paths and the rotation
+    maps paths to paths of the same edge lengths.
     """
     from scipy.sparse import coo_matrix
 
     f = np.asarray(f, dtype=float)
     if f.shape != (base.n,):
         raise ValueError("warp samples must match the base grid nodes")
-    if np.any(f < 0) or np.any(f[1:-1] <= 0):
-        raise ValueError("warp function must be >= 0 and positive on the interior")
+    if not (np.all(np.isfinite(f)) and np.all(f >= 0) and np.all(f[1:-1] > 0)):
+        raise ValueError("warp function must be finite, >= 0 and positive on the interior")
     nr, nf, h = base.n, fiber.n, base.h
-    masked = np.where(np.eye(nf, dtype=bool), np.inf, fiber.dist)
-    order = np.argsort(masked, axis=1)
-    hops = order[:, : min(_HOP_CAP, nf - 1)] if nf > 1 else np.zeros((nf, 0), dtype=int)
-    jumps = range(1, min(_HOP_CAP, nr - 1) + 1)
-
-    def node(i, x):
-        return i * nf + x
-
-    rows, cols, vals = [], [], []
-    for i in range(nr):
-        for x in range(nf):
-            a = node(i, x)
-            for dj in jumps:  # horizontal: straight radial chords
-                if i + dj < nr:
-                    rows.append(a)
-                    cols.append(node(i + dj, x))
-                    vals.append(dj * h)
-            for j in range(i, min(i + _HOP_CAP, nr - 1) + 1):
-                fbar = float(f[i : j + 1].mean())
-                for y in hops[x]:
-                    b = node(j, int(y))
-                    if b <= a:
-                        continue
-                    dfy = fiber.dist[x, int(y)]
-                    vals.append(math.hypot((j - i) * h, fbar * dfy))
-                    rows.append(a)
-                    cols.append(b)
     nv = nr * nf
+    masked = np.where(np.eye(nf, dtype=bool), np.inf, fiber.dist)
+    hops = np.argsort(masked, axis=1)[:, : min(_HOP_CAP, nf - 1)]
+    spans = min(_HOP_CAP, nr - 1) + 1  # radial spans j - i = 0 .. _HOP_CAP
+    node = np.arange(nv).reshape(nr, nf)
+
+    # horizontal: straight radial chords
+    rows = [node[:-dj].ravel() for dj in range(1, spans)]
+    cols = [node[dj:].ravel() for dj in range(1, spans)]
+    vals = [np.full(nf * (nr - dj), dj * h) for dj in range(1, spans)]
+
+    # vertical/diagonal: (i, x) -> (j, y) for y in hops[x], j = i .. i + _HOP_CAP,
+    # kept once as j > i, or y > x within one ring.
+    # math.hypot, not np.hypot (they differ in the last bit), once per distinct
+    # (i, j, d_F); fbar rows past the last cell are never read.
+    levels, level = np.unique(fiber.dist[np.arange(nf)[:, None], hops], return_inverse=True)
+    level = level.reshape(hops.shape)
+    fbar = np.array([[f[i : i + dj + 1].mean() for dj in range(spans)] for i in range(nr)])
+    length = np.frompyfunc(math.hypot, 2, 1)(
+        np.arange(spans)[:, None] * h, fbar[:, :, None] * levels).astype(float)
+    i, dj, x, k = np.ogrid[:nr, :spans, :nf, : hops.shape[1]]
+    i, dj, x, k = np.nonzero((i + dj < nr) & ((dj > 0) | (hops[x, k] > x)))
+    rows.append(i * nf + x)
+    cols.append((i + dj) * nf + hops[x, k])
+    vals.append(length[i, dj, level[x, k]])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+
+    def undirected(r, c):
+        key = np.minimum(r, c) * nv + np.maximum(r, c)
+        order = np.argsort(key)
+        return key[order], vals[order]
+
+    turn = node[:, np.roll(np.arange(nf), -1)].ravel()  # (i, x) -> (i, x+1 mod nf)
+    k0, v0 = undirected(rows, cols)
+    k1, v1 = undirected(turn[rows], turn[cols])
+    rotates = np.array_equal(k0, k1) and np.array_equal(v0, v1)
+
     g = coo_matrix((vals, (rows, cols)), shape=(nv, nv))
-    dist = dijkstra(g.tocsr(), directed=False)
+    dist = dijkstra(g.tocsr(), directed=False, indices=node[:, 0] if rotates else node.ravel())
     if np.any(np.isinf(dist)):
         raise ValueError("warped product graph is disconnected")
+    if rotates:
+        i, x, j, y = np.ogrid[:nr, :nf, :nr, :nf]
+        dist = dist.reshape(nr, nr, nf)[i, j, (y - x) % nf].reshape(nv, nv)
     labels = tuple(f"{i}:{lab}" for i in range(nr) for lab in fiber.labels)
     weight = np.outer(f**N * h, fiber.weight).ravel()
     return FiniteMMS(labels=labels, dist=dist, weight=weight)
@@ -344,10 +369,11 @@ def suspension_check(
     pair up to ``tol``.  Equator atom weights are the summed weights of the
     atoms projecting onto them, normalized by the sin^N mass of their radial
     fibers.  Geometric failure is reported, never raised; poles that are
-    not atoms of ``m`` raise ValueError.
+    not atoms of ``m``, or a negative or non-finite ``N``, raise ValueError.
     """
     if not (0 <= x < m.n and 0 <= y < m.n):
         raise ValueError(f"poles ({x}, {y}) must be atoms of the space, 0 to {m.n - 1}")
+    _check_exponent(N)
     d = m.dist
 
     def fail(stage, res):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ class TestExitCodes:
         out = tmp_path / "s.json"
         assert main(["suspension", "--input", str(space), "--out", str(out)] + poles) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("N", ["nan", "inf", "-1"])
+    def test_suspension_input_rejects_a_bad_exponent(self, N, tmp_path, capsys):
+        space = tmp_path / "cone.json"
+        mms.save_mms_json(
+            mms.cone(mms.circle_mms(12, 1.0), 1.0, 1.0, mms.radial_grid(1.0, 1.0, 8)), space)
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--input", str(space), "--N", N, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: radial weight exponent must be finite and >= 0, got {float(N)}\n")
         assert not out.exists()
 
     def test_cone_requires_out(self):
@@ -439,6 +451,12 @@ def test_grid_too_small_for_the_margin_is_an_input_error(argv, message, tmp_path
     ["spectrum", "--grid", "60", "--K", "nan"],
     *([command, "--grid", "41", "--pairs", "1", "--K", "nan"]
       for command in ("heat", "cd-check", "be-check", "gamma2-identity")),
+    ["be-check", "--flavor", "grid", "--nu", "nan", "--grid", "41", "--fiber-n", "33",
+     "--pairs", "1"],
+    ["be-check", "--flavor", "grid", "--nu", "inf", "--grid", "41", "--fiber-n", "33",
+     "--pairs", "1"],
+    ["gamma2-identity", "--nu", "inf", "--grid", "41", "--fiber-n", "16", "--pairs", "1"],
+    ["gamma2-identity", "--nu", "nan", "--grid", "41", "--fiber-n", "16", "--pairs", "1"],
 ], ids=" ".join)
 def test_non_finite_flags_are_input_errors(argv, tmp_path, capsys):
     out = tmp_path / "r.json"
@@ -446,7 +464,9 @@ def test_non_finite_flags_are_input_errors(argv, tmp_path, capsys):
         argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
     else:
         argv = argv + ["--out", str(out)]
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic can warn
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
     assert not out.exists()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conecheck import mms
 from conecheck.mms import (
     FiniteMMS,
     circle_mms,
@@ -45,6 +46,19 @@ class TestValidate:
         m = FiniteMMS(("a", "b", "c"), d, np.ones(3))
         viols = validate(m)
         assert any(v.kind == "triangle" for v in viols)
+
+    def test_triangle_magnitudes_match_the_plain_sweep(self):
+        n = 30
+        d = _path_metric(n) * np.random.default_rng(3).uniform(0.5, 1.5, (n, n))
+        d = 0.5 * (d + d.T)
+        worst = np.zeros((n, n))
+        for j in range(n):
+            worst = np.maximum(worst, d - (d[:, [j]] + d[[j], :]))
+        expect = [((int(i), int(k)), float(worst[i, k]))
+                  for i, k in zip(*np.nonzero(np.triu(worst, 1) > 1e-9))]
+        got = [(v.indices, v.magnitude) for v in validate(FiniteMMS(tuple(range(n)), d, np.ones(n)))
+               if v.kind == "triangle"]
+        assert expect and got == expect
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), where=st.integers(0, 35), in_dist=st.booleans())
@@ -260,6 +274,14 @@ class TestWarpedProduct:
         assert got <= min(direct, through_end) + 1e-9
         assert got >= 2 * r - 3 * g.h  # continuum geodesic through the apex
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_warp_rejected(self, bad):
+        g = radial_grid(1.0, 1.0, 6)
+        f = np.sin(g.nodes)
+        f[2] = bad
+        with pytest.raises(ValueError, match="warp function must be finite"):
+            warped_product(g, f, circle_mms(6, 1.0), 1.0)
+
     def test_measure(self):
         fib = circle_mms(6, 1.0)
         g = radial_grid(1.0, 2.0, 10)
@@ -268,7 +290,91 @@ class TestWarpedProduct:
         assert np.allclose(w.weight, np.outer(f**2 * g.h, fib.weight).ravel())
 
 
+def _reference_warped(base, f, fiber):
+    """One edge at a time, Dijkstra from every atom: the matrix warped_product must equal."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    cap = mms._HOP_CAP
+    nr, nf, h = base.n, fiber.n, base.h
+    masked = np.where(np.eye(nf, dtype=bool), np.inf, fiber.dist)
+    hops = np.argsort(masked, axis=1)[:, : min(cap, nf - 1)]
+    rows, cols, vals = [], [], []
+    for i in range(nr):
+        for x in range(nf):
+            a = i * nf + x
+            for dj in range(1, min(cap, nr - 1) + 1):
+                if i + dj < nr:
+                    rows.append(a)
+                    cols.append((i + dj) * nf + x)
+                    vals.append(dj * h)
+            for j in range(i, min(i + cap, nr - 1) + 1):
+                fbar = float(f[i : j + 1].mean())
+                for y in hops[x]:
+                    b = j * nf + int(y)
+                    if b > a:
+                        rows.append(a)
+                        cols.append(b)
+                        vals.append(math.hypot((j - i) * h, fbar * fiber.dist[x, int(y)]))
+    g = coo_matrix((vals, (rows, cols)), shape=(nr * nf, nr * nf))
+    return dijkstra(g.tocsr(), directed=False)
+
+
+def _perturbed_circle(n):
+    c = circle_mms(n, 1.0)
+    d = c.dist.copy()
+    d[2, 5] = d[5, 2] = 1.01 * d[2, 5]
+    return FiniteMMS(c.labels, d, c.weight)
+
+
+_LINE3 = FiniteMMS(("a", "b", "c"), _path_metric(3), np.ones(3))
+_ALL_ONES = FiniteMMS(tuple(range(12)), 1.0 - np.eye(12), np.ones(12))
+
+
+class TestWarpedProductSources:
+    """One Dijkstra column per radial cell when the graph turns with the fiber, exactly."""
+
+    @pytest.fixture
+    def sources(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(int(np.size(kwargs["indices"])))
+            return dijkstra(*args, **kwargs)
+
+        dijkstra = mms.dijkstra
+        monkeypatch.setattr(mms, "dijkstra", spy)
+        return seen
+
+    # a two-atom fiber's one rotation is the swap, which maps its graph onto itself
+    @pytest.mark.parametrize("nr", [7, 24])
+    @pytest.mark.parametrize("fiber", [circle_mms(nf, 0.5) for nf in (3, 8, 9, 12, 24)]
+                             + [two_point(math.pi)], ids=lambda fib: f"{fib.n}-atom")
+    def test_rotating_fiber_runs_one_column(self, fiber, nr, sources):
+        g = radial_grid(1.0, 1.0, nr)
+        w = warped_product(g, np.sin(g.nodes), fiber, 1.0)
+        assert sources == [nr]
+        assert np.array_equal(w.dist, _reference_warped(g, np.sin(g.nodes), fiber))
+
+    # a path fiber; one distance of a circle perturbed; all-equal distances,
+    # where argsort's ties pick hop sets that do not rotate with the fiber
+    @pytest.mark.parametrize("fiber", [_LINE3, _perturbed_circle(12), _ALL_ONES],
+                             ids=["line", "perturbed-circle", "all-ones"])
+    def test_other_fibers_run_every_atom(self, fiber, sources):
+        g = radial_grid(0.0, 0.0, 10, r_max=2.0)
+        f = np.exp(g.nodes)
+        w = warped_product(g, f, fiber, 1.0)
+        assert sources == [10 * fiber.n]
+        assert np.array_equal(w.dist, _reference_warped(g, f, fiber))
+
+
 class TestSuspension:
+    @pytest.mark.parametrize("N", [math.nan, math.inf, -1.0])
+    def test_bad_exponent_rejected(self, N):
+        m = two_point(math.pi)
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {N}"):
+            suspension_check(m, 0, 1, tol=1e-6, N=N)
+
     def test_round_trip_on_cone(self):
         fib = circle_mms(40, 1.0)
         g = radial_grid(1.0, 1.0, 25)
