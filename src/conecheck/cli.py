@@ -126,7 +126,8 @@ def cmd_spectrum(args) -> Report:
                                         r_max=args.rmax)
     k = min(args.grid, 12)
     spec = sp1d.eigen(op, k)
-    detail = {"eigenvalues": [float(v) for v in spec.eigenvalues]}
+    detail = {"eigenvalues": [float(v) for v in spec.eigenvalues],
+              "max_rayleigh_residual": float(spec.residuals.max())}
     slack_values = []  # no evidence unless K, nu > 0 give a gap bound
     if args.nu > 0 and args.K > 0:
         cd = CurvatureDimension(args.K * args.nu, args.nu + 1.0)
@@ -333,7 +334,8 @@ def cmd_heat(args) -> Report:
         residuals=_residuals([np.min(mins)]),
         passed=passes(mins, args.tol) and passes(-law_res, 1e-8),
         tolerance=args.tol,
-        detail={"semigroup_law_residual": law_res, "times": list(times)},
+        detail={"semigroup_law_residual": law_res, "times": list(times),
+                "max_rayleigh_residual": float(op.full_spectrum().residuals.max())},
     )
 
 

@@ -135,8 +135,11 @@ def discretize_fiber_operator(
 def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
     """k smallest generalized eigenpairs of (A, M), M-orthonormal, deterministic.
 
-    Solved via the symmetric similarity M^{-1/2} A M^{-1/2} with LAPACK
-    bisection + inverse iteration, which is reproducible for fixed input.
+    Solved via the symmetric similarity M^{-1/2} A M^{-1/2}.  The whole
+    spectrum (k == n) uses LAPACK MRRR (``stemr``, O(n^2) for every pair);
+    a partial one uses bisection + inverse iteration, which is faster at
+    small k.  Both are reproducible for fixed input, and every pair must
+    pass the same Rayleigh-residual gate.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -147,7 +150,10 @@ def eigen(op: SturmLiouville1D, k: int) -> Spectrum:
     d = op.a_diag * s * s
     e = op.a_off * s[:-1] * s[1:]
     try:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        if k == n:
+            vals, vecs = eigh_tridiagonal(d, e, lapack_driver="stemr")
+        else:
+            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     V = vecs * s[:, None]
@@ -185,8 +191,8 @@ def essential_self_adjointness(nu: float, lambda_fiber: float) -> bool:
 
 def heat_semigroup_1d(op: SturmLiouville1D, u0: np.ndarray, t: float) -> np.ndarray:
     """Semigroup action u_t = sum exp(-mu_i t) <u0, v_i>_M v_i over the full cached spectrum."""
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"semigroup time must be finite and >= 0, got {t}")
     u0 = np.asarray(u0, dtype=float)
     spec = op.full_spectrum()
     coeff = spec.eigenvectors.T @ (op.m_diag * u0)

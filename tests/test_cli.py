@@ -43,6 +43,8 @@ class TestExitCodes:
         rep = read_report(out)
         assert rep["pass"] is True
         assert rep["detail"]["gap"]["lambda1"] == pytest.approx(2.0, rel=0.01)
+        op = sp1d.discretize_fiber_operator(1.0, 1.0, 0.0, 400)
+        assert rep["detail"]["max_rayleigh_residual"] == float(sp1d.eigen(op, 12).residuals.max())
         assert (tmp_path / "r.csv").exists()
         # the CSV takes the report's name, not the text before a dot in its directory
         dotted = tmp_path / "run.v2"
@@ -165,6 +167,9 @@ class TestExitCodes:
         assert code == 0
         rep = read_report(out)
         assert rep["detail"]["semigroup_law_residual"] <= 1e-8
+        # the residual of the full spectrum the semigroup ran on
+        op = sp1d.discretize_fiber_operator(1.0, 1.0, 0.0, 200)
+        assert rep["detail"]["max_rayleigh_residual"] == float(op.full_spectrum().residuals.max())
 
     def test_gamma2_identity(self, tmp_path):
         out = tmp_path / "g.json"

@@ -96,6 +96,45 @@ class TestDiscretization:
             errs.append(abs(eigen(op, 2).eigenvalues[1] - 3.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
+    @pytest.mark.parametrize("K,nu,lam", [(1.0, 1.0, 0.0), (1.0, 2.0, 1.0)])
+    def test_full_spectrum_matches_bisection(self, K, nu, lam):
+        # the whole spectrum comes from MRRR; bisection is the reference
+        from scipy.linalg import eigh_tridiagonal
+
+        op = discretize_fiber_operator(K, nu, lam, 800)
+        spec = eigen(op, op.n)
+        s = 1.0 / np.sqrt(op.m_diag)
+        ref = eigh_tridiagonal(op.a_diag * s * s, op.a_off * s[:-1] * s[1:], select="i",
+                               select_range=(0, op.n - 1), eigvals_only=True)
+        # relative, with a floor of 1 for the zero mode
+        assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
+        V = spec.eigenvectors
+        G = V.T @ (op.m_diag[:, None] * V)
+        assert np.max(np.abs(G - np.eye(op.n))) <= 1e-10
+        u = np.random.default_rng(4).standard_normal(op.n)
+        lhs = heat_semigroup_1d(op, heat_semigroup_1d(op, u, 0.2), 0.3)
+        assert np.max(np.abs(lhs - heat_semigroup_1d(op, u, 0.5))) <= 1e-8
+
+    @pytest.mark.parametrize("k, driver", [(3, "stebz"), (39, "stebz"), (40, "stemr")])
+    def test_driver_follows_k(self, k, driver, monkeypatch):
+        # a partial spectrum keeps bisection; only the whole one takes MRRR
+        import scipy.linalg
+
+        seen = []
+        real = scipy.linalg.eigh_tridiagonal
+
+        def spy(d, e, **kwargs):
+            seen.append(kwargs)
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        eigen(discretize_fiber_operator(1.0, 1.0, 0.0, 40), k)
+        assert len(seen) == 1
+        if driver == "stebz":
+            assert seen[0] == {"select": "i", "select_range": (0, k - 1)}
+        else:
+            assert seen[0] == {"lapack_driver": "stemr"}
+
     def test_small_n_warns(self):
         with pytest.warns(RuntimeWarning):
             discretize_fiber_operator(1.0, 1.0, 0.0, 5)
@@ -191,6 +230,13 @@ class TestHeat:
         norm = lambda v: math.sqrt(float(v @ (op.m_diag * v)))
         assert norm(ut) <= norm(u) + 1e-12
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        # inf used to send the constant to 0 and nan to return NaN
+        op = discretize_fiber_operator(1.0, 2.0, 0.0, 50)
+        with pytest.raises(ValueError, match="finite"):
+            heat_semigroup_1d(op, np.ones(50), t)
+
     def test_identity_at_time_zero(self):
         op = discretize_fiber_operator(1.0, 1.0, 0.0, 80)
         u = np.sin(op.grid.nodes)
@@ -224,6 +270,13 @@ class TestBakryLedoux:
         rep = bakry_ledoux_check(op, kappa=2 * N, Nbe=N + 1.0, u0=u, t=0.05,
                                  tol=100.0 * op.grid.h**2 + 1e-6)
         assert not rep.passed
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        # at t = inf the residual used to be all zeros and pass
+        op = discretize_fiber_operator(1.0, 1.0, 0.0, 50)
+        with pytest.raises(ValueError, match="finite"):
+            bakry_ledoux_check(op, kappa=1.0, Nbe=2.0, u0=np.cos(op.grid.nodes), t=t, tol=1e-3)
 
     def test_zero_curvature_limit_factor(self):
         op = discretize_fiber_operator(0.0, 0.0, 0.0, 200, r_max=math.pi)
