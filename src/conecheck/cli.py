@@ -181,7 +181,7 @@ def cmd_cone(args) -> Report:
 def cmd_cd_check(args) -> Report:
     space = _load_space(args)
     cd = CurvatureDimension(args.cd_K, args.N)
-    eps = args.eps if args.eps is not None else 2.0 * _max_gap(space)
+    eps = args.eps if args.eps is not None else 2.0 * _min_gap(space)
     pairs = _sample_density_pairs(space, args.pairs, args.seed)
     coeff = tr.tau_coeff if args.full else tr.sigma_coeff
     nprimes = (cd.N, 2.0 * cd.N)
@@ -202,7 +202,7 @@ def cmd_cd_check(args) -> Report:
     )
 
 
-def _max_gap(space) -> float:
+def _min_gap(space) -> float:
     d = space.dist[space.dist > 0]
     return float(d.min()) if d.size else 1.0
 
@@ -259,14 +259,10 @@ def _random_tensor_member(rng, spec, degree: int = 3):
     return [(_trig(rng, spec.r, degree), _trig(rng, spec.fiber.x, degree))]
 
 
-_WEYL_CASES = [(1.0, 1.5, 2.0, 2.9, 3.0, 5.0), (0.0, "nu", "nu+1")]
-
-
 def cmd_weyl(args) -> Report:
     table, mismatches = [], 0
-    for nu in _WEYL_CASES[0]:
-        for lam_spec in _WEYL_CASES[1]:
-            lam = nu if lam_spec == "nu" else (nu + 1.0 if lam_spec == "nu+1" else 0.0)
+    for nu in (1.0, 1.5, 2.0, 2.9, 3.0, 5.0):
+        for lam in (0.0, nu, nu + 1.0):
             got = sp1d.essential_self_adjointness(nu, lam)
             if lam == 0.0:
                 expected = nu >= 3.0

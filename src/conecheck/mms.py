@@ -404,14 +404,10 @@ def suspension_check(
     score = np.abs(d[:, eq_idx] - np.abs(theta - math.pi / 2.0)[:, None])
     proj = np.argmin(score, axis=1)  # argmin takes the smallest index on ties
 
-    eq_weight = np.zeros(eq_idx.size)
-    sin_mass = np.zeros(eq_idx.size)
-    for p in range(m.n):
-        if p == x or p == y:
-            continue
-        e = proj[p]
-        eq_weight[e] += m.weight[p]
-        sin_mass[e] += math.sin(theta[p]) ** N
+    off_pole = np.ones(m.n, dtype=bool)
+    off_pole[[x, y]] = False
+    eq_weight = np.bincount(proj[off_pole], m.weight[off_pole], eq_idx.size)
+    sin_mass = np.bincount(proj[off_pole], np.sin(theta[off_pole]) ** N, eq_idx.size)
     h_guess = _theta_step(theta, interior)
     with np.errstate(divide="ignore", invalid="ignore"):
         eq_weight = np.where(sin_mass > 0, eq_weight / (sin_mass * h_guess), 0.0)

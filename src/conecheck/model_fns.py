@@ -59,9 +59,11 @@ class CurvatureDimension:
 class ExtendedValue:
     """A nonnegative real extended by a distinguished infinity.
 
-    Infinity is a tag, never ``float('inf')`` inside arithmetic, and the
-    type has no ordering.  ``as_float`` refuses to produce an IEEE infinity
-    so the tag cannot silently leak into numerics.
+    The type of a single value that leaves the library and may be infinite
+    (a convexity rhs, the diameter bound).  Infinity is a tag, never
+    ``float('inf')`` inside arithmetic, and the type has no ordering.
+    ``as_float`` refuses to produce an IEEE infinity so the tag cannot
+    silently leak into numerics.
     """
 
     value: float = 0.0
@@ -149,53 +151,57 @@ def model_interval(K: float, r_max: float | None = None) -> float:
     return float(r_max)
 
 
-def _sigma_raw(K: float, N: float, t: float, theta: float) -> ExtendedValue:
-    """sigma coefficient for any positive dimension-like parameter N."""
+def _sigma_raw(K: float, N: float, t: float, theta: np.ndarray) -> np.ndarray:
+    """sigma coefficient for any positive dimension-like parameter N, elementwise in theta.
+
+    The limit t below _EXACT_LIMIT (theta = 0 and K = 0 included); for K < 0
+    the sinh ratio, written with expm1 so that it tends to 0 instead of
+    overflowing; for K > 0 the sine ratio, and inf at or past x = pi.
+    """
     x = math.sqrt(abs(K) / N) * theta
-    if x < _EXACT_LIMIT:  # includes theta = 0 and K = 0
-        return ExtendedValue(t)
-    if K < 0:
-        return ExtendedValue(math.sinh(x * t) / math.sinh(x))
-    if x >= math.pi:
-        return ExtendedValue.infinity()
-    return ExtendedValue(math.sin(x * t) / math.sin(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (np.exp(-x * (1.0 - t)) * np.expm1(-2.0 * x * t) / np.expm1(-2.0 * x) if K < 0
+                 else np.where(x < math.pi, np.sin(x * t) / np.sin(x), math.inf))
+    return np.where(x < _EXACT_LIMIT, t, ratio)
 
 
-def sigma_coeff(cd: CurvatureDimension, t: float, theta: float) -> ExtendedValue:
-    """Volume-distortion coefficient sigma^(t)_{K,N}(theta).
+def _coeff_args(name: str, t: float, theta) -> np.ndarray:
+    """theta as a float array, once 0 < t < 1 and every theta >= 0 are checked."""
+    if not (0.0 < t < 1.0):
+        raise ValueError(f"{name} requires 0 < t < 1, got {t}")
+    theta_arr = np.asarray(theta, dtype=float)
+    if not np.all(theta_arr >= 0):
+        raise ValueError(f"{name} requires theta >= 0")
+    return theta_arr
+
+
+def _like(theta, out: np.ndarray):
+    """``out`` as a float when theta is a scalar."""
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+def sigma_coeff(cd: CurvatureDimension, t: float, theta):
+    """Volume-distortion coefficient sigma^(t)_{K,N}(theta), a float or an array like theta.
 
     Equals sin(sqrt(K/N) theta t) / sin(sqrt(K/N) theta) for K > 0 below the
-    blow-up threshold theta = pi sqrt(N/K), the tagged infinity at or beyond
-    it, the analytic limit t at K = 0 or theta = 0, and the sinh analogue
-    for K < 0.
+    blow-up threshold theta = pi sqrt(N/K), inf at or beyond it, the
+    analytic limit t at K = 0 or theta = 0, and the sinh analogue for K < 0.
     """
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"sigma_coeff requires 0 < t < 1, got {t}")
-    if theta < 0:
-        raise ValueError("sigma_coeff requires theta >= 0")
-    return _sigma_raw(cd.K, cd.N, t, theta)
+    return _like(theta, _sigma_raw(cd.K, cd.N, t, _coeff_args("sigma_coeff", t, theta)))
 
 
-def tau_coeff(cd: CurvatureDimension, t: float, theta: float) -> ExtendedValue:
+def tau_coeff(cd: CurvatureDimension, t: float, theta):
     """Distortion coefficient tau^(t)_{K,N}(theta) = t^(1/N) sigma_{K,N-1}^(t)(theta)^(1-1/N).
 
-    Infinite when K theta^2 > (N-1) pi^2 (and at the boundary, where the
-    reduced coefficient itself blows up); equal to t when N = 1 and
-    K theta^2 <= 0.
+    A float or an array like theta.  Infinite where K theta^2 >= (N-1) pi^2,
+    which is where the reduced coefficient blows up; equal to t when N = 1
+    and K theta^2 <= 0.
     """
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"tau_coeff requires 0 < t < 1, got {t}")
-    if theta < 0:
-        raise ValueError("tau_coeff requires theta >= 0")
+    theta_arr = _coeff_args("tau_coeff", t, theta)
     K, N = cd.K, cd.N
-    if K * theta * theta > (N - 1.0) * math.pi * math.pi:
-        return ExtendedValue.infinity()
     if N == 1.0:
-        return ExtendedValue(t)
-    sig = _sigma_raw(K, N - 1.0, t, theta)
-    if sig.is_infinite:
-        return ExtendedValue.infinity()
-    return ExtendedValue(t ** (1.0 / N) * sig.value ** (1.0 - 1.0 / N))
+        return _like(theta, np.where(K * theta_arr * theta_arr > 0.0, math.inf, t))
+    return _like(theta, t ** (1.0 / N) * _sigma_raw(K, N - 1.0, t, theta_arr) ** (1.0 - 1.0 / N))
 
 
 def dimension_split(a: float, b: float, d: float, N: float) -> tuple[float, float]:

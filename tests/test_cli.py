@@ -611,3 +611,20 @@ def test_subcommands_import_only_the_scipy_they_call(argv, code, unloaded, tmp_p
     got_code, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert got_code == code, run.stderr
     assert [m for m in loaded if m == unloaded or m.startswith(unloaded + ".")] == []
+
+
+def test_cd_check_at_very_negative_curvature_is_finite(tmp_path):
+    # sinh(x) overflows past x = 710; here x = sqrt(1e6 / 3) * theta reaches 3464
+    space = tmp_path / "line9.json"
+    space.write_text(json.dumps({
+        "labels": [str(i) for i in range(9)],
+        "dist": [[0.75 * abs(i - j) for j in range(9)] for i in range(9)],
+        "weight": [1.0] * 9,
+    }))
+    out = tmp_path / "c.json"
+    code = main(["cd-check", "--input", str(space), "--pairs", "2", "--cd-K=-1e6",
+                 "--eps", "0.4", "--out", str(out)])
+    assert code in (0, 1)
+    rep = read_report(out)
+    assert rep["params"]["cd_K"] == -1e6
+    assert all(math.isfinite(v) for v in rep["residuals"].values())

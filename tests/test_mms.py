@@ -387,6 +387,21 @@ class TestSuspension:
         rel = np.abs(rep.equator.weight - fib.weight) / fib.weight
         assert np.max(rel) <= 0.05
 
+    @pytest.mark.parametrize("N", [1.0, 2.5])
+    def test_equator_weights_match_the_per_atom_loop(self, N):
+        fib = circle_mms(40, 1.0)
+        g = radial_grid(1.0, N, 25)
+        c = cone(fib, 1.0, N, g)
+        rep = suspension_check(c, c.n - 2, c.n - 1, tol=2 * g.h, N=N)
+        theta = c.dist[c.n - 2]
+        eq_weight, sin_mass = np.zeros(fib.n), np.zeros(fib.n)
+        for p in range(c.n - 2):  # atom (i, x) projects to the equator atom over x
+            eq_weight[p % fib.n] += c.weight[p]
+            sin_mass[p % fib.n] += math.sin(theta[p]) ** N
+        h = np.median(np.diff(np.unique(np.round(theta[:-2], 9))))
+        np.testing.assert_allclose(rep.equator.weight, eq_weight / (sin_mass * h),
+                                   rtol=1e-13, atol=0.0)
+
     def test_two_point_degenerate_suspension(self):
         m = two_point(math.pi)
         rep = suspension_check(m, 0, 1, tol=1e-6, N=0.0)

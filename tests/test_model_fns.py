@@ -110,27 +110,38 @@ class TestSigma:
     def test_positive_curvature_value(self):
         cd = CurvatureDimension(1.0, 1.0)
         got = sigma_coeff(cd, 0.5, math.pi / 2)
-        assert got.as_float() == pytest.approx(math.sin(math.pi / 4) / math.sin(math.pi / 2))
-        assert got.as_float() == pytest.approx(0.70711, abs=1e-5)
+        assert isinstance(got, float)
+        assert got == pytest.approx(math.sin(math.pi / 4) / math.sin(math.pi / 2))
+        assert got == pytest.approx(0.70711, abs=1e-5)
 
     def test_blowup(self):
-        assert sigma_coeff(CurvatureDimension(1.0, 1.0), 0.5, math.pi).is_infinite
-        assert sigma_coeff(CurvatureDimension(1.0, 1.0), 0.5, 4.0).is_infinite
+        assert sigma_coeff(CurvatureDimension(1.0, 1.0), 0.5, math.pi) == math.inf
+        assert sigma_coeff(CurvatureDimension(1.0, 1.0), 0.5, 4.0) == math.inf
 
     def test_flat_limit(self):
-        assert sigma_coeff(CurvatureDimension(0.0, 5.0), 0.3, 2.0).as_float() == 0.3
+        assert sigma_coeff(CurvatureDimension(0.0, 5.0), 0.3, 2.0) == 0.3
 
     def test_theta_zero_limit(self):
         for K in (-3.0, 0.0, 2.0):
             for N in (1.0, 4.0):
                 v = sigma_coeff(CurvatureDimension(K, N), 0.4, 1e-4)
-                assert abs(v.as_float() - 0.4) <= 1e-8
+                assert abs(v - 0.4) <= 1e-8
 
     def test_negative_curvature_sinh(self):
         cd = CurvatureDimension(-2.0, 3.0)
         x = math.sqrt(2.0 / 3.0) * 1.7
         expected = math.sinh(x * 0.25) / math.sinh(x)
-        assert sigma_coeff(cd, 0.25, 1.7).as_float() == pytest.approx(expected, rel=1e-12)
+        assert sigma_coeff(cd, 0.25, 1.7) == pytest.approx(expected, rel=1e-12)
+
+    def test_negative_curvature_does_not_overflow(self):
+        # x = sqrt(1e6 / 3) * 3 is about 1732, past where sinh overflows;
+        # the ratio itself is below the smallest subnormal
+        v = sigma_coeff(CurvatureDimension(-1e6, 3.0), 0.5, 3.0)
+        assert math.isfinite(v) and v >= 0.0
+        thetas = np.array([3.0, 3.5, 1e3])
+        vals = sigma_coeff(CurvatureDimension(-1e6, 3.0), 0.5, thetas)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert np.isfinite(tau_coeff(CurvatureDimension(-1e6, 3.0), 0.5, 3.0))
 
     def test_taylor_band_consistency(self):
         # at small arguments the direct sine ratio matches its 3-term Taylor series
@@ -142,13 +153,13 @@ class TestSigma:
         for K in (1.0, -1.0):
             for theta in np.geomspace(1e-9, 1e-3, 61):
                 want = series(theta * t, K) / series(theta, K)
-                got = sigma_coeff(CurvatureDimension(K, 1.0), t, float(theta)).as_float()
+                got = sigma_coeff(CurvatureDimension(K, 1.0), t, float(theta))
                 assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_monotone_in_theta(self):
         cd = CurvatureDimension(2.0, 3.0)
         thetas = np.linspace(1e-3, math.pi * math.sqrt(3.0 / 2.0) - 1e-3, 200)
-        vals = [sigma_coeff(cd, 0.5, float(t)).as_float() for t in thetas]
+        vals = [sigma_coeff(cd, 0.5, float(t)) for t in thetas]
         assert np.all(np.diff(vals) >= -1e-14)
 
     def test_tau_dominates_sigma(self):
@@ -158,26 +169,54 @@ class TestSigma:
                 for theta in np.linspace(0.01, 2.0, 25):
                     s = sigma_coeff(cd, 0.5, float(theta))
                     t = tau_coeff(cd, 0.5, float(theta))
-                    if not (s.is_infinite or t.is_infinite):
-                        assert t.as_float() >= s.as_float() - 1e-12
+                    if math.isfinite(s) and math.isfinite(t):
+                        assert t >= s - 1e-12
+
+    @pytest.mark.parametrize("K", [-2.0, 0.0, 1.0])
+    @pytest.mark.parametrize("coeff", [sigma_coeff, tau_coeff])
+    def test_array_matches_scalar_calls(self, K, coeff):
+        # theta runs through 0, the exact-limit band and, for K > 0, the blow-up
+        # of both sigma_{K,N} (pi sqrt(N/K)) and tau's sigma_{K,N-1}
+        thetas = np.concatenate([[0.0, 1e-10, 1e-9], np.linspace(0.01, 7.0, 119),
+                                 [math.pi * math.sqrt(2.0), math.pi * math.sqrt(3.0)]])
+        for N in (1.0, 3.0):
+            cd = CurvatureDimension(K, N)
+            got = coeff(cd, 0.5, thetas)
+            assert isinstance(got, np.ndarray) and got.shape == thetas.shape
+            want = np.array([coeff(cd, 0.5, float(th)) for th in thetas])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(coeff(cd, 0.5, thetas.reshape(2, -1)),
+                                          want.reshape(2, -1))
+            if K > 0:
+                assert np.isinf(got).any() and np.isfinite(got).any()
+
+    @pytest.mark.parametrize("coeff", [sigma_coeff, tau_coeff])
+    def test_bad_arguments(self, coeff):
+        cd = CurvatureDimension(1.0, 2.0)
+        for t in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                coeff(cd, t, 1.0)
+        for theta in (-0.1, math.nan, np.array([0.5, -1e-9])):
+            with pytest.raises(ValueError):
+                coeff(cd, 0.5, theta)
 
 
 class TestTau:
     def test_flat_collapses_to_t(self):
-        assert tau_coeff(CurvatureDimension(0.0, 4.0), 0.25, 3.0).as_float() == pytest.approx(0.25)
+        assert tau_coeff(CurvatureDimension(0.0, 4.0), 0.25, 3.0) == pytest.approx(0.25)
 
     def test_blowup_region(self):
-        assert tau_coeff(CurvatureDimension(1.0, 2.0), 0.5, 2 * math.pi).is_infinite
+        assert tau_coeff(CurvatureDimension(1.0, 2.0), 0.5, 2 * math.pi) == math.inf
 
     def test_one_dimensional(self):
-        assert tau_coeff(CurvatureDimension(0.0, 1.0), 0.7, 1.0).as_float() == 0.7
+        assert tau_coeff(CurvatureDimension(0.0, 1.0), 0.7, 1.0) == 0.7
 
     def test_holder_combination(self):
         cd = CurvatureDimension(1.0, 3.0)
         t, theta = 0.5, 1.2
-        sig = sigma_coeff(CurvatureDimension(1.0, 2.0), t, theta).as_float()
+        sig = sigma_coeff(CurvatureDimension(1.0, 2.0), t, theta)
         expected = t ** (1 / 3) * sig ** (2 / 3)
-        assert tau_coeff(cd, t, theta).as_float() == pytest.approx(expected, rel=1e-12)
+        assert tau_coeff(cd, t, theta) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDimensionSplit:

@@ -542,3 +542,70 @@ def test_multi_nprime_core_rejects_small_nprime():
     space, mu0, mu1, cd, eps = _pair_cases()[0]
     with pytest.raises(ValueError):
         convexity_reports(space, mu0, mu1, cd, (2 * cd.N, cd.N - 0.5), eps, 0.1, sigma_coeff)
+
+
+def _oracle_coeff(full, K, N, t, theta):
+    """The scalar sigma / tau with math-module branches, one cell at a time."""
+    def sigma(N):
+        x = math.sqrt(abs(K) / N) * theta
+        if x < 1e-8:
+            return t
+        if K < 0:
+            return math.sinh(x * t) / math.sinh(x)
+        return math.sin(x * t) / math.sin(x) if x < math.pi else math.inf
+
+    if not full:
+        return sigma(N)
+    if N == 1.0:
+        return math.inf if K * theta * theta > 0 else t
+    if K * theta * theta > (N - 1.0) * math.pi ** 2:
+        return math.inf
+    return t ** (1.0 / N) * sigma(N - 1.0) ** (1.0 - 1.0 / N)
+
+
+def _oracle_rhs(space, mu0, mu1, full, K, Np):
+    """The right-hand side as a per-cell loop over the plan, inf on an infinite cell."""
+    _, q = wasserstein2(space, mu0, mu1)
+    rho0, rho1 = mu0.rho(), mu1.rho()
+    total = 0.0
+    for i, j, mass in zip(q.plan.row.tolist(), q.plan.col.tolist(), q.plan.data.tolist()):
+        c = _oracle_coeff(full, K, Np, 0.5, float(space.dist[i, j]))
+        if c == math.inf:
+            return math.inf
+        total += mass * c * (rho0[i] ** (-1.0 / Np) + rho1[j] ** (-1.0 / Np))
+    return total
+
+
+@pytest.mark.parametrize("K", [2.0, 0.0, -2.0, 30.0])
+@pytest.mark.parametrize("full", [False, True], ids=["sigma", "tau"])
+def test_convexity_reports_match_the_per_cell_oracle(K, full):
+    infinite = 0
+    for space, mu0, mu1, cd, eps in _pair_cases():
+        cd = CurvatureDimension(K, cd.N)
+        nprimes = (cd.N, 2.0 * cd.N)
+        reports = convexity_reports(space, mu0, mu1, cd, nprimes, eps, 0.1,
+                                    tau_coeff if full else sigma_coeff)
+        for Np, rep in zip(nprimes, reports):
+            want = _oracle_rhs(space, mu0, mu1, full, K, Np)
+            if want == math.inf:
+                infinite += 1
+                assert rep.rhs.is_infinite and rep.slack == -math.inf and not rep.passed
+            else:
+                assert rep.rhs.as_float() == pytest.approx(want, rel=1e-12)
+                assert rep.slack == pytest.approx(rep.lhs - want, rel=1e-12, abs=1e-12)
+    # for K > 0 the third case has cells past the blow-up of both coefficients
+    assert (infinite > 0) == (K > 0)
+
+
+def test_convexity_reports_call_coeff_once_per_nprime():
+    space, mu0, mu1, cd, eps = _pair_cases()[1]
+    calls = []
+
+    def spy(cdN, t, theta):
+        calls.append((cdN.N, t, np.shape(theta)))
+        return sigma_coeff(cdN, t, theta)
+
+    nprimes = (cd.N, 1.5 * cd.N, 2.0 * cd.N)
+    convexity_reports(space, mu0, mu1, cd, nprimes, eps, 0.1, spy)
+    cells = wasserstein2(space, mu0, mu1)[1].plan.nnz
+    assert calls == [(Np, 0.5, (cells,)) for Np in nprimes]
