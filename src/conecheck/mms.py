@@ -172,54 +172,53 @@ def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> Radia
 
 
 def _cone_arg_to_distance(K: float, arg: np.ndarray) -> np.ndarray:
-    """Invert the generalized cosine, clamping roundoff at the domain edge."""
-    if K > 0:
-        bad = (arg > 1.0 + _ACOS_GUARD) | (arg < -1.0 - _ACOS_GUARD)
-        if np.any(bad):
-            worst = float(np.max(np.abs(arg[bad])) - 1.0)
-            raise FloatingPointError(f"cone distance argument out of [-1,1] by {worst:.3e}")
-        return np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
-    # K < 0: arg >= 1 up to roundoff
-    if np.any(arg < 1.0 - _ACOS_GUARD):
-        raise FloatingPointError("hyperbolic cone distance argument below 1")
-    return np.arccosh(np.maximum(arg, 1.0)) / math.sqrt(-K)
+    """Invert the law-of-cosines argument of ``cone`` for any K (arccos clamped for K > 0)."""
+    if K == 0:
+        return np.sqrt(np.maximum(arg, 0.0))
+    if K < 0:  # the haversine form keeps arg >= 1
+        return np.arccosh(arg) / math.sqrt(-K)
+    bad = (arg > 1.0 + _ACOS_GUARD) | (arg < -1.0 - _ACOS_GUARD)
+    if np.any(bad):
+        worst = float(np.max(np.abs(arg[bad])) - 1.0)
+        raise FloatingPointError(f"cone distance argument out of [-1,1] by {worst:.3e}")
+    return np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
 
 
 def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     """(K, N)-cone over ``fiber``: radial grid x fiber atoms plus apex atom(s).
 
-    Distances follow the closed cone formula with the fiber distance capped
-    at pi; the measure is the product of radial cell weights and fiber
-    weights.  The apex at r=0 (and at r=pi/sqrt(K) for K > 0) is carried as
-    an explicit zero-weight atom so the collapsed boundary stays part of the
-    space without entering any density.
+    Distances invert the law of cosines a[i, j] + b[i, j] c(min(d_F, pi)),
+    one radial cell i at a time; the measure is the product of radial cell
+    weights and fiber weights.  The apex at r=0 (and at r=pi/sqrt(K) for
+    K > 0) is carried as an explicit zero-weight atom so the collapsed
+    boundary stays part of the space without entering any density.
     """
     if grid.K != K or grid.N != N:
         raise ValueError("grid parameters must match the cone parameters")
     r = grid.nodes
     nr, nf = grid.n, fiber.n
     dcap = np.minimum(fiber.dist, math.pi)
-    cosd = np.cos(dcap)
+    c = np.cos(dcap) if K >= 0 else np.sin(0.5 * dcap) ** 2
 
     if K == 0:
         # d^2 = s^2 + t^2 - 2 s t cos(d_F /\ pi)
-        s2 = r[:, None, None, None] ** 2 + r[None, None, :, None] ** 2
-        cross = 2.0 * r[:, None, None, None] * r[None, None, :, None]
-        d2 = s2 - cross * cosd[None, :, None, :]
-        body = np.sqrt(np.maximum(d2, 0.0))
-    else:
+        a = r[:, None] ** 2 + r[None, :] ** 2
+        b = -(2.0 * r[:, None] * r[None, :])
+    elif K > 0:
         cs, sn = cos_k(K, r), sin_k(K, r)
-        arg = (
-            cs[:, None, None, None] * cs[None, None, :, None]
-            + K * sn[:, None, None, None] * sn[None, None, :, None] * cosd[None, :, None, :]
-        )
-        body = _cone_arg_to_distance(K, arg)
+        a = cs[:, None] * cs[None, :]
+        b = K * sn[:, None] * sn[None, :]
+    else:  # haversine form: cosh(k|s - t|) + 2 sinh(ks) sinh(kt) sin^2(d_F/2) >= 1
+        sn = sin_k(K, r)
+        a = cos_k(K, np.abs(r[:, None] - r[None, :]))
+        b = -2.0 * K * sn[:, None] * sn[None, :]
 
     nbody = nr * nf
     apexes = 2 if K > 0 else 1
     n = nbody + apexes
     dist = np.zeros((n, n))
-    dist[:nbody, :nbody] = body.reshape(nbody, nbody)
+    for i, cell in enumerate(dist[:nbody, :nbody].reshape(nr, nf, nr, nf)):  # views [x, j, y]
+        cell[:] = _cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c[:, None, :])
     # near apex at r=0: distance to (t, y) is t
     dist[nbody, :nbody] = np.repeat(r, nf)
     dist[:nbody, nbody] = dist[nbody, :nbody]
@@ -413,10 +412,11 @@ def suspension_check(
         eq_weight = np.where(sin_mass > 0, eq_weight / (sin_mass * h_guess), 0.0)
 
     cos_th, sin_th = np.cos(theta), np.sin(theta)
-    model = np.outer(cos_th, cos_th) + np.outer(sin_th, sin_th) * np.cos(
-        eq_dist[np.ix_(proj, proj)]
-    )
-    resid = float(np.max(np.abs(np.cos(d) - model)))
+    buf = np.cos(eq_dist)[np.ix_(proj, proj)]
+    buf *= np.outer(sin_th, sin_th)
+    buf += np.outer(cos_th, cos_th)
+    buf -= np.cos(d)
+    resid = float(np.abs(buf, out=buf).max())
     equator = FiniteMMS(
         labels=tuple(m.labels[int(k)] for k in eq_idx), dist=eq_dist, weight=eq_weight
     )

@@ -343,6 +343,15 @@ class TestVerdictGate:
         assert rep["detail"]["validated"] == "fiber"
         assert rep["residuals"] == {"max": 0.0, "mean": 0.0, "min": 0.0}
 
+    @pytest.mark.parametrize("K", ["-3", "-20"])
+    def test_steep_hyperbolic_cone_builds_and_validates(self, tmp_path, K):
+        # cosh s cosh t - sinh s sinh t cos d fell below 1 here and raised
+        out, space = tmp_path / "r.json", tmp_path / "cone.json"
+        code = main(["cone", f"--K={K}", "--grid", "16", "--fiber-n", "16",
+                     "--out", str(space), "--report", str(out)])
+        assert code == 0 and read_report(out)["pass"] is True
+        assert mms.validate(mms.load_mms_json(space)) == []
+
     def test_cone_over_an_invalid_fiber_fails(self, tmp_path):
         fiber = mms.circle_mms(10, 1.0)
         d = fiber.dist.copy()

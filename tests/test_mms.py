@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conecheck.mms import (
     validate,
     warped_product,
 )
+from conecheck.model_fns import cos_k, sin_k
 
 
 def _path_metric(n):
@@ -170,6 +172,59 @@ class TestCone:
         g = radial_grid(1.0, 1.0, 8)
         with pytest.raises(ValueError):
             cone(fib, 1.0, 2.0, g)
+
+    @staticmethod
+    def _broadcast_body(fiber, K, grid):
+        """Oracle: the closed cone formula as one (nr, nf, nr, nf) broadcast."""
+        r, cosd = grid.nodes, np.cos(np.minimum(fiber.dist, math.pi))
+        if K == 0:
+            s2 = r[:, None, None, None] ** 2 + r[None, None, :, None] ** 2
+            cross = 2.0 * r[:, None, None, None] * r[None, None, :, None]
+            body = np.sqrt(np.maximum(s2 - cross * cosd[None, :, None, :], 0.0))
+        else:
+            cs, sn = cos_k(K, r), sin_k(K, r)
+            arg = (cs[:, None, None, None] * cs[None, None, :, None]
+                   + K * sn[:, None, None, None] * sn[None, None, :, None] * cosd[None, :, None, :])
+            body = np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
+        nbody = grid.n * fiber.n
+        return body.reshape(nbody, nbody)
+
+    @pytest.mark.parametrize("K", [1.0, 4.0, 0.0])
+    @pytest.mark.parametrize("fiber", [circle_mms(12, 1.0), interval_model_mms(1.0, 1.0, 9)],
+                             ids=["circle", "interval"])
+    def test_nonnegative_K_matches_the_broadcast_bit_for_bit(self, fiber, K):
+        for N in (0.5, 1.0, 2.5, 3.0):
+            g = radial_grid(K, N, 10)
+            c = cone(fiber, K, N, g)
+            nbody = g.n * fiber.n
+            body = self._broadcast_body(fiber, K, g)
+            np.fill_diagonal(body, 0.0)
+            assert np.array_equal(c.dist[:nbody, :nbody], body)
+
+    @pytest.mark.parametrize("K", [-1.0, -20.0, -100.0])
+    def test_hyperbolic_closed_forms(self, K):
+        fib, k = circle_mms(16, 1.0), math.sqrt(-K)
+        g = radial_grid(K, 1.0, 16)
+        c = cone(fib, K, 1.0, g)
+        body = c.dist[:256, :256].reshape(16, 16, 16, 16)
+        s, theta = g.nodes, fib.dist
+        # equal radius: 2 asinh(sinh(ks) sin(theta/2)) / k; same ray: |s - t|
+        ring = 2.0 * np.arcsinh(np.sinh(k * s)[:, None, None] * np.sin(0.5 * theta)) / k
+        got_ring = body[np.arange(16), :, np.arange(16), :]
+        np.testing.assert_allclose(got_ring, ring, rtol=1e-12, atol=0.0)
+        ray = np.abs(s[:, None] - s[None, :])
+        for x in (0, 5):
+            np.testing.assert_allclose(body[:, x, :, x], ray, rtol=1e-12, atol=0.0)
+
+    def test_build_peak_memory_is_about_one_matrix(self):
+        fib, g = circle_mms(32, 1.0), radial_grid(0.0, 1.0, 128)
+        tracemalloc.start()
+        try:
+            c = cone(fib, 0.0, 1.0, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * c.dist.nbytes
 
 
 class TestDiameterMidpoints:
