@@ -6,8 +6,8 @@ are computed from their operator definitions with no discretization error.
 
     kappa(x, N) = inf { Gamma2(u)(x) - (1/N)(Lu(x))^2 : Gamma(u)(x) = 1 }
 
-as a generalized eigenproblem on the 2-ball of x after eliminating the
-null space of the Gamma(x)-form.
+as the smallest eigenvalue of one Schur complement on the shells S1 and S2
+of the 2-ball of x.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ __all__ = [
     "cycle_graph",
     "complete_graph",
 ]
-
-_NULL_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
@@ -158,8 +155,8 @@ def be_check(
 class CurvatureResult:
     """Optimal pointwise constant at a vertex with its minimizing certificate.
 
-    kappa is None when the Gamma-form is degenerate (isolated vertex) and
-    -inf when the objective is unbounded below on that null space.
+    kappa is None at an isolated vertex, where the Gamma-form vanishes, and
+    finite at every other vertex (NaN only if the weights underflow).
     ``roundoff`` bounds the floating-point error of kappa at the scale of
     the local forms.
     """
@@ -197,59 +194,36 @@ def _local_forms(g: WeightedGraph, x: int):
 
 
 def curvature_dimension(g: WeightedGraph, x: int, N: float) -> CurvatureResult:
-    """Exact kappa(x, N) by 2-ball restriction and null-space elimination.
+    """Exact kappa(x, N) as the smallest eigenvalue of the 2-ball's curvature matrix.
 
-    Directions on which the Gamma(x)-form vanishes are eliminated by a
-    Schur complement; if the objective is indefinite there (or couples
-    inconsistently), the infimum is -inf.  The returned certificate
-    satisfies Gamma(u)(x) = 1 and attains kappa.
+    Gamma, Gamma2 and L ignore constants, so fixing u(x) = 0 loses nothing.
+    Then Gamma(u)(x) is the diagonal form p_y = w_xy / 2m_x on the sphere S1,
+    and the objective Q = Gamma2(x) - ell ell^T / N sees the sphere S2 only
+    through a diagonal block d > 0.  Minimizing over S2 leaves the Schur
+    complement S = Q11 - Q12 diag(1/d) Q21 on S1 (the curvature matrix of
+    Cushing, Liu and Peyerimhoff), and kappa is the smallest eigenvalue of
+    p^(-1/2) S p^(-1/2): one symmetric eigensolve, never -inf.  The
+    certificate satisfies Gamma(u)(x) = 1 and attains kappa.
     """
-    import scipy.linalg
-
     if not np.any(g.edge_weights[x] > 0):
         return CurvatureResult(kappa=None, certificate=None)
     ball2, P, ell, Q = _local_forms(g, x)
     Q = Q - np.outer(ell, ell) / N
-
-    evals, evecs = scipy.linalg.eigh(P)
-    cut = _NULL_TOL * max(float(evals[-1]), 1.0)
-    null = evecs[:, evals <= cut]
-    rang = evecs[:, evals > cut]
-    p_kept = evals[evals > cut]
-
-    scale = max(float(np.abs(Q).max()), 1.0)
-    # eigensolver roundoff on kappa: a few ulps of the form relative to Gamma(x)
-    roundoff = float(ball2.size * np.finfo(float).eps * scale / p_kept.min())
-    Qrr = rang.T @ Q @ rang
-    kappa_val: float
-    if null.shape[1] == 0:
-        Qt = Qrr
-        s_from_w = None
-    else:
-        Qnn = null.T @ Q @ null
-        Qnr = null.T @ Q @ rang
-        nn_vals, nn_vecs = scipy.linalg.eigh(Qnn)
-        if nn_vals.size and float(nn_vals[0]) < -1e-10 * scale:
-            return CurvatureResult(kappa=-math.inf, certificate=None)
-        # directions with Qnn ~ 0 must not couple linearly into the range block
-        keep = nn_vals > 1e-10 * scale  # pseudo-inverse cutoff at the problem scale
-        zero_dirs = nn_vecs[:, ~keep]
-        if zero_dirs.size and float(np.abs(zero_dirs.T @ Qnr).max()) > 1e-8 * scale:
-            return CurvatureResult(kappa=-math.inf, certificate=None)
-        Qnn_pinv = (nn_vecs[:, keep] / nn_vals[keep]) @ nn_vecs[:, keep].T
-        Qt = Qrr - Qnr.T @ Qnn_pinv @ Qnr
-        s_from_w = lambda w: -Qnn_pinv @ (Qnr @ w)
-
-    gvals, gvecs = scipy.linalg.eigh(Qt, np.diag(p_kept))
-    kappa_val = float(gvals[0])
-    w = gvecs[:, 0]
-    w = w / math.sqrt(float(w @ (p_kept * w)))  # Gamma(u)(x) = 1
-    coords = rang @ w
-    if s_from_w is not None:
-        coords = coords + null @ s_from_w(w)
+    s1 = g.edge_weights[x, ball2] > 0
+    s2 = ~s1 & (ball2 != x)
+    p, d = np.diag(P)[s1], np.diag(Q)[s2]
+    Q12 = Q[np.ix_(s1, s2)]
+    S = Q[np.ix_(s1, s1)] - (Q12 / d) @ Q12.T
+    q = 1.0 / np.sqrt(p)
+    evals, evecs = np.linalg.eigh(q[:, None] * S * q[None, :])
+    w = evecs[:, 0] * q  # Gamma(u)(x) = sum p w^2 = 1
     cert = np.zeros(g.n)
-    cert[ball2] = coords
-    return CurvatureResult(kappa=kappa_val, certificate=cert, roundoff=roundoff)
+    cert[ball2[s1]] = w
+    cert[ball2[s2]] = -(w @ Q12) / d
+    # eigensolver roundoff on kappa: a few ulps of the form relative to Gamma(x)
+    scale = max(float(np.abs(Q).max()), 1.0)
+    roundoff = float(ball2.size * np.finfo(float).eps * scale / p.min())
+    return CurvatureResult(kappa=float(evals[0]), certificate=cert, roundoff=roundoff)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..mms import _freeze
 from ..model_fns import cos_k, model_interval, passes, sin_k
 
 __all__ = [
@@ -56,7 +57,7 @@ class FiberSpec:
     weight_exponent: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=float))
+        object.__setattr__(self, "x", _freeze(self.x))
         if not math.isfinite(self.weight_exponent):
             raise ValueError(f"fiber weight exponent nu_f must be finite, got {self.weight_exponent}")
 
@@ -90,7 +91,7 @@ class ConeGridSpec:
     nu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.ascontiguousarray(self.r, dtype=float))
+        object.__setattr__(self, "r", _freeze(self.r))
         if not math.isfinite(self.nu):
             raise ValueError(f"warp exponent nu must be finite, got {self.nu}")
 

@@ -154,6 +154,13 @@ class RadialGrid:
         object.__setattr__(self, "cell_weights", _freeze(self.cell_weights))
 
 
+def _finite_in_K(K: float, values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, or a ValueError naming K if they overflowed (sinh and cosh at steep K < 0)."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} overflows a float at K={K:g}")
+    return values
+
+
 def _check_exponent(N: float) -> None:
     if not 0.0 <= N < math.inf:
         raise ValueError(f"radial weight exponent must be finite and >= 0, got {N}")
@@ -167,7 +174,8 @@ def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> Radia
     L = model_interval(K, r_max)
     h = L / n
     nodes = (np.arange(n) + 0.5) * h
-    cw = sin_k(K, nodes) ** N * h
+    with np.errstate(over="ignore"):  # sinh overflows at steep K < 0; named below
+        cw = _finite_in_K(K, sin_k(K, nodes) ** N * h, f"the radial weight sin_K^{N:g}")
     return RadialGrid(K=K, N=N, n=n, nodes=nodes, cell_weights=cw, h=h, r_max=L)
 
 
@@ -209,9 +217,11 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
         a = cs[:, None] * cs[None, :]
         b = K * sn[:, None] * sn[None, :]
     else:  # haversine form: cosh(k|s - t|) + 2 sinh(ks) sinh(kt) sin^2(d_F/2) >= 1
-        sn = sin_k(K, r)
-        a = cos_k(K, np.abs(r[:, None] - r[None, :]))
-        b = -2.0 * K * sn[:, None] * sn[None, :]
+        with np.errstate(over="ignore"):  # a + b, the largest argument, is checked below
+            sn = sin_k(K, r)
+            a = cos_k(K, np.abs(r[:, None] - r[None, :]))
+            b = -2.0 * K * sn[:, None] * sn[None, :]
+            _finite_in_K(K, a + b, "the cone's law-of-cosines argument")
 
     nbody = nr * nf
     apexes = 2 if K > 0 else 1

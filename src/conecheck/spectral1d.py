@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .model_fns import CurvatureDimension, passes, sin_k
-from .mms import RadialGrid, radial_grid
+from .mms import RadialGrid, _finite_in_K, _freeze, radial_grid
 
 __all__ = [
     "SturmLiouville1D",
@@ -47,8 +47,9 @@ class SturmLiouville1D:
     ``grid`` carries K and the weight exponent nu (as its N);
     ``a_diag``/``a_off`` hold the symmetric positive-semidefinite stiffness
     matrix A, ``m_diag`` the diagonal mass matrix; generalized eigenvalues
-    of (A, M) are the eigenvalues of -L.  The full spectrum is computed
-    lazily and cached for semigroup evaluation.
+    of (A, M) are the eigenvalues of -L.  The arrays are frozen; the full
+    spectrum is computed lazily and cached for semigroup evaluation, the
+    one mutation after construction.
     """
 
     grid: RadialGrid
@@ -56,6 +57,10 @@ class SturmLiouville1D:
     a_off: np.ndarray
     m_diag: np.ndarray
     _full: "Spectrum | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("a_diag", "a_off", "m_diag"):
+            setattr(self, name, _freeze(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -85,6 +90,10 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, M-orthonormal
     residuals: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.eigenvalues, self.eigenvectors, self.residuals):
+            a.flags.writeable = False  # in place: _freeze would copy the F-ordered eigenvectors
 
 
 @dataclass(frozen=True)
@@ -123,12 +132,14 @@ def discretize_fiber_operator(
     h = grid.h
     r = grid.nodes
     faces = np.arange(1, n) * h
-    a = sin_k(K, faces) ** nu / h  # interior face conductances; boundary faces dropped
-    sin_r = sin_k(K, r)
-    pot = lambda_fiber * sin_r ** (nu - 2.0) * h if lambda_fiber > 0 else np.zeros(n)
-    a_diag = pot.copy()
-    a_diag[:-1] += a
-    a_diag[1:] += a
+    with np.errstate(over="ignore"):  # sinh overflows at steep K < 0; named below
+        a = sin_k(K, faces) ** nu / h  # interior face conductances; boundary faces dropped
+        sin_r = sin_k(K, r)
+        pot = lambda_fiber * sin_r ** (nu - 2.0) * h if lambda_fiber > 0 else np.zeros(n)
+        a_diag = pot.copy()
+        a_diag[:-1] += a
+        a_diag[1:] += a
+    _finite_in_K(K, a_diag, f"the radial operator's sin_K^{nu:g}")
     return SturmLiouville1D(grid=grid, a_diag=a_diag, a_off=-a, m_diag=grid.cell_weights)
 
 
@@ -229,12 +240,12 @@ def bakry_ledoux_check(
     gamma_Pt = _gamma_fd(Pt_u, h)
     L_Pt = op.apply_generator(Pt_u)
     Pt_gamma = heat_semigroup_1d(op, _gamma_fd(u0, h), t)
-    if kappa == 0.0:
-        factor = 2.0 * t / Nbe
-        decay = 1.0
-    else:
-        factor = (1.0 - math.exp(-2.0 * kappa * t)) / (Nbe * kappa)
+    try:
         decay = math.exp(-2.0 * kappa * t)
+    except OverflowError:
+        raise ValueError(f"kappa={kappa:g} is too negative on the K={op.grid.K:g} model: "
+                         f"the decay factor exp(-2 kappa t) overflows at t={t:g}") from None
+    factor = 2.0 * t / Nbe if kappa == 0.0 else (1.0 - decay) / (Nbe * kappa)
     resid = decay * Pt_gamma - gamma_Pt - factor * L_Pt**2
     inner = resid[1:-1]
     return ResidualReport(

@@ -637,3 +637,42 @@ def test_cd_check_at_very_negative_curvature_is_finite(tmp_path):
     rep = read_report(out)
     assert rep["params"]["cd_K"] == -1e6
     assert all(math.isfinite(v) for v in rep["residuals"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--K=-60000"],
+    ["spectrum", "--K=-51100"],  # the cell weights fit a float, the face conductances do not
+    ["heat", "--K=-60000"],
+    ["heat", "--K=-1000"],
+    ["cone", "--K=-60000", "--grid", "16", "--fiber-n", "16"],
+    ["cone", "--K=-20000", "--grid", "16", "--fiber-n", "16"],
+    ["cd-check", "--K=-60000"],
+    ["be-check", "--K=-60000"],
+], ids=" ".join)
+def test_overflowing_negative_curvature_is_an_input_error(argv, tmp_path, capsys):
+    # sinh and cosh overflow past sqrt(-K) L = 710, and exp(-2 kappa t) past 709
+    out = tmp_path / "r.json"
+    K = argv[1].removeprefix("--K=")
+    if argv[0] == "cone":
+        argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
+    else:
+        argv = argv + ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning comes before the error
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"K={K}" in err and "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["cone", "--K=-1000", "--grid", "16", "--fiber-n", "16"],
+                                  ["heat", "--K=-300"]], ids=" ".join)
+def test_steep_but_representable_curvature_still_runs(argv, tmp_path):
+    out = tmp_path / "r.json"
+    if argv[0] == "cone":
+        argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
+    else:
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 0
+    assert read_report(out)["pass"] is True

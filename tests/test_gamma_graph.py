@@ -252,6 +252,97 @@ class TestLocalForms:
             assert 0.0 < res.roundoff <= 1e-9
 
 
+def null_space_kappa(g, x, N):
+    """The former algorithm, kept as an oracle: eliminate the null space of Gamma(x).
+
+    Eigendecomposes the Gamma(x)-form, splits off its numerical null space,
+    takes a pseudo-inverse Schur complement there and solves a generalized
+    eigenproblem on the range; -inf where the objective is unbounded below.
+    """
+    import scipy.linalg
+
+    ball2, P, ell, Q = _local_forms(g, x)
+    Q = Q - np.outer(ell, ell) / N
+    evals, evecs = scipy.linalg.eigh(P)
+    cut = 1e-12 * max(float(evals[-1]), 1.0)
+    null, rang, p_kept = evecs[:, evals <= cut], evecs[:, evals > cut], evals[evals > cut]
+    scale = max(float(np.abs(Q).max()), 1.0)
+    Qt = rang.T @ Q @ rang
+    if null.shape[1]:
+        Qnn, Qnr = null.T @ Q @ null, null.T @ Q @ rang
+        nn_vals, nn_vecs = scipy.linalg.eigh(Qnn)
+        if float(nn_vals[0]) < -1e-10 * scale:
+            return -math.inf
+        keep = nn_vals > 1e-10 * scale
+        zero_dirs = nn_vecs[:, ~keep]
+        if zero_dirs.size and float(np.abs(zero_dirs.T @ Qnr).max()) > 1e-8 * scale:
+            return -math.inf
+        Qnn_pinv = (nn_vecs[:, keep] / nn_vals[keep]) @ nn_vecs[:, keep].T
+        Qt = Qt - Qnr.T @ Qnn_pinv @ Qnr
+    return float(scipy.linalg.eigh(Qt, np.diag(p_kept), eigvals_only=True)[0])
+
+
+def random_graph_family(rng, count):
+    """Sparse and dense random weighted graphs; every fourth is a union of two."""
+    for i in range(count):
+        parts = [int(rng.integers(1, 8)) for _ in range(1 + (i % 4 == 0))]
+        n = sum(parts)
+        w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.15, 0.8))
+        mask = np.zeros((n, n), dtype=bool)
+        start = 0
+        for k in parts:
+            mask[start:start + k, start:start + k] = True
+            start += k
+        w = np.triu(w * mask, 1)
+        yield WeightedGraph(0.5 + rng.random(n), w + w.T)
+
+
+class TestShellsAgainstNullSpaceOracle:
+    def assert_matches_oracle(self, g, x, N):
+        kappa = curvature_dimension(g, x, N).kappa
+        want = null_space_kappa(g, x, N)
+        assert math.isfinite(kappa) and math.isfinite(want)
+        assert abs(kappa - want) <= 1e-9 * max(1.0, abs(want)), (x, N, kappa, want)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(21)
+        disconnected = 0
+        for g in random_graph_family(rng, 240):
+            disconnected += g.ball(0, g.n).size < g.n
+            for x in range(g.n):
+                if not np.any(g.edge_weights[x] > 0):
+                    assert curvature_dimension(g, x, 2.0).kappa is None
+                    continue
+                for N in (1.0, 2.0, 4.0, math.inf):
+                    self.assert_matches_oracle(g, x, N)
+        assert disconnected >= 60
+
+    @pytest.mark.parametrize("g", [cycle_graph(200), complete_graph(40),
+                                   path_graph_from_interval_model(1.0, 2.0, 160)],
+                             ids=["cycle200", "K40", "path160"])
+    def test_model_graphs(self, g):
+        for x in range(g.n):
+            for N in (1.0, 2.0, 4.0, math.inf):
+                self.assert_matches_oracle(g, x, N)
+
+    def test_one_eigensolve_per_vertex(self, monkeypatch):
+        import conecheck.gamma_calc.graph as graph_mod
+
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(graph_mod.np.linalg, "eigh", counting_eigh)
+        g = next(random_graph_family(np.random.default_rng(22), 1))
+        connected = [x for x in range(g.n) if np.any(g.edge_weights[x] > 0)]
+        for x in range(g.n):
+            graph_mod.curvature_dimension(g, x, 2.0)
+        assert len(calls) == len(connected) > 0
+
+
 class TestBECheck:
     def test_exhaustive_tolerance_scales_with_forms(self):
         # CD(0, 2) holds on the cycle; roundoff in kappa must not fail it at tol = 0

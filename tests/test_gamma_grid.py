@@ -340,3 +340,12 @@ def test_fine_field_built_once_per_member(monkeypatch):
     rep = sharp_gamma2_estimate_check(spec, members, tol=1.0)
     assert sorted(calls) == [(41, 16)] * 3 + [(81, 32)] * 3
     assert rep.min_slack_fine_matched >= rep.min_slack
+
+
+@pytest.mark.parametrize("fiber", [circle_fiber(16), weighted_interval_fiber(16, 1.0)],
+                         ids=["circle", "interval"])
+def test_grid_arrays_are_frozen(fiber):
+    spec = cone_grid(1.0, 2.0, 30, fiber)
+    for a in (spec.r, spec.fiber.x, spec.coarsen().r, spec.coarsen().fiber.x):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0

@@ -371,3 +371,16 @@ def test_gamma_fd_exactness_on_quadratics():
     u = 3.0 * x * x + 2.0 * x + 1.0
     g = _gamma_fd(u, h)
     assert np.allclose(g[1:-1], (6.0 * x[1:-1] + 2.0) ** 2)
+
+
+def test_operator_and_spectrum_arrays_are_frozen():
+    op = discretize_fiber_operator(1.0, 2.0, 0.0, 20)
+    spec = eigen(op, 5)
+    arrays = {"a_diag": op.a_diag, "a_off": op.a_off, "m_diag": op.m_diag,
+              "eigenvalues": spec.eigenvalues, "eigenvectors": spec.eigenvectors,
+              "residuals": spec.residuals}
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # the lazily cached full spectrum is the one mutation after construction
+    assert op.full_spectrum() is op.full_spectrum()
