@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mms import _freeze
+from ..mms import _finite_in_K, _freeze
 from ..model_fns import cos_k, model_interval, passes, sin_k
 
 __all__ = [
@@ -110,9 +110,16 @@ class ConeGridSpec:
 
 
 def cone_grid(K: float, nu: float, nr: int, fiber: FiberSpec) -> ConeGridSpec:
-    """Window (0.35, L - 0.35) of the model interval (0, L), L = ``model_interval(K)``."""
+    """Window (0.35, L - 0.35) of the model interval (0, L), L = ``model_interval(K)``.
+
+    A ValueError names K when the warp's highest power used, f**4, overflows
+    a float (sinh at steep K < 0).
+    """
     L = model_interval(K)
-    return ConeGridSpec(r=np.linspace(_WINDOW_PAD, L - _WINDOW_PAD, nr), fiber=fiber, K=K, nu=nu)
+    spec = ConeGridSpec(r=np.linspace(_WINDOW_PAD, L - _WINDOW_PAD, nr), fiber=fiber, K=K, nu=nu)
+    with np.errstate(over="ignore"):
+        _finite_in_K(K, spec.warp() ** 4, "the warp's fourth power sin_K^4")
+    return spec
 
 
 def _d1(vals: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:

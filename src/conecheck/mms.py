@@ -45,6 +45,9 @@ _ACOS_GUARD = 1e-12
 # How far a distance may miss a metric invariant before validate flags it.
 _VALIDATE_SLACK = 1e-9
 
+# Rows per block of validate's triangle sweep; 48 was fastest of 16..128 at 802 atoms.
+_VALIDATE_BLOCK = 48
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -104,14 +107,18 @@ def validate(m: FiniteMMS) -> list:
     A weight may be zero (an apex carries none) but not negative.
 
     Triangle defects d(i, k) > d(i, j) + d(j, k) are reported once per pair
-    i < k, at its worst intermediate j, to bound the output size.
+    i < k, at its worst intermediate j, to bound the output size.  The worst
+    defect is d(i, k) - min_j (d(i, j) + d(j, k)), which equals the largest
+    rounded difference bit for bit because rounding is monotone.  It is
+    computed for k >= i only, ``_VALIDATE_BLOCK`` rows i at a time, so that
+    a block's running minimum stays in cache while j sweeps every atom.
     """
     out = []
     d, w = m.dist, m.weight
     n = m.n
-    for i in range(n):
-        if abs(d[i, i]) > _VALIDATE_SLACK:
-            out.append(Violation("diagonal", (i,), abs(d[i, i])))
+    diag = np.abs(np.diagonal(d))
+    for i in np.nonzero(diag > _VALIDATE_SLACK)[0]:
+        out.append(Violation("diagonal", (int(i),), float(diag[i])))
     asym = np.abs(d - d.T)
     for i, j in zip(*np.nonzero(np.triu(asym, 1) > _VALIDATE_SLACK)):
         out.append(Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
@@ -120,15 +127,17 @@ def validate(m: FiniteMMS) -> list:
         out.append(Violation("negative-distance", (int(i), int(j)), float(-d[i, j])))
     for i in np.nonzero(w < 0.0)[0]:
         out.append(Violation("weight", (int(i),), float(-w[i])))
-    # d[i,k] <= d[i,j] + d[j,k]: sweep over the intermediate index j.
+    # d[i,k] <= d[i,j] + d[j,k]; ds is exactly symmetric, so row j holds both terms.
     ds = 0.5 * (d + d.T)
-    worst, defect = np.zeros((n, n)), np.empty((n, n))
-    for j in range(n):
-        np.add(ds[:, j : j + 1], ds[j : j + 1, :], out=defect)
-        np.subtract(ds, defect, out=defect)
-        np.maximum(worst, defect, out=worst)
-    for i, k in zip(*np.nonzero(np.triu(worst, 1) > _VALIDATE_SLACK)):
-        out.append(Violation("triangle", (int(i), int(k)), float(worst[i, k])))
+    for s in range(0, n, _VALIDATE_BLOCK):
+        b = min(_VALIDATE_BLOCK, n - s)
+        shortest, via = np.full((b, n - s), np.inf), np.empty((b, n - s))
+        for row in ds[:, s:]:
+            np.add(row[:b, None], row, out=via)
+            np.minimum(shortest, via, out=shortest)
+        worst = np.triu(np.subtract(ds[s : s + b, s:], shortest, out=shortest), 1)
+        for i, k in zip(*np.nonzero(worst > _VALIDATE_SLACK)):
+            out.append(Violation("triangle", (int(s + i), int(s + k)), float(worst[i, k])))
     return out
 
 
@@ -472,12 +481,19 @@ def interval_model_mms(K: float, nu: float, n: int, r_max: float | None = None) 
 # ---------------------------------------------------------------------------
 
 def save_mms_json(m: FiniteMMS, path) -> None:
-    payload = {
-        "labels": list(m.labels),
-        "dist": m.dist.tolist(),
-        "weight": m.weight.tolist(),
-    }
-    text = json.dumps(payload)  # one C-encoder pass; json.dump streams through Python
+    """Write ``m`` as the text ``json.dumps({"labels", "dist", "weight"})`` gives, byte for byte.
+
+    A distance matrix holds few distinct values (a cone about n^2/nf), so
+    each distinct float, keyed by its bits to keep -0.0 apart, is formatted
+    once with ``repr``, as json does, and the rows are joined from those strings.
+    """
+    n = m.n
+    keys, inverse = np.unique(m.dist.view(np.int64), return_inverse=True)
+    reprs = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+    rows = reprs[inverse.reshape(n, n)].tolist()
+    dist = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    labels, weight = json.dumps(list(m.labels)), json.dumps(m.weight.tolist())
+    text = f'{{"labels": {labels}, "dist": {dist}, "weight": {weight}}}'
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -496,11 +512,13 @@ def load_mms_json(path) -> FiniteMMS:
         dist = np.asarray(payload["dist"], dtype=float)
     except TypeError as exc:
         raise ValueError(f"space file {path} has a malformed entry: {exc}") from None
+    if dist.shape == (0,):  # json writes the 0x0 matrix as []
+        dist = dist.reshape(0, 0)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("dist must be a square matrix")
     if not np.all(np.isfinite(dist)):  # before fill_diagonal can hide a NaN
         raise ValueError("distances and weights must be finite")
-    if np.max(np.abs(dist - dist.T)) > 1e-9:
+    if np.any(np.abs(dist - dist.T) > 1e-9):
         raise ValueError("dist must be symmetric")
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)

@@ -34,6 +34,29 @@ def two_point(d=1.0):
     return FiniteMMS(("a", "b"), np.array([[0.0, d], [d, 0.0]]), np.array([1.0, 1.0]))
 
 
+_BLOCK_SIZES = [0, 1, 2, mms._VALIDATE_BLOCK - 1, mms._VALIDATE_BLOCK, mms._VALIDATE_BLOCK + 1,
+                2 * mms._VALIDATE_BLOCK + 3]
+
+
+def _validate_oracle(m):
+    """validate as a plain loop over every intermediate j, in its report order."""
+    d, n = m.dist, m.n
+    out = [mms.Violation("diagonal", (i,), float(abs(d[i, i])))
+           for i in range(n) if abs(d[i, i]) > 1e-9]
+    out += [mms.Violation("symmetry", (i, k), float(abs(d[i, k] - d[k, i])))
+            for i in range(n) for k in range(i + 1, n) if abs(d[i, k] - d[k, i]) > 1e-9]
+    out += [mms.Violation("negative-distance", (i, k), float(-d[i, k]))
+            for i in range(n) for k in range(i + 1, n) if d[i, k] < -1e-9]
+    out += [mms.Violation("weight", (i,), float(-m.weight[i])) for i in range(n) if m.weight[i] < 0]
+    ds = 0.5 * (d + d.T)
+    worst = np.zeros((n, n))
+    for j in range(n):
+        worst = np.maximum(worst, ds - (ds[:, [j]] + ds[[j], :]))
+    out += [mms.Violation("triangle", (i, k), float(worst[i, k]))
+            for i in range(n) for k in range(i + 1, n) if worst[i, k] > 1e-9]
+    return out
+
+
 class TestValidate:
     def test_valid_two_point(self):
         assert validate(two_point()) == []
@@ -61,6 +84,28 @@ class TestValidate:
         got = [(v.indices, v.magnitude) for v in validate(FiniteMMS(tuple(range(n)), d, np.ones(n)))
                if v.kind == "triangle"]
         assert expect and got == expect
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_violations_match_the_per_j_sweep(self, n, seed):
+        # asymmetric noise, with planted triangle, negative-distance, diagonal and weight defects
+        rng = np.random.default_rng(seed)
+        d = _path_metric(n) * rng.uniform(0.5, 1.5, (n, n))
+        p = rng.permutation(n)
+        if n >= 4:
+            d[p[0], p[1]] = d[p[1], p[0]] = 4.0 * n  # longer than any two-step path
+            d[p[2], p[3]] = d[p[3], p[2]] = -0.25
+            d[p[0], p[0]], d[p[1], p[1]] = 0.3, 1e-10  # one over the slack, one under
+        m = FiniteMMS(tuple(range(n)), d, rng.uniform(-0.2, 1.0, n))
+        got = validate(m)
+        assert got == _validate_oracle(m)
+        if n >= 4:
+            kinds = {v.kind for v in got}
+            assert kinds == {"diagonal", "symmetry", "negative-distance", "weight", "triangle"}
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    def test_clean_spaces_across_block_edges(self, n):
+        assert validate(FiniteMMS(tuple(range(n)), _path_metric(n), np.ones(n))) == []
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), where=st.integers(0, 35), in_dist=st.booleans())
@@ -492,6 +537,34 @@ class TestSuspension:
         assert not rep.is_suspension and rep.failed_stage == "pole-distance"
 
 
+def _euclidean(n, seed=5):
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+    return FiniteMMS(tuple(f"p{i}" for i in range(n)), d, np.random.default_rng(seed).uniform(0, 1, n))
+
+
+def _sin_warped(g, fiber):
+    return warped_product(g, np.sin(g.nodes), fiber, 1.0)
+
+
+def _signed_zero():
+    d = _path_metric(3)
+    d[0, 1] = d[1, 0] = -0.0
+    return FiniteMMS(("a", "b", "c"), d, np.array([1.0, -0.0, 2.5]))
+
+
+_SAVE_CASES = {
+    "cone K=1": lambda: cone(circle_mms(9, 1.0), 1.0, 2.0, radial_grid(1.0, 2.0, 7)),
+    "cone K=-1": lambda: cone(circle_mms(9, 0.7), -1.0, 1.5, radial_grid(-1.0, 1.5, 6)),
+    "warped product": lambda: _sin_warped(radial_grid(1.0, 1.0, 6), circle_mms(8, 1.0)),
+    "euclidean": lambda: _euclidean(40),
+    "signed zero": _signed_zero,
+    "empty": lambda: FiniteMMS((), np.zeros((0, 0)), np.zeros(0)),
+    "one atom": lambda: FiniteMMS(("x",), np.zeros((1, 1)), np.array([0.125])),
+    "integer labels": lambda: FiniteMMS(tuple(range(5)), _path_metric(5) / 3.0, np.full(5, 1e-300)),
+}
+
+
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         m = circle_mms(6, 1.0)
@@ -501,6 +574,21 @@ class TestSerialization:
         assert back.labels == m.labels
         assert np.allclose(back.dist, m.dist)
         assert np.allclose(back.weight, m.weight)
+
+    @pytest.mark.parametrize("name", sorted(_SAVE_CASES))
+    def test_json_text_is_json_dumps(self, tmp_path, name):
+        m = _SAVE_CASES[name]()
+        p = tmp_path / "m.json"
+        save_mms_json(m, p)
+        payload = {"labels": list(m.labels), "dist": m.dist.tolist(), "weight": m.weight.tolist()}
+        assert p.read_text() == json.dumps(payload)
+        back = load_mms_json(p)
+        assert back.labels == m.labels
+        dist = m.dist
+        if name == "warped product":  # its Dijkstra sums differ across the diagonal in the last bit
+            dist = 0.5 * (dist + dist.T)
+        for a, b in ((back.dist, dist), (back.weight, m.weight)):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_json_rejects_asymmetric(self, tmp_path):
         p = tmp_path / "bad.json"
