@@ -192,13 +192,18 @@ def cmd_cd_check(args) -> Report:
         print(f"pair {i}: " + ", ".join(
             f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs), file=sys.stderr)
     _maybe_plot(args.plot, range(len(slacks)), slacks, "cd slack per pair")
+    certs = [rs[0].certificate for rs in results]
     return Report(
         check="cd" if args.full else "cd-star",
         params={"eps": eps},
         residuals=_residuals(slacks),
         passed=passes(slacks, args.tol),
         tolerance=args.tol,
-        detail={"nprimes": list(nprimes)},
+        detail={"nprimes": list(nprimes),
+                "couplings": [{"solver": c.solver, "cells": c.cells, "rounds": c.rounds}
+                              for c in certs],
+                "max_certificate_residual": max(max(c.dual_infeasibility, c.slackness)
+                                                for c in certs)},
     )
 
 

@@ -282,7 +282,10 @@ def warped_product(
     from the atoms (i, 0) and d[(i,x), (j,y)] = d[(i,0), (j, y-x mod nf)];
     otherwise it runs from every atom.  Both give the same matrix bit for
     bit, since Dijkstra's distances are minima over paths and the rotation
-    maps paths to paths of the same edge lengths.
+    maps paths to paths of the same edge lengths.  Dijkstra sums a path's
+    edges in opposite orders from its two ends, so d[a, b] and d[b, a] can
+    differ in the last bits; both are lengths of shortest paths, and the
+    matrix keeps the smaller, which makes it exactly symmetric.
     """
     from scipy.sparse import coo_matrix
 
@@ -336,6 +339,7 @@ def warped_product(
     if rotates:
         i, x, j, y = np.ogrid[:nr, :nf, :nr, :nf]
         dist = dist.reshape(nr, nr, nf)[i, j, (y - x) % nf].reshape(nv, nv)
+    dist = np.minimum(dist, dist.T)
     labels = tuple(f"{i}:{lab}" for i in range(nr) for lab in fiber.labels)
     weight = np.outer(f**N * h, fiber.weight).ravel()
     return FiniteMMS(labels=labels, dist=dist, weight=weight)

@@ -2,9 +2,11 @@
 
 Couplings are exact.  When the two supports embed isometrically in R the
 plan is the monotone (north-west corner) rearrangement with potentials
-built along its staircase; otherwise it is the transportation LP solved by
-simplex.  Either plan is accepted only after one shared certificate of
-dual feasibility and complementary slackness.  Geodesic interpolation is
+built along its staircase; otherwise it is the transportation LP, solved by
+simplex on a shortlist of cells that a pricing loop grows until no cell of
+the full cost matrix has a negative reduced cost.  Either plan is accepted
+only after one shared certificate of dual feasibility and complementary
+slackness on the full cost matrix.  Geodesic interpolation is
 replaced by its finite surrogate, the epsilon-midpoint layer at t = 1/2.
 On top of these the module evaluates the reduced and full convexity
 inequalities for Renyi-type entropies.
@@ -22,6 +24,7 @@ from .mms import FiniteMMS, midpoints
 
 __all__ = [
     "Density",
+    "Certificate",
     "Coupling",
     "CDReport",
     "NoMidpointError",
@@ -45,6 +48,12 @@ _MASS_TOL = 1e-12
 _LINE_TOL = 1e-12
 # Largest dual infeasibility of a plan's potentials, relative to the largest cost.
 _DUAL_RTOL = 1e-9
+# The LP's first shortlist: each row's and column's _SHORTLIST_WIDTH cells of
+# least reduced cost under potentials from _SINKHORN_SWEEPS log-domain sweeps
+# at entropic scale _SINKHORN_SCALE times the largest cost.
+_SHORTLIST_WIDTH = 6
+_SINKHORN_SWEEPS = 20
+_SINKHORN_SCALE = 0.01
 
 
 class NoMidpointError(ValueError):
@@ -103,18 +112,38 @@ def uniform_density(space: FiniteMMS, support: np.ndarray | None = None) -> Dens
     return density_from_mass(space, raw)
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """How a coupling was solved, and the magnitudes its optimality certificate measured.
+
+    ``solver`` is "monotone" (the staircase on a line, or a plan forced by a
+    one-atom support) or "lp"; ``cells`` counts the cells the solver could
+    put mass on (the staircase's nr + nc - 1, or the LP's final shortlist)
+    and ``rounds`` the LP's pricing rounds after its first solve (0 for
+    "monotone").  ``dual_infeasibility`` and ``slackness`` are what
+    ``_certify_optimality`` returned on the full cost matrix.
+    """
+
+    solver: str
+    cells: int
+    rounds: int
+    dual_infeasibility: float
+    slackness: float
+
+
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """Transport plan between two densities; marginals reproduce them to 1e-9.
 
     ``plan`` is stored as its support: an (n, n) ``scipy.sparse.coo_array``
     of the positive entries in row-major order.  A dense array is accepted
-    and converted.
+    and converted.  ``certificate`` is set by ``wasserstein2``.
     """
 
     plan: coo_array
     mu0: Density
     mu1: Density
+    certificate: Certificate | None = None
 
     def __post_init__(self):
         from scipy.sparse import coo_array
@@ -142,19 +171,28 @@ class CDReport:
     rhs: ExtendedValue
     slack: float  # lhs - rhs; -inf sentinel when rhs is the tagged infinity
     passed: bool
+    certificate: Certificate  # of the pair's coupling, shared by its reports
 
 
 def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupling]:
     """Exact quadratic-cost optimal transport between two densities on m.
 
     Solved on the supports.  When their union embeds isometrically in R
-    (an interval, or one ray of a cone) the plan is the monotone
-    rearrangement, with potentials built along its staircase; otherwise it
-    is the transportation LP, by simplex at tightened feasibility
-    tolerances, with its equality duals.  Either way optimality is
+    (an interval, or one ray of a cone), or one support is a single atom,
+    the plan is the monotone rearrangement, with potentials built along its
+    staircase.  Otherwise it is the transportation LP, solved by simplex
+    on a shortlist of cells that a pricing loop grows until no cell has a
+    negative reduced cost (``_lp_plan``).  Either way optimality is
     certified by ``_certify_optimality`` (dual feasibility and
-    complementary slackness) before the coupling is accepted, and a plan
-    that fails raises RuntimeError.
+    complementary slackness) on the full cost matrix before the coupling
+    is accepted, and a plan that fails raises RuntimeError.  The
+    coupling's ``certificate`` records the solver, its cells and rounds,
+    and both magnitudes.
+
+    The optimal plan need not be unique: atoms placed symmetrically tie in
+    cost, and the LP returns one optimal vertex among them.  W2 does not
+    depend on that choice, but quantities read off the plan, such as a
+    convexity slack, may move by a small amount when the shortlist does.
     """
     from scipy.sparse import coo_array
 
@@ -166,24 +204,26 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
     C = m.dist[np.ix_(rows, cols)] ** 2
     nr, nc = rows.size, cols.size
 
+    solver, cells, rounds = "monotone", nr + nc - 1, 0
     if nr == 1:
-        plan_s = b[None, :].copy()
+        plan_s, alpha, beta = b[None, :].copy(), np.zeros(1), C[0].copy()
     elif nc == 1:
-        plan_s = a[:, None].copy()
+        plan_s, alpha, beta = a[:, None].copy(), C[:, 0].copy(), np.zeros(1)
     else:
         support = np.union1d(rows, cols)
         x = _line_coordinates(m.dist[np.ix_(support, support)])
         if x is None:
-            plan_s, alpha, beta = _lp_plan(C, a, b)
+            solver = "lp"
+            plan_s, alpha, beta, cells, rounds = _lp_plan(C, a, b)
         else:
             plan_s, alpha, beta = _monotone_plan(C, a, b, x[np.searchsorted(support, rows)],
                                                  x[np.searchsorted(support, cols)])
-        _certify_optimality(C, plan_s, alpha, beta)
+    cert = Certificate(solver, cells, rounds, *_certify_optimality(C, plan_s, alpha, beta))
 
     sr, sc = np.nonzero(plan_s > 0)
     plan = coo_array((plan_s[sr, sc], (rows[sr], cols[sc])), shape=(m.n, m.n))
     cost_val = float(np.sum(plan_s * C))
-    return math.sqrt(max(cost_val, 0.0)), Coupling(plan=plan, mu0=mu0, mu1=mu1)
+    return math.sqrt(max(cost_val, 0.0)), Coupling(plan=plan, mu0=mu0, mu1=mu1, certificate=cert)
 
 
 def _line_coordinates(dist: np.ndarray) -> np.ndarray | None:
@@ -236,32 +276,88 @@ def _monotone_plan(C, a, b, xr, xc):
 
 
 def _lp_plan(C, a, b):
-    """The transportation LP by dual simplex at tightened feasibility tolerances.
+    """The transportation LP by column generation on a shortlist of cells.
 
-    Returns (plan, alpha, beta): the reduced plan and the equality duals.
+    The shortlist holds, for each row and each column, the
+    ``_SHORTLIST_WIDTH`` cells of least C - f - g under approximate
+    potentials from ``_sinkhorn_potentials``, and the positive cells of the
+    north-west corner plan in index order, which make the restricted LP
+    feasible.  Each round solves the LP on the shortlist by dual simplex at
+    tightened feasibility tolerances and prices every cell by C - alpha -
+    beta with its equality duals.  While some cell lies below -_DUAL_RTOL
+    times the cost scale, the round adds each row's most negative cell and
+    every cell at least half as negative as its row's or its column's
+    minimum; each round adds a cell, so at worst the shortlist grows into
+    the whole LP.  Returns (plan, alpha, beta, cells, rounds): the reduced
+    plan, the duals, the shortlist's final size and the rounds after the
+    first solve.
     """
     from scipy.sparse import coo_array
 
     nr, nc = C.shape
-    cost = C.ravel()
-    ii = np.repeat(np.arange(nr), nc)
-    jj = np.tile(np.arange(nc), nr)
-    var = np.arange(nr * nc)
-    A_eq = coo_array(
-        (np.ones(2 * nr * nc), (np.concatenate([ii, nr + jj]), np.concatenate([var, var]))),
-        shape=(nr + nc, nr * nc),
-    ).tocsr()
+    scale = max(float(C.max()), 1.0)
+    f, g = _sinkhorn_potentials(C, a, b)
+    reduced = C - f[:, None] - g[None, :]
+    keep = np.zeros((nr, nc), dtype=bool)
+    w = min(_SHORTLIST_WIDTH, nc)
+    keep[np.arange(nr)[:, None], np.argpartition(reduced, w - 1, axis=1)[:, :w]] = True
+    w = min(_SHORTLIST_WIDTH, nr)
+    keep[np.argpartition(reduced, w - 1, axis=0)[:w], np.arange(nc)] = True
+    keep |= _monotone_plan(C, a, b, np.arange(nr), np.arange(nc))[0] > 0
     b_eq = np.concatenate([a, b])
-    res = linprog(
-        cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return res.x.reshape(nr, nc), res.eqlin.marginals[:nr], res.eqlin.marginals[nr:]
+    rounds = 0
+    while True:
+        ii, jj = np.nonzero(keep)
+        var = np.arange(ii.size)
+        A_eq = coo_array(
+            (np.ones(2 * ii.size), (np.concatenate([ii, nr + jj]), np.concatenate([var, var]))),
+            shape=(nr + nc, ii.size),
+        ).tocsr()
+        res = linprog(
+            C[ii, jj], A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+            },
+        )
+        if not res.success:
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        alpha, beta = res.eqlin.marginals[:nr], res.eqlin.marginals[nr:]
+        reduced = C - alpha[:, None] - beta[None, :]
+        if passes(reduced, _DUAL_RTOL * scale):
+            break
+        half = 0.5 * np.maximum(reduced.min(axis=1)[:, None], reduced.min(axis=0)[None, :])
+        add = (reduced < -_DUAL_RTOL * scale) & (reduced <= half) & ~keep
+        if not add.any():  # nothing left to price in; the certificate rejects the plan
+            break
+        keep |= add
+        rounds += 1
+    plan = np.zeros((nr, nc))
+    plan[ii, jj] = res.x
+    return plan, alpha, beta, ii.size, rounds
+
+
+def _sinkhorn_potentials(C, a, b):
+    """Approximate dual potentials (f, g) of the transportation LP.
+
+    ``_SINKHORN_SWEEPS`` log-domain Sinkhorn sweeps at entropic scale
+    ``_SINKHORN_SCALE`` times the largest cost; each log-sum-exp is shifted
+    by its maximum, so no row or column underflows to zero.
+    """
+    eps = _SINKHORN_SCALE * float(C.max()) or 1.0
+    K = C / -eps
+    la, lb = np.log(a), np.log(b)
+    g = np.zeros(C.shape[1])
+    for _ in range(_SINKHORN_SWEEPS):
+        f = eps * (la - _logsumexp(K + g[None, :] / eps, axis=1))
+        g = eps * (lb - _logsumexp(K + f[:, None] / eps, axis=0))
+    return f, g
+
+
+def _logsumexp(z, axis):
+    """log(sum(exp(z))) along ``axis``, shifted by the maximum so no term overflows."""
+    top = z.max(axis=axis, keepdims=True)
+    return np.log(np.exp(z - top).sum(axis=axis)) + top.squeeze(axis)
 
 
 def linprog(*args, **kwargs):
@@ -272,7 +368,12 @@ def linprog(*args, **kwargs):
 
 
 def _certify_optimality(C, plan, alpha, beta):
-    """Dual feasibility and complementary slackness of a plan and its potentials."""
+    """Dual feasibility and complementary slackness of a plan and its potentials.
+
+    Returns the two magnitudes it gates: the dual infeasibility (the most
+    negative reduced cost C - alpha - beta, as a nonnegative number) and the
+    largest |reduced cost| on the plan's support.
+    """
     scale = max(float(C.max()), 1.0)
     reduced = C - alpha[:, None] - beta[None, :]
     if not passes(reduced, _DUAL_RTOL * scale):
@@ -280,6 +381,7 @@ def _certify_optimality(C, plan, alpha, beta):
     support_slack = np.abs(reduced[plan > 1e-14 * scale])
     if not passes(-support_slack, 1e-7 * scale):
         raise RuntimeError(f"complementary slackness violated by {support_slack.max():.3e}")
+    return max(0.0, -float(reduced.min())), float(support_slack.max())
 
 
 def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
@@ -343,7 +445,7 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
             terms = mass * c * (rho0 ** (-1.0 / Np) + rho1 ** (-1.0 / Np))
             rhs = ExtendedValue(float(np.cumsum(terms)[-1]))
             slack = lhs - rhs.value
-        reports.append(CDReport(Np, lhs, rhs, slack, passes(slack, tol)))
+        reports.append(CDReport(Np, lhs, rhs, slack, passes(slack, tol), q.certificate))
     return reports
 
 

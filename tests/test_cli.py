@@ -225,6 +225,30 @@ def test_cd_check_solves_one_coupling_per_pair(monkeypatch, capsys):
         assert strict_loads(capsys.readouterr().out)["detail"]["nprimes"] == [3.0, 6.0]
 
 
+def test_cd_check_reports_each_coupling_and_its_certificate(tmp_path):
+    out = tmp_path / "line.json"
+    assert main(["cd-check", "--grid", "60", "--pairs", "2", "--out", str(out)]) == 0
+    detail = read_report(out)["detail"]
+    assert detail["couplings"] == [{"solver": "monotone", "cells": 119, "rounds": 0}] * 2
+    assert 0.0 <= detail["max_certificate_residual"] <= 1e-9
+
+    space = tmp_path / "cone.json"
+    assert main(["cone", "--grid", "10", "--fiber-n", "10", "--out", str(space)]) == 0
+    argv = ["cd-check", "--input", str(space), "--pairs", "2", "--cd-K", "1", "--N", "2",
+            "--eps", "0.4"]
+    reports = []
+    for run in ("a", "b"):  # the LP path is deterministic too
+        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+        reports.append(strip_runtime(read_report(tmp_path / run)))
+    assert reports[0] == reports[1]
+    detail = reports[0]["detail"]
+    assert [c["solver"] for c in detail["couplings"]] == ["lp", "lp"]
+    n = 10 * 10  # the body atoms carry the weight; both Gamma-weighted densities cover them
+    for c in detail["couplings"]:
+        assert 2 * n - 1 <= c["cells"] < n * n and c["rounds"] >= 0
+    assert 0.0 <= detail["max_certificate_residual"] <= 1e-9
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_runtime(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

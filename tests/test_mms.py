@@ -391,7 +391,8 @@ class TestWarpedProduct:
 
 
 def _reference_warped(base, f, fiber):
-    """One edge at a time, Dijkstra from every atom: the matrix warped_product must equal."""
+    """One edge at a time, Dijkstra from every atom, the smaller of d[a, b] and d[b, a]:
+    the matrix warped_product must equal."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -417,7 +418,8 @@ def _reference_warped(base, f, fiber):
                         cols.append(b)
                         vals.append(math.hypot((j - i) * h, fbar * fiber.dist[x, int(y)]))
     g = coo_matrix((vals, (rows, cols)), shape=(nr * nf, nr * nf))
-    return dijkstra(g.tocsr(), directed=False)
+    d = dijkstra(g.tocsr(), directed=False)
+    return np.minimum(d, d.T)
 
 
 def _perturbed_circle(n):
@@ -466,6 +468,21 @@ class TestWarpedProductSources:
         w = warped_product(g, f, fiber, 1.0)
         assert sources == [10 * fiber.n]
         assert np.array_equal(w.dist, _reference_warped(g, f, fiber))
+
+
+@pytest.mark.parametrize("fiber", [circle_mms(24, 1.0), _perturbed_circle(12)],
+                         ids=["rotating", "every-atom"])
+def test_warped_product_is_symmetric_and_round_trips_bit_for_bit(fiber, tmp_path):
+    # Dijkstra's two directions sum a path's edges in opposite orders; the
+    # raw matrices here differ from their transposes in thousands of entries
+    g = radial_grid(1.0, 1.0, 24)
+    w = warped_product(g, np.sin(g.nodes), fiber, 1.0)
+    assert np.array_equal(w.dist, w.dist.T)
+    p = tmp_path / "w.json"
+    save_mms_json(w, p)
+    back = load_mms_json(p)
+    assert np.array_equal(back.dist.view(np.int64), w.dist.view(np.int64))
+    assert np.array_equal(back.weight.view(np.int64), w.weight.view(np.int64))
 
 
 class TestSuspension:
@@ -584,10 +601,7 @@ class TestSerialization:
         assert p.read_text() == json.dumps(payload)
         back = load_mms_json(p)
         assert back.labels == m.labels
-        dist = m.dist
-        if name == "warped product":  # its Dijkstra sums differ across the diagonal in the last bit
-            dist = 0.5 * (dist + dist.T)
-        for a, b in ((back.dist, dist), (back.weight, m.weight)):
+        for a, b in ((back.dist, m.dist), (back.weight, m.weight)):
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_json_rejects_asymmetric(self, tmp_path):

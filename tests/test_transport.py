@@ -202,6 +202,174 @@ class TestMonotonePath:
         assert cost == pytest.approx(cost_lp, rel=1e-12)
 
 
+def _lp_on(C, a, b, keep):
+    """The transportation LP over the cells ``keep`` marks, by dual simplex."""
+    from scipy.optimize import linprog
+
+    nr, nc = C.shape
+    ii, jj = np.nonzero(keep)
+    var = np.arange(ii.size)
+    A_eq = coo_array((np.ones(2 * ii.size), (np.concatenate([ii, nr + jj]), np.concatenate([var, var]))),
+                     shape=(nr + nc, ii.size)).tocsr()
+    return linprog(C[ii, jj], A_eq=A_eq, b_eq=np.concatenate([a, b]), bounds=(0, None),
+                   method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+
+
+def _dense_lp_w2(C, a, b):
+    """W2 of the LP over every cell at once, the formulation the shortlist replaced: its oracle."""
+    res = _lp_on(C, a, b, np.ones(C.shape, dtype=bool))
+    assert res.success
+    return math.sqrt(float(np.sum(res.x * C.ravel())))
+
+
+def _masses(rng, n):
+    m = rng.uniform(0.1, 1.0, n)
+    return m / m.sum()
+
+
+def _cloud_problem(seed, offset=0.0):
+    """Random 2-D clouds, the second shifted by ``offset``, with random masses."""
+    rng = np.random.default_rng(seed)
+    nr, nc = rng.integers(20, 70, size=2)
+    x, y = rng.uniform(0, 1, (nr, 2)), rng.uniform(0, 1, (nc, 2)) + [offset, 0.0]
+    C = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+    return C, _masses(rng, nr), _masses(rng, nc)
+
+
+def _ring_problem(n, shift):
+    """Uniform masses on n points of the unit circle and on the same points turned by shift steps."""
+    t = 2 * math.pi * np.arange(n) / n
+    x = np.stack([np.cos(t), np.sin(t)], axis=1)
+    y = np.roll(x, shift, axis=0) * 1.5
+    C = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+    return C, np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+
+
+def _thin_problem(seed, transpose):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    C = rng.uniform(0, 2, (1, n))
+    a, b = np.ones(1), _masses(rng, n)
+    return (C.T, b, a) if transpose else (C, a, b)
+
+
+_LP_PROBLEMS = (
+    [(f"cloud-{s}", lambda s=s: _cloud_problem(s)) for s in range(10)]
+    + [(f"far-apart-{s}", lambda s=s: _cloud_problem(100 + s, offset=50.0)) for s in range(4)]
+    + [(f"ring-{n}-{k}", lambda n=n, k=k: _ring_problem(n, k)) for n, k in ((12, 0), (12, 3),
+                                                                          (20, 5), (31, 7))]
+    + [(f"1xn-{s}", lambda s=s: _thin_problem(s, False)) for s in range(2)]
+    + [(f"nx1-{s}", lambda s=s: _thin_problem(s, True)) for s in range(2)]
+)
+
+
+def _cone_bump_pair(K, seed):
+    """Two bumps centred on different rays of a cone over a 16-atom circle, 12 radial cells."""
+    c = mms.cone(mms.circle_mms(16, 1.0), K, 1.0, mms.radial_grid(K, 1.0, 12))
+    rng = np.random.default_rng(seed)
+
+    def bump(centre):
+        d = c.dist[centre]
+        raw = c.weight * np.exp(-((d / 0.6) ** 2))
+        raw[d > 0.9] = 0.0
+        return density_from_mass(c, raw)
+
+    i0, i1 = rng.choice(np.arange(3, 9), size=2)
+    j0 = int(rng.integers(16))
+    return c, bump(i0 * 16 + j0), bump(i1 * 16 + (j0 + int(rng.integers(3, 14))) % 16)
+
+
+def _bench_cone_pair():
+    """The 139 x 139 bump pair on the (K=1, N=1) cone over a 32-atom circle, 25 cells."""
+    c = mms.cone(mms.circle_mms(32, 1.0), 1.0, 1.0, mms.radial_grid(1.0, 1.0, 25))
+
+    def bump(i, j, rho=0.65):
+        d = c.dist[i * 32 + j]
+        raw = c.weight * np.exp(-((d / rho) ** 2))
+        raw[d > 1.5 * rho] = 0.0
+        return density_from_mass(c, raw)
+
+    return c, bump(9, 0), bump(15, 8)
+
+
+def _lp_inputs(c, mu0, mu1):
+    rows, cols = np.nonzero(mu0.mass)[0], np.nonzero(mu1.mass)[0]
+    return c.dist[np.ix_(rows, cols)] ** 2, mu0.mass[rows], mu1.mass[cols]
+
+
+class TestShortlistLP:
+    @pytest.mark.parametrize("name", [n for n, _ in _LP_PROBLEMS])
+    def test_matches_the_dense_oracle(self, name):
+        C, a, b = dict(_LP_PROBLEMS)[name]()
+        plan, alpha, beta, cells, rounds = tr._lp_plan(C, a, b)
+        dual, slack = tr._certify_optimality(C, plan, alpha, beta)
+        assert dual <= tr._DUAL_RTOL * max(C.max(), 1.0) and slack <= 1e-7 * max(C.max(), 1.0)
+        assert math.sqrt(np.sum(plan * C)) == pytest.approx(_dense_lp_w2(C, a, b), rel=1e-9)
+        assert cells <= C.size and rounds >= 0
+        assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-9
+        assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-9
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cone_bump_pairs_match_the_dense_oracle(self, K, seed):
+        c, mu0, mu1 = _cone_bump_pair(K, seed)
+        w, q = wasserstein2(c, mu0, mu1)
+        assert q.certificate.solver == "lp"
+        assert w == pytest.approx(_dense_lp_w2(*_lp_inputs(c, mu0, mu1)), rel=1e-9)
+
+    def test_cone_pair_keeps_a_fraction_of_the_cells(self, monkeypatch):
+        c, mu0, mu1 = _bench_cone_pair()
+        sizes, linprog = [], tr.linprog
+
+        def spy(cost, *args, **kwargs):
+            sizes.append(np.size(cost))
+            return linprog(cost, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "linprog", spy)
+        w, q = wasserstein2(c, mu0, mu1)
+        C, a, b = _lp_inputs(c, mu0, mu1)
+        assert C.shape == (139, 139)
+        assert sizes[-1] < C.size / 4
+        assert (q.certificate.cells, q.certificate.rounds) == (sizes[-1], len(sizes) - 1)
+        assert w == pytest.approx(_dense_lp_w2(C, a, b), rel=1e-9)
+
+    @pytest.mark.parametrize("problem", ["cloud", "cone"])
+    def test_pricing_recovers_from_a_one_cell_shortlist(self, problem, monkeypatch):
+        monkeypatch.setattr(tr, "_SHORTLIST_WIDTH", 1)
+        C, a, b = _cloud_problem(7) if problem == "cloud" else _lp_inputs(*_bench_cone_pair())
+        plan, alpha, beta, cells, rounds = tr._lp_plan(C, a, b)
+        tr._certify_optimality(C, plan, alpha, beta)
+        assert rounds >= 1
+        assert math.sqrt(np.sum(plan * C)) == pytest.approx(_dense_lp_w2(C, a, b), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(100, 104))
+    def test_far_apart_nearest_cells_alone_are_infeasible(self, seed):
+        # each row's and column's cheapest cells by raw cost leave some
+        # marginals unreachable; the north-west corner cells are what fit a plan
+        C, a, b = _cloud_problem(seed, offset=50.0)
+        nr, nc = C.shape
+        w = tr._SHORTLIST_WIDTH
+        keep = np.zeros(C.shape, dtype=bool)
+        keep[np.arange(nr)[:, None], np.argpartition(C, w - 1, axis=1)[:, :w]] = True
+        keep[np.argpartition(C, w - 1, axis=0)[:w], np.arange(nc)] = True
+        assert _lp_on(C, a, b, keep).status == 2  # infeasible
+        assert tr._lp_plan(C, a, b)[4] >= 1  # and the Sinkhorn shortlist needs pricing here
+
+    def test_certificate_records_solver_and_magnitudes(self):
+        space = lebesgue_interval(40)
+        rng = np.random.default_rng(3)
+        mu0, mu1 = (density_from_mass(space, rng.gamma(2.0, size=40)) for _ in range(2))
+        cert = wasserstein2(space, mu0, mu1)[1].certificate
+        assert (cert.solver, cert.cells, cert.rounds) == ("monotone", 79, 0)
+        assert 0.0 <= cert.dual_infeasibility <= 1e-9 and 0.0 <= cert.slackness <= 1e-7
+        point = np.zeros(40)
+        point[5] = 1.0
+        cert = wasserstein2(space, density_from_mass(space, point), mu1)[1].certificate
+        assert (cert.solver, cert.cells, cert.rounds) == ("monotone", 40, 0)
+        assert cert.dual_infeasibility == 0.0 and cert.slackness == 0.0
+
+
 class TestDensity:
     def test_mass_normalization_enforced(self):
         space = lebesgue_interval(10)
