@@ -502,10 +502,22 @@ def save_mms_json(m: FiniteMMS, path) -> None:
         fh.write(text)
 
 
+class _FloatTokens(dict):
+    """float(token) for each distinct JSON number token, parsed on first sight."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
 def load_mms_json(path) -> FiniteMMS:
-    """Load a space from a JSON object with labels, dist and weight; symmetric, zero diagonal."""
+    """Load a space from a JSON object with labels, dist and weight; symmetric, zero diagonal.
+
+    A space file repeats each distance (symmetry, the cone's rotations), so
+    each distinct number token is parsed once per load.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_float=_FloatTokens().__getitem__)
     if not isinstance(payload, dict):
         raise ValueError(f"space file {path} holds a JSON {type(payload).__name__}, not an object")
     for key in ("labels", "dist", "weight"):

@@ -167,9 +167,19 @@ class TestExitCodes:
         assert code == 0
         rep = read_report(out)
         assert rep["detail"]["semigroup_law_residual"] <= 1e-8
-        # the residual of the full spectrum the semigroup ran on
+        # the residual of the cached spectrum the semigroup ran on, cut at the smallest time
         op = sp1d.discretize_fiber_operator(1.0, 1.0, 0.0, 200)
-        assert rep["detail"]["max_rayleigh_residual"] == float(op.full_spectrum().residuals.max())
+        sp1d.heat_semigroup_1d(op, np.ones(200), min(rep["detail"]["times"]))
+        spec = op.spectrum_below(0.0)
+        assert 0 < rep["detail"]["semigroup_modes"] == spec.eigenvalues.size < 200
+        assert rep["detail"]["max_rayleigh_residual"] == float(spec.residuals.max())
+
+    def test_heat_with_no_mode_below_the_cut(self, tmp_path):
+        # lambda = 1e6 lifts the lowest mode above 50/0.01: the semigroup runs on no pair
+        out = tmp_path / "h.json"
+        main(["heat", "--lambda", "1e6", "--grid", "100", "--pairs", "1", "--out", str(out)])
+        detail = read_report(out)["detail"]
+        assert detail["semigroup_modes"] == 0 and detail["max_rayleigh_residual"] == 0.0
 
     def test_gamma2_identity(self, tmp_path):
         out = tmp_path / "g.json"
@@ -609,11 +619,11 @@ _K_NONPOSITIVE = [[*argv, "--K", K] for K in ("0", "-1")
 
 @pytest.mark.parametrize("argv", _K_NONPOSITIVE, ids=" ".join)
 def test_flat_and_hyperbolic_models_run_on_length_pi(argv, tmp_path):
-    # without --rmax, K <= 0 samples the model interval (0, pi), as spectrum and heat do
+    # without --rmax, K <= 0 samples the model interval (0, pi), as spectrum and heat do,
+    # and each of the eight runs passes there (CI's smoke step requires exit 0 of each)
     out = tmp_path / "r.json"
-    code = main([*argv, "--out", str(out)])
-    assert code in (0, 1)
-    assert read_report(out)["pass"] is (code == 0)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert read_report(out)["pass"] is True
 
 
 _FOOTPRINT = """

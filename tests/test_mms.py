@@ -592,6 +592,30 @@ class TestSerialization:
         assert np.allclose(back.dist, m.dist)
         assert np.allclose(back.weight, m.weight)
 
+    def test_json_load_is_bit_identical_to_json_load(self, tmp_path):
+        # repeated tokens, tokens of one value spelt two ways, -0.0, integers and exponents
+        row = ["0.1", "0.10", "-0.0", "3", "1.5e-300", "7E2", "1.0000000000000002", "0.1"]
+        n = len(row) + 1
+        d = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = row[(i + j) % len(row)]
+        text = ('{"labels": %s, "dist": [%s], "weight": [%s]}'
+                % (json.dumps(list(range(n))), ", ".join("[" + ", ".join(r) + "]" for r in d),
+                   ", ".join(["0.25", "2", "1e-3"] * 3)))
+        p = tmp_path / "tokens.json"
+        p.write_text(text)
+        plain = json.loads(text)
+        m = load_mms_json(p)
+        # the file is exactly symmetric with a zero diagonal, so loading keeps every bit
+        for got, key in ((m.dist, "dist"), (m.weight, "weight")):
+            want = np.asarray(plain[key], dtype=float)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.signbit(m.dist[0, 2]) and m.dist[0, 2] == 0.0  # row[2], the -0.0
+        p.write_text(text.replace("7E2", "NaN"))
+        with pytest.raises(ValueError, match="finite"):
+            load_mms_json(p)
+
     @pytest.mark.parametrize("name", sorted(_SAVE_CASES))
     def test_json_text_is_json_dumps(self, tmp_path, name):
         m = _SAVE_CASES[name]()

@@ -14,7 +14,7 @@ from conecheck.spectral1d import (
     heat_semigroup_1d,
     spectral_gap_bound_check,
 )
-from conecheck.spectral1d import _gamma_fd, _inverse_square_coefficient
+from conecheck.spectral1d import _HEAT_CUT, _gamma_fd, _inverse_square_coefficient
 
 
 def schrodinger_potential(K, nu, lam):
@@ -114,6 +114,27 @@ class TestDiscretization:
         u = np.random.default_rng(4).standard_normal(op.n)
         lhs = heat_semigroup_1d(op, heat_semigroup_1d(op, u, 0.2), 0.3)
         assert np.max(np.abs(lhs - heat_semigroup_1d(op, u, 0.5))) <= 1e-8
+
+    @pytest.mark.parametrize("k", [5, 60])
+    def test_residuals_are_the_per_pair_norms(self, k):
+        # the gate's one expression over all k columns against one norm per pair
+        op = discretize_fiber_operator(1.0, 2.0, 1.0, 60)
+        spec = eigen(op, k)
+        V, mu = spec.eigenvectors, spec.eigenvalues
+        loop = [np.linalg.norm(op._apply_stiffness(V[:, i]) - mu[i] * op.m_diag * V[:, i])
+                for i in range(k)]
+        assert spec.residuals == pytest.approx(loop, rel=1e-12, abs=1e-300)
+
+    def test_by_value_keeps_the_pairs_below_the_cut(self):
+        op = discretize_fiber_operator(1.0, 1.0, 0.0, 200)
+        full = eigen(op, op.n)
+        part = eigen(op, op.n, mu_max=300.0)
+        assert part.eigenvalues.size == np.count_nonzero(full.eigenvalues <= 300.0) > 0
+        assert np.all(part.eigenvalues <= 300.0)
+        assert part.eigenvalues == pytest.approx(full.eigenvalues[:part.eigenvalues.size],
+                                                 rel=1e-9, abs=1e-9)
+        assert eigen(op, 3, mu_max=300.0).eigenvalues.size == 3  # k still caps the count
+        assert eigen(op, op.n, mu_max=-1.0).eigenvalues.size == 0  # nothing below: no pair
 
     @pytest.mark.parametrize("k, driver", [(3, "stebz"), (39, "stebz"), (40, "stemr")])
     def test_driver_follows_k(self, k, driver, monkeypatch):
@@ -241,6 +262,70 @@ class TestHeat:
         op = discretize_fiber_operator(1.0, 1.0, 0.0, 80)
         u = np.sin(op.grid.nodes)
         assert np.max(np.abs(heat_semigroup_1d(op, u, 0.0) - u)) <= 1e-10
+
+
+def _rel(got, want, u):
+    """Max error relative to the larger of the oracle and the input u."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.max(np.abs(u))))
+
+
+class TestHeatTruncation:
+    """The semigroup expands in the pairs below _HEAT_CUT / t; a whole spectrum is the oracle.
+
+    Two eigensolves differ by roundoff, which L amplifies: over the sweep the
+    generator's error sits near 4e-11 of the scale in ``_rel``.  A cut of
+    30/t already fails the 1e-10 bound, 20/t by four orders of magnitude.
+    """
+
+    @staticmethod
+    def oracle(full, op, u, t):
+        V = full.eigenvectors
+        return V @ (np.exp(-full.eigenvalues * t) * (V.T @ (op.m_diag * u)))
+
+    @pytest.mark.parametrize("n", [50, 200, 800])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("K", [1.0, 0.0, -1.0])
+    def test_matches_the_whole_spectrum(self, K, nu, lam, n):
+        full = eigen(discretize_fiber_operator(K, nu, lam, n), n)
+        u = np.random.default_rng(n).standard_normal(n)  # every frequency present
+        for t in (1e-4, 0.01, 0.1, 1.0, 3.0):
+            op = discretize_fiber_operator(K, nu, lam, n)  # a fresh cache, cut at this t alone
+            got, want = heat_semigroup_1d(op, u, t), self.oracle(full, op, u, t)
+            assert _rel(got, want, u) <= 1e-10
+            assert _rel(op.apply_generator(got), op.apply_generator(want), u) <= 1e-10
+            ran_on = op.spectrum_below(0.0).eigenvalues.size
+            assert ran_on == np.count_nonzero(full.eigenvalues <= _HEAT_CUT / t)
+
+    def test_smaller_time_extends_the_cache(self):
+        op = discretize_fiber_operator(1.0, 2.0, 0.0, 400)
+        full = eigen(op, op.n)  # eigen itself leaves the cache alone
+        u = np.random.default_rng(5).standard_normal(400)
+        heat_semigroup_1d(op, u, 1.0)
+        first = op.spectrum_below(0.0)
+        got = heat_semigroup_1d(op, u, 0.01)
+        second = op.spectrum_below(0.0)
+        assert second is not first
+        assert first.eigenvalues.size < second.eigenvalues.size < op.n
+        want = self.oracle(full, op, u, 0.01)
+        assert _rel(got, want, u) <= 1e-10
+        assert _rel(op.apply_generator(got), op.apply_generator(want), u) <= 1e-10
+        heat_semigroup_1d(op, u, 0.1)  # a cut the cache covers reads it
+        assert op.spectrum_below(0.0) is second
+
+    def test_time_zero_runs_on_every_mode(self):
+        op = discretize_fiber_operator(1.0, 2.0, 1.0, 200)
+        u = np.random.default_rng(6).standard_normal(200)
+        got = heat_semigroup_1d(op, u, 0.0)
+        assert op.spectrum_below(0.0).eigenvalues.size == op.n
+        assert _rel(got, u, u) <= 1e-10
+
+    def test_no_mode_below_the_cut_gives_zero(self):
+        # lambda > 0 lifts the lowest mode above the cut 50/t at t = 1000
+        op = discretize_fiber_operator(1.0, 2.0, 1.0, 100)
+        got = heat_semigroup_1d(op, np.ones(100), 1000.0)
+        assert op.spectrum_below(0.0).eigenvalues.size == 0
+        assert np.array_equal(got, np.zeros(100))
 
 
 class TestBakryLedoux:
@@ -382,5 +467,5 @@ def test_operator_and_spectrum_arrays_are_frozen():
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
-    # the lazily cached full spectrum is the one mutation after construction
-    assert op.full_spectrum() is op.full_spectrum()
+    # the lazily cached spectrum below a cut is the one mutation after construction
+    assert op.spectrum_below(100.0) is op.spectrum_below(100.0)
