@@ -330,14 +330,17 @@ def cmd_heat(args) -> Report:
     law = sp1d.heat_semigroup_1d(op, sp1d.heat_semigroup_1d(op, u0, 0.1), 0.2)
     law_res = float(np.max(np.abs(law - sp1d.heat_semigroup_1d(op, u0, 0.3))))
     spec = op.spectrum_below(0.0)  # every cut above covers 0: the cached pairs the semigroup ran on
+    modes = int(spec.eigenvalues.size)  # with none, every P_t u and so every slack is 0
     return Report(
         check="heat",
         params={"rmax": op.grid.r_max},
         residuals=_residuals([np.min(mins)]),
-        passed=passes(mins, args.tol) and passes(-law_res, 1e-8),
+        passed=passes(mins, args.tol) and passes(-law_res, 1e-8) and modes > 0,
         tolerance=args.tol,
+        warnings=[] if modes else [f"no eigenvalue lies below 50/{min(times):g}: the semigroup "
+                                   "ran on no mode, so the check cannot pass"],
         detail={"semigroup_law_residual": law_res, "times": list(times),
-                "semigroup_modes": int(spec.eigenvalues.size),
+                "semigroup_modes": modes,
                 "max_rayleigh_residual": float(spec.residuals.max(initial=0.0))},
     )
 
@@ -346,7 +349,10 @@ def cmd_gamma2_identity(args) -> Report:
     rng = np.random.default_rng(args.seed)
     fiber = gc.circle_fiber(args.fiber_n)
     spec = gc.cone_grid(args.K, args.nu, args.grid, fiber)
-    tol = args.tol if args.tol is not None else 150.0 * spec.h**2 + 1e-6
+    # the residual is about 2 h_f^2 from the fiber step plus up to about 8 h^2 from the
+    # radial one; at grid 161 these constants keep a margin of at least 2.3 over
+    # K in {0.5, 1, 2, 4, 9}, nu in {1, 2, 3} and fiber_n in {32, 64, 128, 256}
+    tol = args.tol if args.tol is not None else 20.0 * spec.h**2 + 5.0 * fiber.h**2 + 1e-6
     f = spec.warp()
     residuals, orders = [], []
     for _ in range(args.pairs):

@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +56,7 @@ class TestExitCodes:
         code = main(["spectrum", "--grid", "8", "--out", str(out)])
         rep = read_report(out)
         assert rep["warnings"]
-        assert code in (0, 1)
+        assert code == 1
 
     def test_usage_error_is_two(self, tmp_path):
         assert main(["cd-check", "--input", str(tmp_path / "missing.json")]) == 2
@@ -177,7 +176,8 @@ class TestExitCodes:
     def test_heat_with_no_mode_below_the_cut(self, tmp_path):
         # lambda = 1e6 lifts the lowest mode above 50/0.01: the semigroup runs on no pair
         out = tmp_path / "h.json"
-        main(["heat", "--lambda", "1e6", "--grid", "100", "--pairs", "1", "--out", str(out)])
+        assert main(["heat", "--lambda", "1e6", "--grid", "100", "--pairs", "1",
+                     "--out", str(out)]) == 1
         detail = read_report(out)["detail"]
         assert detail["semigroup_modes"] == 0 and detail["max_rayleigh_residual"] == 0.0
 
@@ -189,18 +189,6 @@ class TestExitCodes:
         rep = read_report(out)
         for order in rep["detail"]["orders"]:
             assert 1.5 <= order <= 2.5
-
-    def test_be_check_graph(self, tmp_path):
-        out = tmp_path / "b.json"
-        code = main(["be-check", "--flavor", "graph", "--grid", "150",
-                     "--pairs", "20", "--out", str(out)])
-        assert code == 0
-
-    def test_be_check_grid(self, tmp_path):
-        out = tmp_path / "b.json"
-        code = main(["be-check", "--flavor", "grid", "--grid", "97",
-                     "--fiber-n", "65", "--pairs", "2", "--out", str(out)])
-        assert code == 0
 
     def test_cd_check_small(self, tmp_path):
         out = tmp_path / "c.json"
@@ -260,13 +248,6 @@ def test_cd_check_reports_each_coupling_and_its_certificate(tmp_path):
 
 
 class TestDeterminism:
-    def test_reports_identical_modulo_runtime(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["heat", "--grid", "150", "--pairs", "2", "--seed", "7"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert strip_runtime(read_report(a)) == strip_runtime(read_report(b))
-
     def test_seed_echoed(self, tmp_path):
         out = tmp_path / "r.json"
         main(["heat", "--grid", "100", "--pairs", "1", "--seed", "13",
@@ -377,15 +358,6 @@ class TestVerdictGate:
         assert rep["detail"]["validated"] == "fiber"
         assert rep["residuals"] == {"max": 0.0, "mean": 0.0, "min": 0.0}
 
-    @pytest.mark.parametrize("K", ["-3", "-20"])
-    def test_steep_hyperbolic_cone_builds_and_validates(self, tmp_path, K):
-        # cosh s cosh t - sinh s sinh t cos d fell below 1 here and raised
-        out, space = tmp_path / "r.json", tmp_path / "cone.json"
-        code = main(["cone", f"--K={K}", "--grid", "16", "--fiber-n", "16",
-                     "--out", str(space), "--report", str(out)])
-        assert code == 0 and read_report(out)["pass"] is True
-        assert mms.validate(mms.load_mms_json(space)) == []
-
     def test_cone_over_an_invalid_fiber_fails(self, tmp_path):
         fiber = mms.circle_mms(10, 1.0)
         d = fiber.dist.copy()
@@ -427,7 +399,7 @@ class TestReportParams:
             argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
         else:
             argv = argv + ["--out", str(out)]
-        assert main(argv + ["--seed", "4"]) in (0, 1)
+        assert main(argv + ["--seed", "4"]) == 0
         rep = read_report(out)
         unechoed = {"seed", "out", "report", "plot", "input", "config"}
         assert set(rep["params"]) == set(_DEFAULTS[argv[0]]) - unechoed
@@ -485,38 +457,6 @@ def test_grid_too_small_for_the_margin_is_an_input_error(argv, message, tmp_path
     out = tmp_path / "r.json"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["cd-check", "--grid", "60", "--pairs", "1", "--eps", "inf"],
-    ["cd-check", "--grid", "60", "--pairs", "1", "--eps", "nan"],
-    ["heat", "--grid", "60", "--pairs", "1", "--lambda", "nan"],
-    ["spectrum", "--grid", "60", "--nu", "nan"],
-    ["spectrum", "--grid", "60", "--K", "0", "--rmax", "inf"],
-    ["heat", "--grid", "60", "--pairs", "1", "--K", "0", "--rmax", "nan"],
-    ["cone", "--grid", "6", "--fiber-n", "8", "--K", "1", "--rmax", "nan"],
-    ["spectrum", "--grid", "60", "--K", "nan"],
-    *([command, "--grid", "41", "--pairs", "1", "--K", "nan"]
-      for command in ("heat", "cd-check", "be-check", "gamma2-identity")),
-    ["be-check", "--flavor", "grid", "--nu", "nan", "--grid", "41", "--fiber-n", "33",
-     "--pairs", "1"],
-    ["be-check", "--flavor", "grid", "--nu", "inf", "--grid", "41", "--fiber-n", "33",
-     "--pairs", "1"],
-    ["gamma2-identity", "--nu", "inf", "--grid", "41", "--fiber-n", "16", "--pairs", "1"],
-    ["gamma2-identity", "--nu", "nan", "--grid", "41", "--fiber-n", "16", "--pairs", "1"],
-], ids=" ".join)
-def test_non_finite_flags_are_input_errors(argv, tmp_path, capsys):
-    out = tmp_path / "r.json"
-    if argv[0] == "cone":
-        argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
-    else:
-        argv = argv + ["--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # rejected before any arithmetic can warn
-        assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -612,20 +552,6 @@ def test_heat_flat_and_hyperbolic_use_rmax(flags, rmax, tmp_path, capsys):
     assert math.isfinite(rep["residuals"]["min"])
 
 
-_K_NONPOSITIVE = [[*argv, "--K", K] for K in ("0", "-1")
-                  for argv in (["cd-check"], ["be-check"], ["be-check", "--flavor", "grid"],
-                               ["gamma2-identity"])]
-
-
-@pytest.mark.parametrize("argv", _K_NONPOSITIVE, ids=" ".join)
-def test_flat_and_hyperbolic_models_run_on_length_pi(argv, tmp_path):
-    # without --rmax, K <= 0 samples the model interval (0, pi), as spectrum and heat do,
-    # and each of the eight runs passes there (CI's smoke step requires exit 0 of each)
-    out = tmp_path / "r.json"
-    assert main([*argv, "--out", str(out)]) == 0
-    assert read_report(out)["pass"] is True
-
-
 _FOOTPRINT = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -667,48 +593,7 @@ def test_cd_check_at_very_negative_curvature_is_finite(tmp_path):
     out = tmp_path / "c.json"
     code = main(["cd-check", "--input", str(space), "--pairs", "2", "--cd-K=-1e6",
                  "--eps", "0.4", "--out", str(out)])
-    assert code in (0, 1)
+    assert code == 0
     rep = read_report(out)
     assert rep["params"]["cd_K"] == -1e6
     assert all(math.isfinite(v) for v in rep["residuals"].values())
-
-
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--K=-60000"],
-    ["spectrum", "--K=-51100"],  # the cell weights fit a float, the face conductances do not
-    ["heat", "--K=-60000"],
-    ["heat", "--K=-1000"],
-    ["cone", "--K=-60000", "--grid", "16", "--fiber-n", "16"],
-    ["cone", "--K=-20000", "--grid", "16", "--fiber-n", "16"],
-    ["cd-check", "--K=-60000"],
-    ["be-check", "--K=-60000"],
-    ["be-check", "--flavor", "grid", "--K=-60000"],  # the warp fits a float, its 4th power not
-    ["gamma2-identity", "--K=-60000"],
-], ids=" ".join)
-def test_overflowing_negative_curvature_is_an_input_error(argv, tmp_path, capsys):
-    # sinh and cosh overflow past sqrt(-K) L = 710, and exp(-2 kappa t) past 709
-    out = tmp_path / "r.json"
-    K = next(a for a in argv if a.startswith("--K=")).removeprefix("--K=")
-    if argv[0] == "cone":
-        argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
-    else:
-        argv = argv + ["--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no RuntimeWarning comes before the error
-        assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert f"K={K}" in err and "overflows" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [["cone", "--K=-1000", "--grid", "16", "--fiber-n", "16"],
-                                  ["heat", "--K=-300"]], ids=" ".join)
-def test_steep_but_representable_curvature_still_runs(argv, tmp_path):
-    out = tmp_path / "r.json"
-    if argv[0] == "cone":
-        argv = argv + ["--out", str(tmp_path / "space.json"), "--report", str(out)]
-    else:
-        argv = argv + ["--out", str(out)]
-    assert main(argv) == 0
-    assert read_report(out)["pass"] is True
