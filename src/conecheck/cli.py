@@ -291,8 +291,10 @@ def cmd_suspension(args) -> Report:
         raise ValueError("--x and --y name the two poles: give both or neither")
     if args.input:
         space = mmsmod.load_mms_json(args.input)
-        if x is None:
-            x, y = (int(v) for v in np.unravel_index(np.argmax(space.dist), space.dist.shape))
+        if x is None:  # of the farthest pairs, the lightest: a cone's zero-weight apexes
+            rows, cols = np.nonzero(space.dist == space.dist.max())
+            k = np.argmin(space.weight[rows] + space.weight[cols])  # first in row-major on ties
+            x, y = int(rows[k]), int(cols[k])
     else:
         fiber = mmsmod.circle_mms(args.fiber_n, args.radius)
         grid = mmsmod.radial_grid(1.0, args.N, args.grid)
@@ -308,7 +310,8 @@ def cmd_suspension(args) -> Report:
         passed=rep.is_suspension,
         tolerance=tol,
         detail={"failed_stage": rep.failed_stage,
-                "equator_size": rep.equator.n if rep.equator is not None else 0},
+                "equator_size": rep.equator.n if rep.equator is not None else 0,
+                "stage_residuals": rep.stage_residuals},
     )
 
 

@@ -48,6 +48,10 @@ _VALIDATE_SLACK = 1e-9
 # Rows per block of validate's triangle sweep; 48 was fastest of 16..128 at 802 atoms.
 _VALIDATE_BLOCK = 48
 
+# Entries (full rows of n) per block of suspension_check's law-of-cosines
+# stage: about 200 rows, 4 MB a temporary, at 2502 atoms.
+_SUSPENSION_BLOCK = 1 << 19
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -371,12 +375,17 @@ def midpoints(m: FiniteMMS, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class SuspensionReport:
-    """Outcome of the suspension recognition at a pair of antipodal atoms."""
+    """Outcome of the suspension recognition at a pair of antipodal atoms.
+
+    ``stage_residuals`` maps each stage that ran, in order, to its residual;
+    ``max_residual`` is the largest of them.
+    """
 
     is_suspension: bool
     equator: FiniteMMS | None
     max_residual: float
-    failed_stage: str | None = None
+    failed_stage: str | None
+    stage_residuals: dict
 
 
 def suspension_check(
@@ -384,38 +393,53 @@ def suspension_check(
 ) -> SuspensionReport:
     """Test whether ``m`` matches a sin^N-weighted spherical suspension with poles x, y.
 
-    Stages: (1) every atom lies on a geodesic from x to y of length pi;
-    (2) the atoms nearest the half-way sphere form the candidate equator;
-    (3) equator distances, clamped to [0, pi], define the recovered fiber;
-    (4) the law of cosines for the suspension metric must hold for every
-    pair up to ``tol``.  Equator atom weights are the summed weights of the
-    atoms projecting onto them, normalized by the sin^N mass of their radial
-    fibers.  Geometric failure is reported, never raised; poles that are
-    not atoms of ``m``, or a negative or non-finite ``N``, raise ValueError.
+    Stages: (1) "pole-distance": x and y are pi apart; (2)
+    "geodesics-through-poles": every atom lies on a geodesic from x to y of
+    length pi; (3) the interior atoms nearest the half-way sphere form the
+    equator, at the lowest level theta_eq if two levels tie (an even radial
+    grid), their distances clamped to [0, pi] form the recovered fiber, and
+    every atom projects to the equator atom whose distance to it is nearest
+    |theta - theta_eq|; (4) "law-of-cosines": the suspension metric over the
+    recovered fiber matches every distance up to ``tol``; (5)
+    "equator-geodesic": every pair of equator atoms has a midpoint among the
+    equator atoms, up to ``tol`` plus half the equator's largest
+    nearest-neighbour gap, as in a geodesic fiber.
+    ``max_residual`` is the largest residual of the stages that ran.
+    Equator atom weights are the summed weights of the atoms projecting onto
+    them, normalized by the sin^N mass of their radial fibers.  Geometric
+    failure is reported, never raised; poles that are not atoms of ``m``, or
+    a negative or non-finite ``N``, raise ValueError.
     """
     if not (0 <= x < m.n and 0 <= y < m.n):
         raise ValueError(f"poles ({x}, {y}) must be atoms of the space, 0 to {m.n - 1}")
     _check_exponent(N)
     d = m.dist
+    stages = {}
 
-    def fail(stage, res):
-        return SuspensionReport(False, None, res, stage)
+    def ran(stage, res, gate=tol):
+        stages[stage] = res
+        return passes(-res, gate)
 
-    res0 = abs(d[x, y] - math.pi)
-    if not passes(-res0, tol):
-        return fail("pole-distance", res0)
-    excess = np.abs(d[x] + d[:, y] - math.pi)
-    if not passes(-excess, tol):
-        return fail("geodesics-through-poles", float(excess.max()))
+    def report(failed, equator=None):
+        worst = float(np.max(list(stages.values())))
+        return SuspensionReport(failed is None, equator, worst, failed, stages)
+
+    if not ran("pole-distance", abs(float(d[x, y]) - math.pi)):
+        return report("pole-distance")
+    if not ran("geodesics-through-poles", float(np.abs(d[x] + d[:, y] - math.pi).max())):
+        return report("geodesics-through-poles")
 
     theta = d[x].copy()
     interior = np.nonzero((theta > tol) & (theta < math.pi - tol))[0]
     if interior.size == 0:
         # two-pole space: a suspension over the empty interior
-        return SuspensionReport(True, None, 0.0, None)
+        return report(None)
 
+    # on an even radial grid the levels pi/2 -/+ h/2 tie: keep the lower one
     dev = np.abs(theta[interior] - math.pi / 2.0)
     eq_idx = interior[dev <= dev.min() + 1e-9]
+    theta_eq = theta[eq_idx].min()
+    eq_idx = eq_idx[theta[eq_idx] <= theta_eq + 1e-9]
 
     # recovered fiber: equator atoms with their mutual distances capped at pi
     eq_dist = np.minimum(d[np.ix_(eq_idx, eq_idx)], math.pi)
@@ -423,7 +447,7 @@ def suspension_check(
     np.fill_diagonal(eq_dist, 0.0)
 
     # project every atom to the equator atom directly above/below it
-    score = np.abs(d[:, eq_idx] - np.abs(theta - math.pi / 2.0)[:, None])
+    score = np.abs(d[:, eq_idx] - np.abs(theta - theta_eq)[:, None])
     proj = np.argmin(score, axis=1)  # argmin takes the smallest index on ties
 
     off_pole = np.ones(m.n, dtype=bool)
@@ -433,19 +457,53 @@ def suspension_check(
     h_guess = _theta_step(theta, interior)
     with np.errstate(divide="ignore", invalid="ignore"):
         eq_weight = np.where(sin_mass > 0, eq_weight / (sin_mass * h_guess), 0.0)
-
-    cos_th, sin_th = np.cos(theta), np.sin(theta)
-    buf = np.cos(eq_dist)[np.ix_(proj, proj)]
-    buf *= np.outer(sin_th, sin_th)
-    buf += np.outer(cos_th, cos_th)
-    buf -= np.cos(d)
-    resid = float(np.abs(buf, out=buf).max())
     equator = FiniteMMS(
         labels=tuple(m.labels[int(k)] for k in eq_idx), dist=eq_dist, weight=eq_weight
     )
-    if not passes(-resid, tol):
-        return SuspensionReport(False, equator, resid, "law-of-cosines")
-    return SuspensionReport(True, equator, resid, None)
+
+    if not ran("law-of-cosines", _law_of_cosines_residual(d, theta, proj, np.cos(eq_dist))):
+        return report("law-of-cosines", equator)
+    gaps = np.where(np.eye(eq_idx.size, dtype=bool), np.inf, eq_dist).min(axis=1)
+    h_eq = float(gaps.max()) if eq_idx.size > 1 else 0.0
+    if not ran("equator-geodesic", _midpoint_defect(eq_dist), tol + 0.5 * h_eq):
+        return report("equator-geodesic", equator)
+    return report(None, equator)
+
+
+def _law_of_cosines_residual(
+    d: np.ndarray, theta: np.ndarray, proj: np.ndarray, cos_eq: np.ndarray
+) -> float:
+    """max |cos(eq)[proj a, proj b] sin th_a sin th_b + cos th_a cos th_b - cos d[a, b]|.
+
+    Evaluated over ``_SUSPENSION_BLOCK`` entries of full rows a at a time,
+    with the same elementwise operations as on the whole matrix, so the
+    result is the same bits with a peak of a few blocks instead of n^2.
+    """
+    n = d.shape[0]
+    rows = max(1, _SUSPENSION_BLOCK // n)
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    worst = 0.0
+    for s in range(0, n, rows):
+        a = slice(s, s + rows)
+        buf = cos_eq[np.ix_(proj[a], proj)]
+        buf *= sin_th[a, None] * sin_th
+        buf += cos_th[a, None] * cos_th
+        buf -= np.cos(d[a])
+        worst = np.maximum(worst, np.abs(buf, out=buf).max())  # keeps a NaN
+    return float(worst)
+
+
+def _midpoint_defect(dist: np.ndarray) -> float:
+    """max over pairs (a, b) of min over atoms k of max(|d(a,k) - d(a,b)/2|, |d(k,b) - d(a,b)/2|).
+
+    ``dist`` must be symmetric; one row a at a time, so memory stays m^2.
+    """
+    worst = 0.0
+    for row in dist:
+        half = 0.5 * row[:, None]  # d(a, b)/2 for each b, against each k
+        defect = np.maximum(np.abs(row - half), np.abs(dist - half)).min(axis=1)
+        worst = np.maximum(worst, defect.max())
+    return float(worst)
 
 
 def _theta_step(theta: np.ndarray, interior: np.ndarray) -> float:

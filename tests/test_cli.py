@@ -110,6 +110,27 @@ class TestExitCodes:
             f"error: radial weight exponent must be finite and >= 0, got {float(N)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight, poles", [((1.0, 0.5, 1.0, 0.5), (1, 3)),
+                                               ((1.0, 1.0, 1.0, 1.0), (0, 2))])
+    def test_suspension_input_poles_are_the_lightest_farthest_pair(self, weight, poles, tmp_path):
+        # (0, 2) and (1, 3) are both pi apart; either pair spans a suspension of two points
+        space = tmp_path / "square.json"
+        mms.save_mms_json(mms.FiniteMMS(tuple("abcd"), mms.circle_mms(4, 1.0).dist, weight), space)
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--input", str(space), "--out", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert (params["x"], params["y"]) == poles
+
+    def test_suspension_input_cone_poles_are_its_apexes(self, tmp_path):
+        space = tmp_path / "cone.json"
+        assert main(["cone", "--grid", "6", "--fiber-n", "12", "--out", str(space),
+                     "--report", str(tmp_path / "c.json")]) == 0
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--input", str(space), "--grid", "6", "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert (rep["params"]["x"], rep["params"]["y"]) == (72, 73)
+        assert rep["detail"]["equator_size"] == 12
+
     def test_cone_requires_out(self):
         assert main(["cone", "--fiber-n", "8", "--grid", "6"]) == 2
 

@@ -52,6 +52,13 @@ ROWS = [
     # the space file is deterministic and valid; couplings on it take the shortlist LP
     ("cone --grid 16 --fiber-n 16", 0, {"space": True}),
     ("cd-check --input {cone16} --pairs 2 --cd-K 1 --N 2 --eps 0.4", 0, {"twice": True}),
+    # its poles are the zero-weight apexes; its even grid ties two levels at the equator
+    ("suspension --input {cone16}", 0, {}),
+    ("suspension --grid 24", 0, {}),
+    # the maximal diameter theorem both ways: the fiber must have diameter <= pi
+    ("suspension --radius 0.5", 0, {}),
+    ("suspension --radius 1.5", 1, {}),
+    ("suspension --radius 2", 1, {}),
     # steep hyperbolic cones build: their law-of-cosines argument stays >= 1
     ("cone --K=-3 --grid 16 --fiber-n 16", 0, {"space": True}),
     ("cone --K=-20 --grid 16 --fiber-n 16", 0, {"space": True}),

@@ -553,6 +553,84 @@ class TestSuspension:
         rep = suspension_check(m, 0, 1, tol=1e-3)
         assert not rep.is_suspension and rep.failed_stage == "pole-distance"
 
+    @pytest.mark.parametrize("grid, nf", [(25, 100), (31, 64), (25, 40)])
+    def test_law_of_cosines_matches_the_dense_residual_on_cones(self, grid, nf):
+        g = radial_grid(1.0, 1.0, grid)
+        c = cone(circle_mms(nf, 1.0), 1.0, 1.0, g)
+        rep = suspension_check(c, c.n - 2, c.n - 1, tol=2 * g.h, N=1.0)
+        proj = np.r_[np.arange(c.n - 2) % nf, 0, 0]  # each meridian; the apexes tie, take 0
+        got = rep.stage_residuals["law-of-cosines"]
+        assert got == _law_of_cosines_oracle(c.dist, c.dist[c.n - 2], proj, rep.equator.dist)
+        assert got <= 1e-15
+
+    @pytest.mark.parametrize("n, rows", [(5, 8), (8, 8), (9, 8), (9, 1)],
+                             ids=["below-one-block", "one-block", "one-block-plus-1", "row-blocks"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocked_law_of_cosines_is_bit_identical(self, n, rows, seed, monkeypatch):
+        # an asymmetric-noise space against a random projection onto a smaller equator
+        monkeypatch.setattr(mms, "_SUSPENSION_BLOCK", n * rows)
+        rng = np.random.default_rng(seed)
+        d = _path_metric(n) * rng.uniform(0.5, 1.5, (n, n))
+        m = FiniteMMS(tuple(range(n)), d, np.ones(n))
+        theta, proj = rng.uniform(0.0, math.pi, n), rng.integers(0, 3, n)
+        eq = m.dist[:3, :3]
+        got = mms._law_of_cosines_residual(m.dist, theta, proj, np.cos(eq))
+        assert got == _law_of_cosines_oracle(m.dist, theta, proj, eq)
+
+    def test_law_of_cosines_peak_is_below_half_the_matrix(self):
+        g = radial_grid(1.0, 1.0, 25)
+        c = cone(circle_mms(100, 1.0), 1.0, 1.0, g)
+        tracemalloc.start()
+        try:
+            rep = suspension_check(c, c.n - 2, c.n - 1, tol=2 * g.h, N=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.is_suspension
+        assert peak < 0.5 * c.dist.nbytes
+
+    @pytest.mark.parametrize("grid", [8, 24])
+    def test_even_grid_takes_the_lower_of_the_tied_levels(self, grid):
+        g = radial_grid(1.0, 1.0, grid)
+        c = cone(circle_mms(40, 1.0), 1.0, 1.0, g)
+        rep = suspension_check(c, c.n - 2, c.n - 1, tol=2 * g.h, N=1.0)
+        assert rep.is_suspension, rep.stage_residuals
+        assert rep.equator.labels == tuple(f"{grid // 2 - 1}:c{k}" for k in range(40))
+
+    @pytest.mark.parametrize("radius, stage, residual", [
+        (0.5, None, math.pi / 80), (1.0, None, math.pi / 40),  # half the fiber step
+        (1.5, "equator-geodesic", math.pi / 4), (2.0, "equator-geodesic", math.pi / 2)])
+    def test_equator_must_be_a_length_space_of_diameter_pi(self, radius, stage, residual):
+        # the capped circle of radius > 1 has no midpoint for pairs near pi apart
+        g = radial_grid(1.0, 1.0, 25)
+        c = cone(circle_mms(40, radius), 1.0, 1.0, g)
+        rep = suspension_check(c, c.n - 2, c.n - 1, tol=2 * g.h, N=1.0)
+        assert rep.failed_stage == stage and rep.is_suspension is (stage is None)
+        assert list(rep.stage_residuals) == ["pole-distance", "geodesics-through-poles",
+                                             "law-of-cosines", "equator-geodesic"]
+        assert rep.stage_residuals["equator-geodesic"] == pytest.approx(residual, rel=1e-12)
+        assert rep.max_residual == max(rep.stage_residuals.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_midpoint_defect_matches_the_triple_loop(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.uniform(0.0, 2.0, (n, n))
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        want = max(min(max(abs(d[a, k] - d[a, b] / 2), abs(d[k, b] - d[a, b] / 2))
+                       for k in range(n)) for a in range(n) for b in range(n))
+        assert mms._midpoint_defect(d) == want
+
+
+def _law_of_cosines_oracle(d, theta, proj, eq_dist):
+    """The law-of-cosines residual over the whole n x n matrix at once."""
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    buf = np.cos(eq_dist)[np.ix_(proj, proj)]
+    buf *= np.outer(sin_th, sin_th)
+    buf += np.outer(cos_th, cos_th)
+    buf -= np.cos(d)
+    return float(np.abs(buf, out=buf).max())
+
 
 def _euclidean(n, seed=5):
     x = np.random.default_rng(seed).normal(size=(n, 3))
