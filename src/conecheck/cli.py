@@ -2,8 +2,9 @@
 
 One binary, subcommand style.  Flag precedence is flags > config file >
 defaults.  A report's params echo every flag the subcommand reads except the
-seed (kept in provenance) and the file paths; a value the subcommand derives,
-such as a default tolerance, replaces the flag's unset default.
+seed (kept in provenance), the file paths and, under --input, the flags that
+only build the space the file replaces; a value the subcommand derives, such
+as a default tolerance, replaces the flag's unset default.
 Exit codes: 0 pass, 1 check failed, 2 usage or input error.
 """
 
@@ -474,7 +475,11 @@ def main(argv=None) -> int:
             parser.error("cone requires --out for the space file")
         started = time.perf_counter()
         report = args.func(args)
-        echoed = {k: getattr(args, k) for k in _DEFAULTS[args.command] if k not in _UNECHOED}
+        unechoed = set(_UNECHOED)
+        if getattr(args, "input", None):  # nor the flags that only build what the file replaces
+            unechoed |= {"cd-check": {"K", "nu", "grid"}, "cone": {"radius"},
+                         "suspension": {"fiber_n", "radius"}}[args.command]
+        echoed = {k: getattr(args, k) for k in _DEFAULTS[args.command] if k not in unechoed}
         report.params = {**echoed, **report.params}
         report.seed = args.seed
         text = report.to_json(runtime_ms=int((time.perf_counter() - started) * 1000))

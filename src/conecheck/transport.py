@@ -1,15 +1,15 @@
 """Exact discrete optimal transport and displacement-convexity checks.
 
-Couplings are exact.  When the two supports embed isometrically in R the
-plan is the monotone (north-west corner) rearrangement with potentials
-built along its staircase; otherwise it is the transportation LP, solved by
-simplex on a shortlist of cells that a pricing loop grows until no cell of
-the full cost matrix has a negative reduced cost.  Either plan is accepted
-only after one shared certificate of dual feasibility and complementary
-slackness on the full cost matrix.  Geodesic interpolation is
-replaced by its finite surrogate, the epsilon-midpoint layer at t = 1/2.
-On top of these the module evaluates the reduced and full convexity
-inequalities for Renyi-type entropies.
+Couplings are exact.  Each starts as the monotone (north-west corner)
+rearrangement with potentials built along its staircase, the optimal plan
+on a line.  One certificate of dual feasibility and complementary slackness
+on the full cost matrix decides whether it stays; if not, the plan is the
+transportation LP, solved by simplex on a shortlist of cells that a pricing
+loop grows until no cell has a negative reduced cost, and it must pass the
+same certificate.  Geodesic interpolation is replaced by its finite
+surrogate, the epsilon-midpoint layer at t = 1/2.  On top of these the
+module evaluates the reduced and full convexity inequalities for
+Renyi-type entropies.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ __all__ = [
 
 _MARGINAL_TOL = 1e-9
 _MASS_TOL = 1e-12
-# Largest defect | |x_i - x_j| - d_ij |, relative to the diameter, at which
-# the supports count as a line.  The staircase potentials add the cost along
-# up to |S| cells, so a defect reaches the dual check about |S| times over;
-# 1e-12 keeps that below the certificate's 1e-9 for supports of hundreds of
-# atoms, while round-off on a cone ray is 1e-15 (K >= 0) to 1e-13 (K < 0).
-_LINE_TOL = 1e-12
 # Largest dual infeasibility of a plan's potentials, relative to the largest cost.
 _DUAL_RTOL = 1e-9
 # The LP's first shortlist: each row's and column's _SHORTLIST_WIDTH cells of
@@ -116,11 +110,11 @@ def uniform_density(space: FiniteMMS, support: np.ndarray | None = None) -> Dens
 class Certificate:
     """How a coupling was solved, and the magnitudes its optimality certificate measured.
 
-    ``solver`` is "monotone" (the staircase on a line, or a plan forced by a
-    one-atom support) or "lp"; ``cells`` counts the cells the solver could
-    put mass on (the staircase's nr + nc - 1, or the LP's final shortlist)
-    and ``rounds`` the LP's pricing rounds after its first solve (0 for
-    "monotone").  ``dual_infeasibility`` and ``slackness`` are what
+    ``solver`` is "monotone" (the staircase passed its certificate) or
+    "lp" (it did not, and the LP solved); ``cells`` counts the cells the
+    solver could put mass on (the staircase's nr + nc - 1, or the LP's final
+    shortlist) and ``rounds`` the LP's pricing rounds after its first solve
+    (0 for "monotone").  ``dual_infeasibility`` and ``slackness`` are what
     ``_certify_optimality`` returned on the full cost matrix.
     """
 
@@ -177,17 +171,18 @@ class CDReport:
 def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupling]:
     """Exact quadratic-cost optimal transport between two densities on m.
 
-    Solved on the supports.  When their union embeds isometrically in R
-    (an interval, or one ray of a cone), or one support is a single atom,
-    the plan is the monotone rearrangement, with potentials built along its
-    staircase.  Otherwise it is the transportation LP, solved by simplex
-    on a shortlist of cells that a pricing loop grows until no cell has a
-    negative reduced cost (``_lp_plan``).  Either way optimality is
-    certified by ``_certify_optimality`` (dual feasibility and
-    complementary slackness) on the full cost matrix before the coupling
-    is accepted, and a plan that fails raises RuntimeError.  The
-    coupling's ``certificate`` records the solver, its cells and rounds,
-    and both magnitudes.
+    Solved on the supports.  The first plan is the monotone rearrangement:
+    the north-west corner staircase of rows and columns sorted by their
+    distance from an atom farthest from the first support atom, with
+    potentials built along it.  It is kept when ``_certify_optimality``
+    (dual feasibility and complementary slackness on the full cost matrix)
+    accepts it, as it does on a line (an interval, or one ray of a cone)
+    and for a one-atom support.  Otherwise the plan is the transportation
+    LP, solved by simplex on a shortlist of cells that a pricing loop grows
+    until no cell has a negative reduced cost (``_lp_plan``); it must pass
+    the same certificate, or RuntimeError is raised.  The coupling's
+    ``certificate`` records the solver, its cells and rounds, and both
+    magnitudes.
 
     The optimal plan need not be unique: atoms placed symmetrically tie in
     cost, and the LP returns one optimal vertex among them.  W2 does not
@@ -202,41 +197,25 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
     cols = np.nonzero(mu1.mass > 0)[0]
     a, b = mu0.mass[rows], mu1.mass[cols]
     C = m.dist[np.ix_(rows, cols)] ** 2
-    nr, nc = rows.size, cols.size
 
-    solver, cells, rounds = "monotone", nr + nc - 1, 0
-    if nr == 1:
-        plan_s, alpha, beta = b[None, :].copy(), np.zeros(1), C[0].copy()
-    elif nc == 1:
-        plan_s, alpha, beta = a[:, None].copy(), C[:, 0].copy(), np.zeros(1)
-    else:
-        support = np.union1d(rows, cols)
-        x = _line_coordinates(m.dist[np.ix_(support, support)])
-        if x is None:
-            solver = "lp"
-            plan_s, alpha, beta, cells, rounds = _lp_plan(C, a, b)
-        else:
-            plan_s, alpha, beta = _monotone_plan(C, a, b, x[np.searchsorted(support, rows)],
-                                                 x[np.searchsorted(support, cols)])
-    cert = Certificate(solver, cells, rounds, *_certify_optimality(C, plan_s, alpha, beta))
+    # on a line, an atom farthest from any atom is an end, and distances from it are coordinates
+    support = np.union1d(rows, cols)
+    x = m.dist[support[np.argmax(m.dist[support[0], support])]]
+    plan_s, alpha, beta = _monotone_plan(C, a, b, x[rows], x[cols])
+    try:
+        cert = Certificate("monotone", rows.size + cols.size - 1, 0,
+                           *_certify_optimality(C, plan_s, alpha, beta))
+    except RuntimeError:  # left outside the handler, whose traceback holds nr x nc reduced costs
+        cert = None
+    if cert is None:
+        del plan_s, alpha, beta  # so the LP path holds no second nr x nc plan
+        plan_s, alpha, beta, cells, rounds = _lp_plan(C, a, b)
+        cert = Certificate("lp", cells, rounds, *_certify_optimality(C, plan_s, alpha, beta))
 
     sr, sc = np.nonzero(plan_s > 0)
     plan = coo_array((plan_s[sr, sc], (rows[sr], cols[sc])), shape=(m.n, m.n))
     cost_val = float(np.sum(plan_s * C))
     return math.sqrt(max(cost_val, 0.0)), Coupling(plan=plan, mu0=mu0, mu1=mu1, certificate=cert)
-
-
-def _line_coordinates(dist: np.ndarray) -> np.ndarray | None:
-    """Coordinates x with |x_i - x_j| = dist_ij, or None when the atoms are not on a line.
-
-    x_i is the distance from an atom farthest from atom 0; on a line that atom
-    is an end, so x is an isometric embedding in R exactly when one exists.
-    Every pair is tested, within _LINE_TOL of the diameter.
-    """
-    x = dist[int(np.argmax(dist[0]))]
-    defect = np.abs(np.subtract.outer(x, x))
-    defect -= dist
-    return x if passes(-np.abs(defect), _LINE_TOL * float(x.max())) else None
 
 
 def _monotone_plan(C, a, b, xr, xc):

@@ -438,6 +438,41 @@ class TestReportParams:
         params = read_report(out)["params"]
         assert params["full"] is True and params["eps"] > 0
 
+    @pytest.fixture
+    def cone_file(self, tmp_path):
+        path = tmp_path / "cone.json"
+        assert main(["cone", "--grid", "6", "--fiber-n", "8", "--out", str(path),
+                     "--report", str(tmp_path / "c.json")]) == 0
+        return path
+
+    def test_cd_check_input_does_not_echo_the_model_interval(self, cone_file, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["cd-check", "--input", str(cone_file), "--pairs", "1", "--cd-K", "1",
+                     "--N", "2", "--eps", "0.6", "--out", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert set(params) == set(_DEFAULTS["cd-check"]) - {"K", "nu", "grid", "seed", "out",
+                                                             "plot", "input"}
+        assert (params["cd_K"], params["N"], params["eps"]) == (1.0, 2.0, 0.6)
+
+    def test_suspension_input_does_not_echo_the_fiber(self, cone_file, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["suspension", "--input", str(cone_file), "--grid", "6",
+                     "--out", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert set(params) == set(_DEFAULTS["suspension"]) - {"fiber_n", "radius", "seed", "out",
+                                                               "input"}
+        assert params["grid"] == 6 and params["tol"] == pytest.approx(2.0 * math.pi / 6)
+
+    def test_cone_input_does_not_echo_the_radius(self, tmp_path):
+        fiber = tmp_path / "fiber.json"
+        mms.save_mms_json(mms.circle_mms(10, 1.0), fiber)
+        out = tmp_path / "r.json"
+        assert main(["cone", "--input", str(fiber), "--radius", "3", "--grid", "6",
+                     "--out", str(tmp_path / "space.json"), "--report", str(out)]) == 0
+        params = read_report(out)["params"]
+        assert set(params) == set(_DEFAULTS["cone"]) - {"radius", "seed", "out", "report",
+                                                        "input"}
+
     def test_cone_echoes_the_loaded_fiber_size(self, tmp_path):
         fiber = tmp_path / "fiber.json"
         mms.save_mms_json(mms.circle_mms(10, 1.0), fiber)

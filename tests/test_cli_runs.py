@@ -70,6 +70,10 @@ ROWS = [
     # the Gamma2 identity passes on its own model at every K; the tolerance sees both steps
     *((f"gamma2-identity --K {K}", 0, {}) for K in ("0.5", "2", "4", "9")),
     ("gamma2-identity --K 0.5 --fiber-n 256", 0, {}),
+    # the grid flavor's Bochner inequality holds at every K under its 60 h^2 tolerance
+    *((f"be-check --flavor grid --K {K}", 0, {}) for K in ("0.5", "2", "4", "9")),
+    # cd-K 200, far past the model interval's K nu = 2: the failing side of cd-check
+    ("cd-check --grid 100 --pairs 3 --cd-K 200", 1, {}),
     # lambda = 1e6 lifts every mode above 50/0.01: the semigroup runs on none
     ("heat --lambda 1e6", 1, {}),
     # non-finite flags are rejected before any arithmetic can warn

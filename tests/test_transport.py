@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,23 @@ def _count_lp_calls(monkeypatch):
     return calls
 
 
+def _reject_the_staircase(monkeypatch):
+    """Make the next ``_certify_optimality`` call reject its plan.
+
+    The first plan ``wasserstein2`` certifies is its staircase, so its next
+    call takes the LP, whose plan the real certificate then checks.
+    """
+    certify, seen = tr._certify_optimality, []
+
+    def reject_once(*args):
+        seen.append(1)
+        if len(seen) == 1:
+            raise RuntimeError("dual infeasibility forced by the test")
+        return certify(*args)
+
+    monkeypatch.setattr(tr, "_certify_optimality", reject_once)
+
+
 class TestMonotonePath:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_lp_on_random_bump_pairs(self, seed, monkeypatch):
@@ -144,9 +162,10 @@ class TestMonotonePath:
         calls = _count_lp_calls(monkeypatch)
         fast = convexity_reports(*args)
         assert calls == []
-        monkeypatch.setattr(tr, "_line_coordinates", lambda dist: None)
+        _reject_the_staircase(monkeypatch)
         slow = convexity_reports(*args)
         assert len(calls) == 1
+        assert (fast[0].certificate.solver, slow[0].certificate.solver) == ("monotone", "lp")
         for f, s in zip(fast, slow):
             assert f.slack == pytest.approx(s.slack, rel=0, abs=1e-12)
             assert f.passed == s.passed
@@ -190,16 +209,32 @@ class TestMonotonePath:
             return uniform_density(c, np.array([k * nf + j for k in cells for j in rays]))
 
         calls = _count_lp_calls(monkeypatch)
-        wasserstein2(c, on_rays(range(2, 6), [0, 1]), on_rays(range(6, 10), [8, 9]))
-        assert len(calls) == 1
+        _, q = wasserstein2(c, on_rays(range(2, 6), [0, 1]), on_rays(range(6, 10), [8, 9]))
+        assert len(calls) == 1 and q.certificate.solver == "lp"
 
+        # one ray is a line: its staircase passes the certificate, and no LP runs
         ray0, ray1 = on_rays(range(1, 5), [3]), on_rays(range(5, 11), [3])
-        cost, _ = wasserstein2(c, ray0, ray1)
-        assert len(calls) == 1
-        monkeypatch.setattr(tr, "_line_coordinates", lambda dist: None)
-        cost_lp, _ = wasserstein2(c, ray0, ray1)
-        assert len(calls) == 2
+        cost, q = wasserstein2(c, ray0, ray1)
+        assert len(calls) == 1 and q.certificate.solver == "monotone"
+        _reject_the_staircase(monkeypatch)
+        cost_lp, q = wasserstein2(c, ray0, ray1)
+        assert len(calls) == 2 and q.certificate.solver == "lp"
         assert cost == pytest.approx(cost_lp, rel=1e-12)
+
+    def test_full_support_interval_pair_holds_four_cost_matrices(self):
+        n = 1000
+        space = mms.interval_model_mms(1.0, 2.0, n)
+        rng = np.random.default_rng(0)
+        mu0, mu1 = (density_from_mass(space, space.weight * rng.gamma(2.0, size=n))
+                    for _ in range(2))
+        tracemalloc.start()
+        try:
+            _, q = wasserstein2(space, mu0, mu1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.certificate.solver == "monotone"
+        assert peak < 4.5 * n * n * 8  # C, the staircase and the certificate's reduced costs
 
 
 def _lp_on(C, a, b, keep):
@@ -314,9 +349,27 @@ class TestShortlistLP:
     @pytest.mark.parametrize("seed", range(3))
     def test_cone_bump_pairs_match_the_dense_oracle(self, K, seed):
         c, mu0, mu1 = _cone_bump_pair(K, seed)
+        C, a, b = _lp_inputs(c, mu0, mu1)
+        oracle, scale = _dense_lp_w2(C, a, b), max(C.max(), 1.0)
+        w, q = wasserstein2(c, mu0, mu1)  # the staircase where it certifies, else the LP
+        cert = q.certificate
+        assert cert.dual_infeasibility <= tr._DUAL_RTOL * scale and cert.slackness <= 1e-7 * scale
+        assert w == pytest.approx(oracle, rel=1e-9)
+        plan, alpha, beta, _, _ = tr._lp_plan(C, a, b)
+        tr._certify_optimality(C, plan, alpha, beta)
+        assert math.sqrt(np.sum(plan * C)) == pytest.approx(oracle, rel=1e-9)
+
+    def test_a_staircase_off_the_line_is_kept_when_it_certifies(self, monkeypatch):
+        c, mu0, mu1 = _cone_bump_pair(-1.0, 0)
+        rows, cols = np.nonzero(mu0.mass)[0], np.nonzero(mu1.mass)[0]
+        support = np.union1d(rows, cols)
+        x = c.dist[support[np.argmax(c.dist[support[0], support])]][support]
+        line_defect = np.abs(np.abs(np.subtract.outer(x, x)) - c.dist[np.ix_(support, support)])
+        assert line_defect.max() > 1e-2 * x.max()  # the supports do not embed in R
+        calls = _count_lp_calls(monkeypatch)
         w, q = wasserstein2(c, mu0, mu1)
-        assert q.certificate.solver == "lp"
-        assert w == pytest.approx(_dense_lp_w2(*_lp_inputs(c, mu0, mu1)), rel=1e-9)
+        assert calls == [] and q.certificate.solver == "monotone"
+        assert w == pytest.approx(_dense_lp_w2(*_lp_inputs(c, mu0, mu1)), rel=1e-12)
 
     def test_cone_pair_keeps_a_fraction_of_the_cells(self, monkeypatch):
         c, mu0, mu1 = _bench_cone_pair()
@@ -368,6 +421,9 @@ class TestShortlistLP:
         cert = wasserstein2(space, density_from_mass(space, point), mu1)[1].certificate
         assert (cert.solver, cert.cells, cert.rounds) == ("monotone", 40, 0)
         assert cert.dual_infeasibility == 0.0 and cert.slackness == 0.0
+        w, q = wasserstein2(space, mu0, density_from_mass(space, point))  # one column
+        assert (q.certificate.solver, q.certificate.cells) == ("monotone", 40)
+        assert w == pytest.approx(math.sqrt(np.sum(mu0.mass * space.dist[:, 5] ** 2)), rel=1e-12)
 
 
 class TestDensity:
