@@ -272,13 +272,12 @@ def warped_product(
     """Graph-discretized warped product of a radial grid and a fiber.
 
     Edge lengths discretize the warped length element
-    sqrt(dr^2 + f(r)^2 dF^2): horizontal moves cost the radial gap,
-    vertical/diagonal moves cost sqrt(dr^2 + fbar^2 d_F(x,y)^2) with fbar the
-    mean warp value over the radial span.  Fiber moves are restricted to
-    each atom's ``_HOP_CAP`` nearest fiber neighbours, and radial spans to
-    ``_HOP_CAP`` cells, which keeps the graph sparse at an O(mesh) cost in
-    metric accuracy.  The measure is f(r_i)^N * h * fiber weight; no apex
-    atoms are added.
+    sqrt(dr^2 + f(r)^2 dF^2): a move costs sqrt(dr^2 + fbar^2 d_F(x,y)^2)
+    with fbar the mean warp value over the radial span, so a radial chord
+    (y = x) costs dr.  Fiber moves go to each atom's ``_HOP_CAP`` nearest
+    fiber neighbours, and radial spans to ``_HOP_CAP`` cells, which keeps
+    the graph sparse at an O(mesh) cost in metric accuracy.  The measure
+    is f(r_i)^N * h * fiber weight; no apex atoms are added.
 
     When the assembled graph is invariant under the fiber rotation
     x -> x+1 mod nf (its undirected edges and their weights are exactly
@@ -301,17 +300,14 @@ def warped_product(
     nr, nf, h = base.n, fiber.n, base.h
     nv = nr * nf
     masked = np.where(np.eye(nf, dtype=bool), np.inf, fiber.dist)
-    hops = np.argsort(masked, axis=1)[:, : min(_HOP_CAP, nf - 1)]
+    # each atom itself first (fiber step 0), then its nearest fiber neighbours
+    hops = np.c_[np.arange(nf), np.argsort(masked, axis=1)[:, : min(_HOP_CAP, nf - 1)]]
     spans = min(_HOP_CAP, nr - 1) + 1  # radial spans j - i = 0 .. _HOP_CAP
     node = np.arange(nv).reshape(nr, nf)
 
-    # horizontal: straight radial chords
-    rows = [node[:-dj].ravel() for dj in range(1, spans)]
-    cols = [node[dj:].ravel() for dj in range(1, spans)]
-    vals = [np.full(nf * (nr - dj), dj * h) for dj in range(1, spans)]
-
-    # vertical/diagonal: (i, x) -> (j, y) for y in hops[x], j = i .. i + _HOP_CAP,
-    # kept once as j > i, or y > x within one ring.
+    # (i, x) -> (j, y) for y in hops[x], j = i .. i + _HOP_CAP, kept once as
+    # j > i, or y > x within one ring; y = x gives the radial chords, of
+    # length hypot(dj h, 0) = dj h exactly.
     # math.hypot, not np.hypot (they differ in the last bit), once per distinct
     # (i, j, d_F); fbar rows past the last cell are never read.
     levels, level = np.unique(fiber.dist[np.arange(nf)[:, None], hops], return_inverse=True)
@@ -321,10 +317,7 @@ def warped_product(
         np.arange(spans)[:, None] * h, fbar[:, :, None] * levels).astype(float)
     i, dj, x, k = np.ogrid[:nr, :spans, :nf, : hops.shape[1]]
     i, dj, x, k = np.nonzero((i + dj < nr) & ((dj > 0) | (hops[x, k] > x)))
-    rows.append(i * nf + x)
-    cols.append((i + dj) * nf + hops[x, k])
-    vals.append(length[i, dj, level[x, k]])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    rows, cols, vals = i * nf + x, (i + dj) * nf + hops[x, k], length[i, dj, level[x, k]]
 
     def undirected(r, c):
         key = np.minimum(r, c) * nv + np.maximum(r, c)
@@ -360,17 +353,25 @@ def diameter(m: FiniteMMS) -> float:
     return float(m.dist.max()) if m.n else 0.0
 
 
+def _midpoint_defect(m: FiniteMMS, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One row per pair (i[p], j[p]): max(|d(i,k) - d(i,j)/2|, |d(k,j) - d(i,j)/2|) at atom k."""
+    half = 0.5 * m.dist[i, j][:, None]
+    to_i = m.dist[i]  # a gathered copy, reused in place
+    to_i -= half
+    to_j = m.dist[:, j].T - half
+    return np.maximum(np.abs(to_i, out=to_i), np.abs(to_j, out=to_j), out=to_i)
+
+
 def midpoints(m: FiniteMMS, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
     """Epsilon-midpoints of the pairs (i[p], j[p]), one boolean row per pair.
 
-    Row p marks every atom k with both |d(i,k) - d(i,j)/2| and
-    |d(k,j) - d(i,j)/2| <= eps.  An empty row is a valid answer at coarse
-    resolution.
+    Row p marks every atom k whose ``_midpoint_defect`` is <= eps, that is
+    both |d(i,k) - d(i,j)/2| and |d(k,j) - d(i,j)/2| <= eps.  An empty row
+    is a valid answer at coarse resolution.
     """
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    half = 0.5 * m.dist[i, j][:, None]
-    return (np.abs(m.dist[i] - half) <= eps) & (np.abs(m.dist[:, j].T - half) <= eps)
+    return _midpoint_defect(m, i, j) <= eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,13 +398,13 @@ def suspension_check(
     "geodesics-through-poles": every atom lies on a geodesic from x to y of
     length pi; (3) the interior atoms nearest the half-way sphere form the
     equator, at the lowest level theta_eq if two levels tie (an even radial
-    grid), their distances clamped to [0, pi] form the recovered fiber, and
-    every atom projects to the equator atom whose distance to it is nearest
+    grid), their distances D clamped to [0, pi] give the recovered fiber's
+    phi by the chord sin(D/2) = sin(theta_eq) sin(phi/2), and every atom
+    projects to the equator atom whose distance to it is nearest
     |theta - theta_eq|; (4) "law-of-cosines": the suspension metric over the
     recovered fiber matches every distance up to ``tol``; (5)
-    "equator-geodesic": every pair of equator atoms has a midpoint among the
-    equator atoms, up to ``tol`` plus half the equator's largest
-    nearest-neighbour gap, as in a geodesic fiber.
+    "equator-geodesic": every pair of equator atoms has a midpoint among them,
+    at eps = ``tol`` plus half the fiber's largest nearest-neighbour gap.
     ``max_residual`` is the largest residual of the stages that ran.
     Equator atom weights are the summed weights of the atoms projecting onto
     them, normalized by the sin^N mass of their radial fibers.  Geometric
@@ -441,10 +442,14 @@ def suspension_check(
     theta_eq = theta[eq_idx].min()
     eq_idx = eq_idx[theta[eq_idx] <= theta_eq + 1e-9]
 
-    # recovered fiber: equator atoms with their mutual distances capped at pi
+    # recovered fiber: equator atoms with their mutual distances capped at pi,
+    # read as chords of latitude theta_eq (at theta_eq = pi/2 they are the fiber's own)
     eq_dist = np.minimum(d[np.ix_(eq_idx, eq_idx)], math.pi)
     eq_dist = 0.5 * (eq_dist + eq_dist.T)
     np.fill_diagonal(eq_dist, 0.0)
+    sin_eq = math.sin(theta_eq)
+    if sin_eq < 1.0:
+        eq_dist = 2.0 * np.arcsin(np.minimum(1.0, np.sin(0.5 * eq_dist) / sin_eq))
 
     # project every atom to the equator atom directly above/below it
     score = np.abs(d[:, eq_idx] - np.abs(theta - theta_eq)[:, None])
@@ -465,7 +470,10 @@ def suspension_check(
         return report("law-of-cosines", equator)
     gaps = np.where(np.eye(eq_idx.size, dtype=bool), np.inf, eq_dist).min(axis=1)
     h_eq = float(gaps.max()) if eq_idx.size > 1 else 0.0
-    if not ran("equator-geodesic", _midpoint_defect(eq_dist), tol + 0.5 * h_eq):
+    atoms = np.arange(eq_idx.size)
+    defect = max(float(_midpoint_defect(equator, np.full_like(atoms, a), atoms).min(axis=1).max())
+                 for a in atoms)
+    if not ran("equator-geodesic", defect, tol + 0.5 * h_eq):
         return report("equator-geodesic", equator)
     return report(None, equator)
 
@@ -490,19 +498,6 @@ def _law_of_cosines_residual(
         buf += cos_th[a, None] * cos_th
         buf -= np.cos(d[a])
         worst = np.maximum(worst, np.abs(buf, out=buf).max())  # keeps a NaN
-    return float(worst)
-
-
-def _midpoint_defect(dist: np.ndarray) -> float:
-    """max over pairs (a, b) of min over atoms k of max(|d(a,k) - d(a,b)/2|, |d(k,b) - d(a,b)/2|).
-
-    ``dist`` must be symmetric; one row a at a time, so memory stays m^2.
-    """
-    worst = 0.0
-    for row in dist:
-        half = 0.5 * row[:, None]  # d(a, b)/2 for each b, against each k
-        defect = np.maximum(np.abs(row - half), np.abs(dist - half)).min(axis=1)
-        worst = np.maximum(worst, defect.max())
     return float(worst)
 
 

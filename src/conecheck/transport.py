@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_fns import CurvatureDimension, ExtendedValue, passes, sigma_coeff, tau_coeff
-from .mms import FiniteMMS, midpoints
+from .mms import FiniteMMS, _midpoint_defect, midpoints
 
 __all__ = [
     "Density",
@@ -370,7 +370,8 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     midpoints and is summed in row-major cell order; a cell i == j stays put.
     When every midpoint of a pair is weightless (an apex), its mass goes to
     the positive-weight atom nearest each one, ties by index.  A pair with
-    no midpoint at all raises NoMidpointError.
+    no midpoint at all raises NoMidpointError, which names the smallest eps
+    at which every pair of the plan has one.
     """
     i, j, mass = q.plan.row, q.plan.col, q.plan.data
     weighted = m.weight > 0
@@ -379,8 +380,9 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     mids[stay] = np.arange(m.n) == i[stay][:, None]
     bare = np.flatnonzero(~mids.any(axis=1))
     if bare.size:
+        need = float(_midpoint_defect(m, i, j).min(axis=1).max())
         raise NoMidpointError(f"no epsilon-midpoint for atoms ({i[bare[0]]}, {j[bare[0]]}) "
-                              f"at eps={eps}")
+                              f"at eps={eps}; every pair of the plan has one at eps={need!r}")
     carried = mids & (weighted | stay[:, None])
     for p in np.flatnonzero(~carried.any(axis=1)):
         near = m.dist[mids[p]] + np.where(weighted, 0.0, np.inf)

@@ -357,6 +357,19 @@ class TestVerdictGate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("full, code", [(True, 0), ("true", 2), (1, 2)])
+    def test_config_full_takes_only_a_json_boolean(self, full, code, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"full": full}))
+        out = tmp_path / "r.json"
+        assert main(["cd-check", "--grid", "60", "--pairs", "1", "--config", str(cfg),
+                     "--out", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+        else:
+            assert read_report(out)["check"] == "cd"
+
     def test_config_values_take_the_flag_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": "120", "pairs": 1, "tol": 1, "fiber-n": 8}))
@@ -490,6 +503,12 @@ def test_eps_without_a_midpoint_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: no epsilon-midpoint for atoms (")
     assert "eps=0.0001" in err and "Traceback" not in err
     assert not out.exists()
+    # the error names the eps at which every pair of the plan has a midpoint
+    need = err.rstrip("\n").rpartition("; every pair of the plan has one at eps=")[2]
+    assert float(need) > 0.0001
+    assert main(["cd-check", "--grid", "60", "--pairs", "1", "--eps", need,
+                 "--out", str(out)]) != 2
+    assert out.exists()
 
 
 _ODD_FIBER = "periodic fiber needs an even sample count for coarsening"

@@ -15,11 +15,16 @@ apart from ``runtime_ms``; ``space`` also requires a byte-identical space
 file over the two runs, and one that ``mms.validate`` accepts as loaded back;
 ``process`` runs ``python -m conecheck.cli`` in a fresh interpreter instead.
 A ``{cone16}`` in argv is the file of ``cone --grid 16 --fiber-n 16``.
+
+The installed ``conecheck`` console script is run once, as ``conecheck
+weyl`` in an empty directory; it is skipped where none is on PATH, except
+under ``CI``, where the package is installed and a missing script fails.
 """
 
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import warnings
@@ -106,11 +111,12 @@ ROWS = [
 ]
 
 
-def _strict_report(path):
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
-    report = json.loads(path.read_text(), parse_constant=reject)
+
+def _strict_report(path):
+    report = json.loads(path.read_text(), parse_constant=_reject)
     report.pop("runtime_ms")
     return report
 
@@ -157,3 +163,16 @@ def test_cli_run(argv, exit, checks, tmp_path, capsys, request):
     if files:
         assert files[0] == files[1]
         assert mms.validate(mms.load_mms_json(space)) == []
+
+
+def test_console_script_runs_weyl(tmp_path):
+    # the installed entry point; CI installs the package, so there it must be found
+    script = shutil.which("conecheck")
+    if script is None:
+        if os.environ.get("CI"):
+            pytest.fail("no conecheck console script on PATH")
+        pytest.skip("no conecheck console script on PATH")
+    run = subprocess.run([script, "weyl"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    json.loads(run.stdout, parse_constant=_reject)

@@ -596,6 +596,27 @@ class TestSuspension:
         rep = suspension_check(c, c.n - 2, c.n - 1, tol=2 * g.h, N=1.0)
         assert rep.is_suspension, rep.stage_residuals
         assert rep.equator.labels == tuple(f"{grid // 2 - 1}:c{k}" for k in range(40))
+        # the chords of latitude pi/2 - h/2 are read back as the fiber's own distances
+        assert np.abs(rep.equator.dist - circle_mms(40, 1.0).dist).max() <= 1e-12
+        assert rep.stage_residuals["law-of-cosines"] <= 1e-12
+
+    def test_a_perturbed_distance_fails_the_law_of_cosines(self):
+        g = radial_grid(1.0, 1.0, 25)
+        c = cone(circle_mms(40, 1.0), 1.0, 1.0, g)
+        rep = suspension_check(c, c.n - 2, c.n - 1, tol=1e-6, N=1.0)
+        assert rep.is_suspension, rep.stage_residuals
+        assert rep.stage_residuals["law-of-cosines"] <= 1e-15
+        assert rep.stage_residuals["equator-geodesic"] == pytest.approx(math.pi / 40, rel=1e-12)
+        d = c.dist.copy()
+        a, b = 5 * 40 + 3, 18 * 40 + 27  # off the poles and off the equator ring 12
+        d[a, b] += 0.3
+        d[b, a] = d[a, b]
+        bent = FiniteMMS(c.labels, d, c.weight)
+        rep = suspension_check(bent, c.n - 2, c.n - 1, tol=1e-6, N=1.0)
+        assert rep.failed_stage == "law-of-cosines" and not rep.is_suspension
+        assert list(rep.stage_residuals) == ["pole-distance", "geodesics-through-poles",
+                                             "law-of-cosines"]
+        assert rep.stage_residuals["law-of-cosines"] == pytest.approx(0.0864, abs=1e-4)
 
     @pytest.mark.parametrize("radius, stage, residual", [
         (0.5, None, math.pi / 80), (1.0, None, math.pi / 40),  # half the fiber step
@@ -617,9 +638,14 @@ class TestSuspension:
         d = rng.uniform(0.0, 2.0, (n, n))
         d = d + d.T
         np.fill_diagonal(d, 0.0)
-        want = max(min(max(abs(d[a, k] - d[a, b] / 2), abs(d[k, b] - d[a, b] / 2))
-                       for k in range(n)) for a in range(n) for b in range(n))
-        assert mms._midpoint_defect(d) == want
+        m = FiniteMMS(tuple(range(n)), d, np.ones(n))
+        a, b = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)  # every pair, row-major
+        want = [[max(abs(d[i, k] - d[i, j] / 2), abs(d[k, j] - d[i, j] / 2)) for k in range(n)]
+                for i, j in zip(a, b)]
+        got = mms._midpoint_defect(m, a, b)
+        assert got.tolist() == want
+        for eps in (0.0, *got.ravel()):
+            assert np.array_equal(mms.midpoints(m, a, b, eps), got <= eps)
 
 
 def _law_of_cosines_oracle(d, theta, proj, eq_dist):
