@@ -13,7 +13,12 @@ It requires the exact exit and:
 Optional checks: ``twice`` runs the row again and requires the same report
 apart from ``runtime_ms``; ``space`` also requires a byte-identical space
 file over the two runs, and one that ``mms.validate`` accepts as loaded back;
-``process`` runs ``python -m conecheck.cli`` in a fresh interpreter instead.
+``process`` runs ``python -m conecheck.cli`` in a fresh interpreter instead;
+``golden`` names the file under ``tests/golden/`` the report must match.
+Strings, booleans and integers match exactly and floats to 1e-9, relative
+or absolute (the floor covers fields at roundoff level, such as the zero
+eigenvalue of ``spectrum``); ``detail.csv`` matches by basename.  A change
+that moves a default report rewrites its golden file in the same diff.
 A ``{cone16}`` in argv is the file of ``cone --grid 16 --fiber-n 16``.
 
 The installed ``conecheck`` console script is run once, as ``conecheck
@@ -22,6 +27,7 @@ under ``CI``, where the package is installed and a missing script fails.
 """
 
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -35,6 +41,7 @@ from conecheck import mms
 from conecheck.cli import main
 
 _NON_FINITE = {"error": ("must be finite",)}
+_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 _SRC = str(pathlib.Path(mms.__file__).resolve().parents[1])
 
 
@@ -44,16 +51,16 @@ def _overflow(K):
 
 ROWS = [
     # every subcommand at its defaults; the eigensolvers and couplings are deterministic
-    ("spectrum", 0, {"twice": True}),
-    ("cone", 0, {}),
-    ("cd-check", 0, {"twice": True}),
-    ("cd-check --full", 0, {"twice": True}),
-    ("be-check", 0, {}),
-    ("be-check --flavor grid", 0, {}),
-    ("weyl", 0, {"process": True}),  # through __main__
-    ("suspension", 0, {}),
-    ("heat", 0, {"twice": True}),
-    ("gamma2-identity", 0, {}),
+    ("spectrum", 0, {"twice": True, "golden": "spectrum.json"}),
+    ("cone", 0, {"golden": "cone.json"}),
+    ("cd-check", 0, {"twice": True, "golden": "cd-check.json"}),
+    ("cd-check --full", 0, {"twice": True, "golden": "cd-check_full.json"}),
+    ("be-check", 0, {"golden": "be-check.json"}),
+    ("be-check --flavor grid", 0, {"golden": "be-check_flavor_grid.json"}),
+    ("weyl", 0, {"process": True, "golden": "weyl.json"}),  # through __main__
+    ("suspension", 0, {"golden": "suspension.json"}),
+    ("heat", 0, {"twice": True, "golden": "heat.json"}),
+    ("gamma2-identity", 0, {"golden": "gamma2-identity.json"}),
     # the space file is deterministic and valid; couplings on it take the shortlist LP
     ("cone --grid 16 --fiber-n 16", 0, {"space": True}),
     ("cd-check --input {cone16} --pairs 2 --cd-K 1 --N 2 --eps 0.4", 0, {"twice": True}),
@@ -121,6 +128,34 @@ def _strict_report(path):
     return report
 
 
+def _golden_diff(got, want, path="report"):
+    """The key paths where ``got`` departs from the golden ``want``."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return [f"{path}.{key}: missing from the {'golden' if key in got else 'report'}"
+                for key in sorted(got.keys() ^ want.keys())] + [
+            diff for key in sorted(got.keys() & want.keys())
+            for diff in _golden_diff(got[key], want[key], f"{path}.{key}")]
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [diff for k, (g, w) in enumerate(zip(got, want))
+                for diff in _golden_diff(g, w, f"{path}[{k}]")]
+    if type(got) is float and type(want) is float:
+        same = math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+    else:
+        same = type(got) is type(want) and got == want
+    return [] if same else [f"{path}: {got!r}, golden {want!r}"]
+
+
+def test_golden_diff_names_each_moved_field():
+    want = {"pass": True, "n": 3, "x": 0.5, "tiny": 1e-16, "list": [1.0, "a"]}
+    assert _golden_diff(dict(want, x=0.5 * (1 + 1e-10), tiny=-3e-10), want) == []
+    got = dict(want, x=0.5 * (1 + 1e-8), n=3.0, list=[1.0, "b"], extra=None)
+    del got["pass"]
+    assert _golden_diff(got, want) == [
+        "report.extra: missing from the golden", "report.pass: missing from the report",
+        "report.list[1]: 'b', golden 'a'", "report.n: 3.0, golden 3",
+        f"report.x: {got['x']!r}, golden 0.5"]
+
+
 @pytest.fixture(scope="module")
 def cone16(tmp_path_factory):
     path = tmp_path_factory.mktemp("cone16") / "space.json"
@@ -157,6 +192,12 @@ def test_cli_run(argv, exit, checks, tmp_path, capsys, request):
             return
         reports.append(_strict_report(out))
         assert reports[-1]["pass"] is (exit == 0)
+        if checks.get("golden"):
+            got = dict(reports[-1])
+            if "csv" in got.get("detail", {}):
+                got["detail"] = {**got["detail"], "csv": os.path.basename(got["detail"]["csv"])}
+            diffs = _golden_diff(got, json.loads((_GOLDEN / checks["golden"]).read_text()))
+            assert not diffs, "\n".join(diffs)
         if checks.get("space"):
             files.append(space.read_bytes())
     assert reports[0] == reports[-1]
