@@ -44,7 +44,7 @@ _MASS_TOL = 1e-12
 _DUAL_RTOL = 1e-9
 # The LP's first shortlist: each row's and column's _SHORTLIST_WIDTH cells of
 # least reduced cost under potentials from _SINKHORN_SWEEPS log-domain sweeps
-# at entropic scale _SINKHORN_SCALE times the largest cost.
+# at entropic scale _SINKHORN_SCALE times the spread of the costs.
 _SHORTLIST_WIDTH = 6
 _SINKHORN_SWEEPS = 20
 _SINKHORN_SCALE = 0.01
@@ -320,10 +320,11 @@ def _sinkhorn_potentials(C, a, b):
     """Approximate dual potentials (f, g) of the transportation LP.
 
     ``_SINKHORN_SWEEPS`` log-domain Sinkhorn sweeps at entropic scale
-    ``_SINKHORN_SCALE`` times the largest cost; each log-sum-exp is shifted
-    by its maximum, so no row or column underflows to zero.
+    ``_SINKHORN_SCALE`` times the spread max C - min C of the costs, which a
+    common offset (supports far apart) does not coarsen; each log-sum-exp is
+    shifted by its maximum, so no row or column underflows to zero.
     """
-    eps = _SINKHORN_SCALE * float(C.max()) or 1.0
+    eps = _SINKHORN_SCALE * float(C.max() - C.min()) or 1.0
     K = C / -eps
     la, lb = np.log(a), np.log(b)
     g = np.zeros(C.shape[1])

@@ -371,6 +371,12 @@ class TestShortlistLP:
         assert calls == [] and q.certificate.solver == "monotone"
         assert w == pytest.approx(_dense_lp_w2(*_lp_inputs(c, mu0, mu1)), rel=1e-12)
 
+    def test_far_apart_supports_take_few_pricing_rounds(self):
+        # every cost carries an offset near 2500; the Sinkhorn scale follows the spread instead
+        C, a, b = dict(_LP_PROBLEMS)["far-apart-0"]()
+        assert C.min() > 2000
+        assert tr._lp_plan(C, a, b)[4] <= 2
+
     def test_cone_pair_keeps_a_fraction_of_the_cells(self, monkeypatch):
         c, mu0, mu1 = _bench_cone_pair()
         sizes, linprog = [], tr.linprog
