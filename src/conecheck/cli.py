@@ -186,8 +186,18 @@ def cmd_cd_check(args) -> Report:
     pairs = _sample_density_pairs(space, args.pairs, args.seed)
     coeff = tr.tau_coeff if args.full else tr.sigma_coeff
     nprimes = (cd.N, 2.0 * cd.N)
-    results = [tr.convexity_reports(space, mu0, mu1, cd, nprimes, eps, args.tol, coeff)
-               for mu0, mu1 in pairs]
+    results, missed = [], []
+    for mu0, mu1 in pairs:  # every pair runs, so an error names an eps for the whole run
+        try:
+            results.append(tr.convexity_reports(space, mu0, mu1, cd, nprimes, eps, args.tol, coeff))
+        except tr.NoMidpointError as exc:
+            missed.append(exc)
+    if missed:
+        need = max(exc.need for exc in missed)
+        raise tr.NoMidpointError(
+            f"no epsilon-midpoint for atoms {missed[0].pair} at eps={eps} ({len(missed)} of "
+            f"{len(pairs)} pairs miss one); every pair of the run has one at eps={need!r}",
+            missed[0].pair, need)
     slacks = [r.slack for rs in results for r in rs]
     for i, rs in enumerate(results):
         print(f"pair {i}: " + ", ".join(

@@ -51,7 +51,15 @@ _SINKHORN_SCALE = 0.01
 
 
 class NoMidpointError(ValueError):
-    """Raised when a transported pair has no epsilon-midpoint at the given eps."""
+    """Raised when a transported pair has no epsilon-midpoint at the given eps.
+
+    ``pair`` is the first pair without one, and ``need`` the eps the message
+    names, at which every pair it covers has one.
+    """
+
+    def __init__(self, message: str, pair: tuple, need: float):
+        super().__init__(message)
+        self.pair, self.need = pair, need
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,9 +389,10 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     mids[stay] = np.arange(m.n) == i[stay][:, None]
     bare = np.flatnonzero(~mids.any(axis=1))
     if bare.size:
+        pair = (int(i[bare[0]]), int(j[bare[0]]))
         need = float(_midpoint_defect(m, i, j).min(axis=1).max())
-        raise NoMidpointError(f"no epsilon-midpoint for atoms ({i[bare[0]]}, {j[bare[0]]}) "
-                              f"at eps={eps}; every pair of the plan has one at eps={need!r}")
+        raise NoMidpointError(f"no epsilon-midpoint for atoms {pair} at eps={eps}; "
+                              f"every pair of the plan has one at eps={need!r}", pair, need)
     carried = mids & (weighted | stay[:, None])
     for p in np.flatnonzero(~carried.any(axis=1)):
         near = m.dist[mids[p]] + np.where(weighted, 0.0, np.inf)

@@ -503,11 +503,25 @@ def test_eps_without_a_midpoint_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: no epsilon-midpoint for atoms (")
     assert "eps=0.0001" in err and "Traceback" not in err
     assert not out.exists()
-    # the error names the eps at which every pair of the plan has a midpoint
-    need = err.rstrip("\n").rpartition("; every pair of the plan has one at eps=")[2]
+    # the error names the eps at which every pair of the run has a midpoint
+    need = err.rstrip("\n").rpartition("; every pair of the run has one at eps=")[2]
     assert float(need) > 0.0001
     assert main(["cd-check", "--grid", "60", "--pairs", "1", "--eps", need,
                  "--out", str(out)]) != 2
+    assert out.exists()
+
+
+def test_the_named_eps_covers_every_pair_of_the_run(tmp_path, capsys):
+    # on this cone the first pair alone names 0.508, and a later pair needs more
+    space, out = tmp_path / "space.json", tmp_path / "r.json"
+    assert main(["cone", "--K", "0", "--rmax", "2", "--radius", "2", "--grid", "16",
+                 "--fiber-n", "16", "--out", str(space), "--report", str(tmp_path / "c.json")]) == 0
+    argv = ["cd-check", "--input", str(space), "--cd-K", "0", "--N", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "of 5 pairs miss one" in err
+    need = err.rstrip("\n").rpartition("; every pair of the run has one at eps=")[2]
+    assert main(argv + ["--eps", need]) != 2
     assert out.exists()
 
 
