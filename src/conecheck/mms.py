@@ -221,7 +221,7 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
         raise ValueError("grid parameters must match the cone parameters")
     r = grid.nodes
     nr, nf = grid.n, fiber.n
-    with np.errstate(over="ignore"):  # sinh overflows at steep K < 0; a + b, the largest, is checked
+    with np.errstate(over="ignore"):  # sinh overflows at steep K < 0; a + b bounds q
         sn = sin_k(K, r)
         a = sin_k(K, 0.5 * np.abs(r[:, None] - r[None, :])) ** 2
         b = sn[:, None] * sn[None, :]
