@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_fns import model_interval, passes, sin_k
+from .model_fns import cos_k, model_interval, passes, sin_k
 
 __all__ = [
     "FiniteMMS",
@@ -38,9 +38,9 @@ __all__ = [
     "load_mms_json",
 ]
 
-# Guard band for the arcsin argument of a K > 0 cone distance: values up to
-# 1 + GUARD are clamped to 1, anything further out is a genuine numeric-domain failure.
-_ASIN_GUARD = 1e-12
+# Guard band for arccos arguments: values inside [-1-GUARD, 1+GUARD] are
+# clamped, anything further out is a genuine numeric-domain failure.
+_ACOS_GUARD = 1e-12
 
 # How far a distance may miss a metric invariant before validate flags it.
 _VALIDATE_SLACK = 1e-9
@@ -192,48 +192,56 @@ def radial_grid(K: float, N: float, n: int, r_max: float | None = None) -> Radia
     return RadialGrid(K=K, N=N, n=n, nodes=nodes, cell_weights=cw, h=h, r_max=L)
 
 
-def _half_chord_to_distance(K: float, q: np.ndarray) -> np.ndarray:
-    """d = 2 asin_K(sqrt(q)), the inverse of the half-chord q = sin_K(d/2)^2 (clamped for K > 0)."""
+def _cone_arg_to_distance(K: float, arg: np.ndarray) -> np.ndarray:
+    """Invert the law-of-cosines argument of ``cone`` for any K (arccos clamped for K > 0)."""
     if K == 0:
-        return 2.0 * np.sqrt(q)
-    k = math.sqrt(abs(K))
-    if K < 0:
-        return 2.0 / k * np.arcsinh(k * np.sqrt(q))
-    x = k * np.sqrt(q)
-    if np.any(x > 1.0 + _ASIN_GUARD):
-        raise FloatingPointError(f"cone distance argument exceeds 1 by {float(x.max()) - 1.0:.3e}")
-    return 2.0 / k * np.arcsin(np.minimum(x, 1.0))
+        return np.sqrt(np.maximum(arg, 0.0))
+    if K < 0:  # the haversine form keeps arg >= 1
+        return np.arccosh(arg) / math.sqrt(-K)
+    bad = (arg > 1.0 + _ACOS_GUARD) | (arg < -1.0 - _ACOS_GUARD)
+    if np.any(bad):
+        worst = float(np.max(np.abs(arg[bad])) - 1.0)
+        raise FloatingPointError(f"cone distance argument out of [-1,1] by {worst:.3e}")
+    return np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
 
 
 def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     """(K, N)-cone over ``fiber``: radial grid x fiber atoms plus apex atom(s).
 
-    Distances invert the half-chord law of cosines, the same at every K,
-    sin_K(d/2)^2 = a[i, j] + b[i, j] c with a = sin_K(|r_i - r_j|/2)^2,
-    b = sin_K(r_i) sin_K(r_j) and c = sin^2(min(d_F, pi)/2), one radial
-    cell i at a time, by the one inverse d = 2 asin_K(sqrt(.)); the measure
-    is the product of radial cell weights and fiber weights.  The apex at
-    r=0 (and at r=pi/sqrt(K) for K > 0) is carried as an explicit
-    zero-weight atom so the collapsed boundary stays part of the space
-    without entering any density.
+    Distances invert the law of cosines a[i, j] + b[i, j] c(min(d_F, pi)),
+    one radial cell i at a time; the measure is the product of radial cell
+    weights and fiber weights.  The apex at r=0 (and at r=pi/sqrt(K) for
+    K > 0) is carried as an explicit zero-weight atom so the collapsed
+    boundary stays part of the space without entering any density.
     """
     if grid.K != K or grid.N != N:
         raise ValueError("grid parameters must match the cone parameters")
     r = grid.nodes
     nr, nf = grid.n, fiber.n
-    with np.errstate(over="ignore"):  # sinh overflows at steep K < 0; a + b bounds q
-        sn = sin_k(K, r)
-        a = sin_k(K, 0.5 * np.abs(r[:, None] - r[None, :])) ** 2
-        b = sn[:, None] * sn[None, :]
-        _finite_in_K(K, a + b, "the cone's half-chord sin_K(d/2)^2")
-    c = np.sin(0.5 * np.minimum(fiber.dist, math.pi)) ** 2
+    dcap = np.minimum(fiber.dist, math.pi)
+    c = np.cos(dcap) if K >= 0 else np.sin(0.5 * dcap) ** 2
+
+    if K == 0:
+        # d^2 = s^2 + t^2 - 2 s t cos(d_F /\ pi)
+        a = r[:, None] ** 2 + r[None, :] ** 2
+        b = -(2.0 * r[:, None] * r[None, :])
+    elif K > 0:
+        cs, sn = cos_k(K, r), sin_k(K, r)
+        a = cs[:, None] * cs[None, :]
+        b = K * sn[:, None] * sn[None, :]
+    else:  # haversine form: cosh(k|s - t|) + 2 sinh(ks) sinh(kt) sin^2(d_F/2) >= 1
+        with np.errstate(over="ignore"):  # a + b, the largest argument, is checked below
+            sn = sin_k(K, r)
+            a = cos_k(K, np.abs(r[:, None] - r[None, :]))
+            b = -2.0 * K * sn[:, None] * sn[None, :]
+            _finite_in_K(K, a + b, "the cone's law-of-cosines argument")
 
     nbody = nr * nf
     apexes = 2 if K > 0 else 1
     n = nbody + apexes
     dist = np.zeros((n, n))
     for i, cell in enumerate(dist[:nbody, :nbody].reshape(nr, nf, nr, nf)):  # views [x, j, y]
-        cell[:] = _half_chord_to_distance(K, a[i, :, None] + b[i, :, None] * c[:, None, :])
+        cell[:] = _cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c[:, None, :])
     # near apex at r=0: distance to (t, y) is t
     dist[nbody, :nbody] = np.repeat(r, nf)
     dist[:nbody, nbody] = dist[nbody, :nbody]

