@@ -193,11 +193,8 @@ def cmd_cd_check(args) -> Report:
         except tr.NoMidpointError as exc:
             missed.append(exc)
     if missed:
-        need = max(exc.need for exc in missed)
-        raise tr.NoMidpointError(
-            f"no epsilon-midpoint for atoms {missed[0].pair} at eps={eps} ({len(missed)} of "
-            f"{len(pairs)} pairs miss one); every pair of the run has one at eps={need!r}",
-            missed[0].pair, need)
+        raise tr.NoMidpointError(missed[0].pair, eps, max(exc.need for exc in missed),
+                                 (len(missed), len(pairs)))
     slacks = [r.slack for rs in results for r in rs]
     for i, rs in enumerate(results):
         print(f"pair {i}: " + ", ".join(

@@ -54,11 +54,14 @@ class NoMidpointError(ValueError):
     """Raised when a transported pair has no epsilon-midpoint at the given eps.
 
     ``pair`` is the first pair without one, and ``need`` the eps the message
-    names, at which every pair it covers has one.
+    names, at which every pair of the plan has one; ``run``, a count of the
+    plans that miss one and of all plans, makes ``need`` cover the whole run.
     """
 
-    def __init__(self, message: str, pair: tuple, need: float):
-        super().__init__(message)
+    def __init__(self, pair: tuple, eps: float, need: float, run: tuple | None = None):
+        count = "" if run is None else f" ({run[0]} of {run[1]} pairs miss one)"
+        super().__init__(f"no epsilon-midpoint for atoms {pair} at eps={eps}{count}; every "
+                         f"pair of the {'plan' if run is None else 'run'} has one at eps={need!r}")
         self.pair, self.need = pair, need
 
 
@@ -391,8 +394,7 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     if bare.size:
         pair = (int(i[bare[0]]), int(j[bare[0]]))
         need = float(_midpoint_defect(m, i, j).min(axis=1).max())
-        raise NoMidpointError(f"no epsilon-midpoint for atoms {pair} at eps={eps}; "
-                              f"every pair of the plan has one at eps={need!r}", pair, need)
+        raise NoMidpointError(pair, eps, need)
     carried = mids & (weighted | stay[:, None])
     for p in np.flatnonzero(~carried.any(axis=1)):
         near = m.dist[mids[p]] + np.where(weighted, 0.0, np.inf)
