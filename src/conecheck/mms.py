@@ -59,6 +59,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite: max and min keep a NaN and expose +-inf, with no n^2 mask."""
+    return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMMS:
     """Finite metric measure space: labels, distance matrix, atom weights.
@@ -82,7 +87,7 @@ class FiniteMMS:
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
         if self.weight.shape != (n,):
             raise ValueError(f"weight must have length {n}")
-        if not (np.all(np.isfinite(self.dist)) and np.all(np.isfinite(self.weight))):
+        if not (_all_finite(self.dist) and _all_finite(self.weight)):
             raise ValueError("distances and weights must be finite")
 
     @property
@@ -209,17 +214,19 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     """(K, N)-cone over ``fiber``: radial grid x fiber atoms plus apex atom(s).
 
     Distances invert the law of cosines a[i, j] + b[i, j] c(min(d_F, pi)),
-    one radial cell i at a time; the measure is the product of radial cell
-    weights and fiber weights.  The apex at r=0 (and at r=pi/sqrt(K) for
-    K > 0) is carried as an explicit zero-weight atom so the collapsed
-    boundary stays part of the space without entering any density.
+    one radial cell i at a time, once per radial pair and distinct capped
+    fiber distance (a circle of nf atoms has nf/2 + 1), then spread over the
+    fiber pairs; the measure is the product of radial cell weights and fiber
+    weights.  The apex at r=0 (and at r=pi/sqrt(K) for K > 0) is carried as
+    an explicit zero-weight atom so the collapsed boundary stays part of the
+    space without entering any density.
     """
     if grid.K != K or grid.N != N:
         raise ValueError("grid parameters must match the cone parameters")
     r = grid.nodes
     nr, nf = grid.n, fiber.n
-    dcap = np.minimum(fiber.dist, math.pi)
-    c = np.cos(dcap) if K >= 0 else np.sin(0.5 * dcap) ** 2
+    theta, inv = np.unique(np.minimum(fiber.dist, math.pi), return_inverse=True)
+    c = np.cos(theta) if K >= 0 else np.sin(0.5 * theta) ** 2
 
     if K == 0:
         # d^2 = s^2 + t^2 - 2 s t cos(d_F /\ pi)
@@ -240,8 +247,10 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     apexes = 2 if K > 0 else 1
     n = nbody + apexes
     dist = np.zeros((n, n))
+    inv = inv.reshape(nf, nf)  # numpy 1.x returns it flat
     for i, cell in enumerate(dist[:nbody, :nbody].reshape(nr, nf, nr, nf)):  # views [x, j, y]
-        cell[:] = _cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c[:, None, :])
+        row = _cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c)  # [j, theta]
+        cell[:] = np.take(row, inv, axis=1).transpose(1, 0, 2)
     # near apex at r=0: distance to (t, y) is t
     dist[nbody, :nbody] = np.repeat(r, nf)
     dist[:nbody, nbody] = dist[nbody, :nbody]
@@ -585,7 +594,7 @@ def load_mms_json(path) -> FiniteMMS:
         dist = dist.reshape(0, 0)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("dist must be a square matrix")
-    if not np.all(np.isfinite(dist)):  # before fill_diagonal can hide a NaN
+    if not _all_finite(dist):  # before fill_diagonal can hide a NaN
         raise ValueError("distances and weights must be finite")
     if np.any(np.abs(dist - dist.T) > 1e-9):
         raise ValueError("dist must be symmetric")

@@ -72,7 +72,7 @@ class TestExitCodes:
         rep = read_report(rep_path)
         assert rep["detail"]["diameter"] == pytest.approx(math.pi, abs=1e-9)
 
-    def test_suspension_rejects_nan_distance(self, tmp_path):
+    def test_suspension_rejects_nan_distance(self, tmp_path, capsys):
         space = mms.cone(mms.circle_mms(12, 1.0), 1.0, 1.0, mms.radial_grid(1.0, 1.0, 6))
         d = space.dist.copy()
         d[3, 5] = d[5, 3] = float("nan")
@@ -84,6 +84,7 @@ class TestExitCodes:
         code = main(["suspension", "--input", str(path), "--x", str(space.n - 2),
                      "--y", str(space.n - 1), "--out", str(out)])
         assert code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("poles", [["--x", "3"], ["--x", "-1", "--y", "73"],

@@ -88,6 +88,11 @@ ROWS = [
     ("cd-check --grid 100 --pairs 3 --cd-K 200", 1, {}),
     # lambda = 1e6 lifts every mode above 50/0.01: the semigroup runs on none
     ("heat --lambda 1e6", 1, {}),
+    # the graph's Bochner slack (-0.0234) and the identity's residuals (min 0.0051) at defaults
+    # sit outside a roundoff tolerance; the grid flavor's slack stays positive (7.1e-5), so no
+    # tolerance makes be-check --flavor grid fail at its defaults
+    ("be-check --tol 1e-12", 1, {}),
+    ("gamma2-identity --tol 1e-12", 1, {}),
     # non-finite flags are rejected before any arithmetic can warn
     ("cd-check --grid 60 --pairs 1 --eps inf", 2, _NON_FINITE),
     ("cd-check --grid 60 --pairs 1 --eps nan", 2, _NON_FINITE),

@@ -34,6 +34,13 @@ def two_point(d=1.0):
     return FiniteMMS(("a", "b"), np.array([[0.0, d], [d, 0.0]]), np.array([1.0, 1.0]))
 
 
+def _euclidean_fiber(n, seed):
+    """n random points of the square [0, 2]^2: every distance distinct and below pi."""
+    x, y = np.random.default_rng(seed).uniform(0.0, 2.0, (2, n))
+    return FiniteMMS(tuple(range(n)), np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y)),
+                     np.ones(n))
+
+
 _BLOCK_SIZES = [0, 1, 2, mms._VALIDATE_BLOCK - 1, mms._VALIDATE_BLOCK, mms._VALIDATE_BLOCK + 1,
                 2 * mms._VALIDATE_BLOCK + 3]
 
@@ -118,6 +125,26 @@ class TestValidate:
             w[where % n] = bad
         with pytest.raises(ValueError, match="finite"):
             FiniteMMS(tuple(range(n)), d, w)
+
+    @pytest.mark.parametrize("in_dist", [True, False], ids=["dist", "weight"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_each_non_finite_value_is_named(self, bad, in_dist, tmp_path):
+        # one bad entry among finite ones, at construction and through a space file
+        d, w = _path_metric(4), np.ones(4)
+        if in_dist:
+            d[1, 3] = d[3, 1] = bad
+        else:
+            w[2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            FiniteMMS(tuple(range(4)), d, w)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"labels": list(range(4)), "dist": d.tolist(), "weight": w.tolist()}))
+        with pytest.raises(ValueError, match="must be finite"):
+            load_mms_json(p)
+
+    def test_empty_space_constructs(self):
+        m = FiniteMMS((), np.zeros((0, 0)), np.zeros(0))
+        assert m.n == 0 and m.total_mass() == 0.0 and validate(m) == []
 
     def test_zero_weight_flagged_when_disallowed(self):
         m = FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
@@ -221,30 +248,35 @@ class TestCone:
     @staticmethod
     def _broadcast_body(fiber, K, grid):
         """Oracle: the closed cone formula as one (nr, nf, nr, nf) broadcast."""
-        r, cosd = grid.nodes, np.cos(np.minimum(fiber.dist, math.pi))
+        r, dcap = grid.nodes, np.minimum(fiber.dist, math.pi)
+        s, t = r[:, None, None, None], r[None, None, :, None]
         if K == 0:
-            s2 = r[:, None, None, None] ** 2 + r[None, None, :, None] ** 2
-            cross = 2.0 * r[:, None, None, None] * r[None, None, :, None]
-            body = np.sqrt(np.maximum(s2 - cross * cosd[None, :, None, :], 0.0))
-        else:
-            cs, sn = cos_k(K, r), sin_k(K, r)
-            arg = (cs[:, None, None, None] * cs[None, None, :, None]
-                   + K * sn[:, None, None, None] * sn[None, None, :, None] * cosd[None, :, None, :])
+            body = np.sqrt(np.maximum(s**2 + t**2 - 2.0 * s * t * np.cos(dcap)[None, :, None, :], 0.0))
+        elif K > 0:
+            arg = (cos_k(K, s) * cos_k(K, t)
+                   + K * sin_k(K, s) * sin_k(K, t) * np.cos(dcap)[None, :, None, :])
             body = np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
+        else:  # the haversine form
+            arg = (cos_k(K, np.abs(s - t))
+                   + -2.0 * K * sin_k(K, s) * sin_k(K, t) * (np.sin(0.5 * dcap) ** 2)[None, :, None, :])
+            body = np.arccosh(arg) / math.sqrt(-K)
         nbody = grid.n * fiber.n
         return body.reshape(nbody, nbody)
 
-    @pytest.mark.parametrize("K", [1.0, 4.0, 0.0])
-    @pytest.mark.parametrize("fiber", [circle_mms(12, 1.0), interval_model_mms(1.0, 1.0, 9)],
-                             ids=["circle", "interval"])
-    def test_nonnegative_K_matches_the_broadcast_bit_for_bit(self, fiber, K):
-        for N in (0.5, 1.0, 2.5, 3.0):
-            g = radial_grid(K, N, 10)
-            c = cone(fiber, K, N, g)
-            nbody = g.n * fiber.n
-            body = self._broadcast_body(fiber, K, g)
-            np.fill_diagonal(body, 0.0)
-            assert np.array_equal(c.dist[:nbody, :nbody], body)
+    @pytest.mark.parametrize("N", [0.5, 1.0, 2.5, 3.0])
+    @pytest.mark.parametrize("K", [1.0, 4.0, 0.0, -1.0, -20.0])
+    @pytest.mark.parametrize("fiber", [circle_mms(12, 1.0), interval_model_mms(1.0, 1.0, 9),
+                                       _euclidean_fiber(30, 0), circle_mms(12, 2.0)],
+                             ids=["circle", "interval", "euclidean", "big-circle"])
+    def test_matches_the_broadcast_bit_for_bit(self, fiber, K, N):
+        # distinct fiber distances: all of them on the euclidean fiber, merged by the cap at pi
+        # on the big circle
+        g = radial_grid(K, N, 10)
+        c = cone(fiber, K, N, g)
+        nbody = g.n * fiber.n
+        body = self._broadcast_body(fiber, K, g)
+        np.fill_diagonal(body, 0.0)
+        assert np.array_equal(c.dist[:nbody, :nbody], body)
 
     @pytest.mark.parametrize("K", [-1.0, -20.0, -100.0])
     def test_hyperbolic_closed_forms(self, K):
@@ -262,14 +294,17 @@ class TestCone:
             np.testing.assert_allclose(body[:, x, :, x], ray, rtol=1e-12, atol=0.0)
 
     def test_build_peak_memory_is_about_one_matrix(self):
-        fib, g = circle_mms(32, 1.0), radial_grid(0.0, 1.0, 128)
-        tracemalloc.start()
-        try:
-            c = cone(fib, 0.0, 1.0, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * c.dist.nbytes
+        # a circle has 17 distinct distances; the euclidean fiber's 19 900 are all distinct
+        for fib, K, nr, bound in ((circle_mms(32, 1.0), 0.0, 128, 1.25),
+                                  (_euclidean_fiber(200, 1), 1.0, 10, 1.3)):
+            g = radial_grid(K, 1.0, nr)
+            tracemalloc.start()
+            try:
+                c = cone(fib, K, 1.0, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * c.dist.nbytes
 
 
 class TestDiameterMidpoints:
