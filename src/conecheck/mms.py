@@ -72,6 +72,9 @@ class FiniteMMS:
     inequality up to a small slack; ``weight`` is nonnegative with zero
     permitted only for distinguished boundary atoms (cone apexes), which are
     kept for distances but excluded from densities.
+
+    ``weight`` is copied.  ``dist`` is not: a C-ordered float matrix is kept
+    and made read-only in place, so the caller's array is frozen with it.
     """
 
     labels: tuple
@@ -79,9 +82,11 @@ class FiniteMMS:
     weight: np.ndarray
 
     def __post_init__(self):
+        weight = np.array(self.weight, dtype=float)  # a copy: the caller's array cannot change it
+        weight.flags.writeable = False
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dist", _freeze(self.dist))
-        object.__setattr__(self, "weight", _freeze(self.weight))
+        object.__setattr__(self, "weight", weight)
         n = len(self.labels)
         if self.dist.shape != (n, n):
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")

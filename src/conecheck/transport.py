@@ -14,6 +14,7 @@ Renyi-type entropies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,7 +74,7 @@ class Density:
     mass: np.ndarray
 
     def __post_init__(self):
-        mass = np.ascontiguousarray(self.mass, dtype=float)
+        mass = np.array(self.mass, dtype=float)  # a copy: the caller's array cannot change it
         mass.flags.writeable = False
         object.__setattr__(self, "mass", mass)
         if mass.shape != (self.space.n,):
@@ -418,6 +419,9 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
                       nprimes, eps: float, tol: float, coeff) -> list[CDReport]:
     """One coupling and one midpoint for the pair, then one report per N' in ``nprimes``.
 
+    The coupling and midpoint are kept (``_pushed``) for the next call on
+    the same space, density objects and eps, at any N' or ``coeff``.
+
     Each N' (>= cd.N) compares the midpoint's entropy with the coupling
     average of ``coeff``-weighted endpoint entropies: ``coeff`` is
     ``sigma_coeff`` (reduced, CD*) or ``tau_coeff`` (full, CD), and an
@@ -425,8 +429,7 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
     """
     if any(Nprime < cd.N for Nprime in nprimes):
         raise ValueError("Nprime must be >= the dimension parameter")
-    _, q = wasserstein2(m, mu0, mu1)
-    mid = displacement_midpoint(m, q, eps)
+    q, mid = _pushed(m, mu0, mu1, eps)
     i, j, mass = q.plan.row, q.plan.col, q.plan.data
     rho0, rho1, theta = mu0.rho()[i], mu1.rho()[j], m.dist[i, j]
     reports = []
@@ -440,6 +443,19 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
             slack = lhs - rhs.value
         reports.append(CDReport(Np, lhs, rhs, slack, passes(slack, tol), q.certificate))
     return reports
+
+
+@functools.lru_cache(maxsize=1)
+def _pushed(m: FiniteMMS, mu0: Density, mu1: Density, eps: float) -> tuple[Coupling, Density]:
+    """The pair's coupling and its epsilon-midpoint, kept for the pair's next call.
+
+    Spaces and densities compare by identity, so the one entry serves the
+    same objects at the same eps, whatever N' or coefficient the caller
+    checks next; it holds them alive until another pair replaces it.  A
+    NoMidpointError is not kept and is raised again.
+    """
+    _, q = wasserstein2(m, mu0, mu1)
+    return q, displacement_midpoint(m, q, eps)
 
 
 def cd_star_check(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDimension,

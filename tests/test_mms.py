@@ -114,6 +114,13 @@ class TestValidate:
     def test_clean_spaces_across_block_edges(self, n):
         assert validate(FiniteMMS(tuple(range(n)), _path_metric(n), np.ones(n))) == []
 
+    def test_weight_is_a_copy_of_the_callers_array(self):
+        w = np.ones(4)
+        space = FiniteMMS(tuple(range(4)), _path_metric(4), w)
+        assert w.flags.writeable and not space.weight.flags.writeable
+        w[0] = 0.0
+        assert np.array_equal(space.weight, np.ones(4))
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), where=st.integers(0, 35), in_dist=st.booleans())
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -109,15 +111,20 @@ def _bump(space, r, centre, width):
     return density_from_mass(space, raw)
 
 
-def _count_lp_calls(monkeypatch):
-    """Route ``transport.linprog`` through a counter; returns the list it appends to."""
-    calls, linprog = [], tr.linprog
+def _fresh(space, mu):
+    """A new Density with mu's mass, which the kept pair of ``convexity_reports`` does not match."""
+    return Density(space, mu.mass)
+
+
+def _counted(monkeypatch, name="linprog"):
+    """Route ``transport.<name>`` through a counter; returns the list it appends to."""
+    calls, fn = [], getattr(tr, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(tr, "linprog", counted)
+    monkeypatch.setattr(tr, name, counted)
     return calls
 
 
@@ -159,11 +166,12 @@ class TestMonotonePath:
 
         cd = CurvatureDimension(2.0, 3.0)
         args = (space, mu0, mu1, cd, (3.0, 6.0), 2 * h, 0.1, sigma_coeff)
-        calls = _count_lp_calls(monkeypatch)
+        calls = _counted(monkeypatch)
         fast = convexity_reports(*args)
         assert calls == []
         _reject_the_staircase(monkeypatch)
-        slow = convexity_reports(*args)
+        # fresh densities, so the pair's kept coupling is not reused
+        slow = convexity_reports(space, _fresh(space, mu0), _fresh(space, mu1), *args[3:])
         assert len(calls) == 1
         assert (fast[0].certificate.solver, slow[0].certificate.solver) == ("monotone", "lp")
         for f, s in zip(fast, slow):
@@ -208,7 +216,7 @@ class TestMonotonePath:
         def on_rays(cells, rays):
             return uniform_density(c, np.array([k * nf + j for k in cells for j in rays]))
 
-        calls = _count_lp_calls(monkeypatch)
+        calls = _counted(monkeypatch)
         _, q = wasserstein2(c, on_rays(range(2, 6), [0, 1]), on_rays(range(6, 10), [8, 9]))
         assert len(calls) == 1 and q.certificate.solver == "lp"
 
@@ -366,7 +374,7 @@ class TestShortlistLP:
         x = c.dist[support[np.argmax(c.dist[support[0], support])]][support]
         line_defect = np.abs(np.abs(np.subtract.outer(x, x)) - c.dist[np.ix_(support, support)])
         assert line_defect.max() > 1e-2 * x.max()  # the supports do not embed in R
-        calls = _count_lp_calls(monkeypatch)
+        calls = _counted(monkeypatch)
         w, q = wasserstein2(c, mu0, mu1)
         assert calls == [] and q.certificate.solver == "monotone"
         assert w == pytest.approx(_dense_lp_w2(*_lp_inputs(c, mu0, mu1)), rel=1e-12)
@@ -458,6 +466,14 @@ class TestDensity:
         raw[where] = bad
         with pytest.raises(ValueError, match=f"non-finite entry {bad} at atom {where}"):
             density_from_mass(c, raw)
+
+    def test_mass_is_a_copy_of_the_callers_array(self):
+        space = mms.circle_mms(6, 1.0)
+        m = np.full(6, 1 / 6)
+        d = Density(space, m)
+        assert m.flags.writeable and not d.mass.flags.writeable
+        m[0], m[1] = 0.5, 0.0
+        assert np.array_equal(d.mass, np.full(6, 1 / 6))
 
     def test_coupling_marginal_guard(self):
         space = lebesgue_interval(4)
@@ -839,3 +855,60 @@ def test_convexity_reports_call_coeff_once_per_nprime():
     convexity_reports(space, mu0, mu1, cd, nprimes, eps, 0.1, spy)
     cells = wasserstein2(space, mu0, mu1)[1].plan.nnz
     assert calls == [(Np, 0.5, (cells,)) for Np in nprimes]
+
+
+class TestPairCache:
+    """cd_star_check and cd_check share one pair's coupling and midpoint."""
+
+    def test_one_coupling_and_one_midpoint_per_pair(self, monkeypatch):
+        space, mu0, mu1, cd, eps = _pair_cases()[0]
+        solves = _counted(monkeypatch, "wasserstein2")
+        pushes = _counted(monkeypatch, "displacement_midpoint")
+        for check in (cd_star_check, cd_check):
+            for Np in (3.0, 6.0):
+                check(space, mu0, mu1, cd, Np, eps, 0.1)
+        assert (len(solves), len(pushes)) == (1, 1)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_reports_match_fresh_densities(self, case):
+        space, mu0, mu1, cd, eps = _pair_cases()[case]
+        runs = [(check, Np) for check in (cd_star_check, cd_check) for Np in (cd.N, 2.0 * cd.N)]
+        kept = [check(space, mu0, mu1, cd, Np, eps, 0.1) for check, Np in runs]
+        for rep, (check, Np) in zip(kept, runs):
+            ref = check(space, _fresh(space, mu0), _fresh(space, mu1), cd, Np, eps, 0.1)
+            assert rep == ref and repr(rep) == repr(ref)
+
+    def test_new_eps_density_or_space_recomputes(self, monkeypatch):
+        space, mu0, mu1, cd, eps = _pair_cases()[0]
+        other = mms.FiniteMMS(space.labels, space.dist, space.weight)
+        solves = _counted(monkeypatch, "wasserstein2")
+        pushes = _counted(monkeypatch, "displacement_midpoint")
+        for m, a, b, e in ((space, mu0, mu1, eps), (space, mu0, mu1, 2 * eps),
+                           (space, _fresh(space, mu0), mu1, 2 * eps),
+                           (space, mu0, _fresh(space, mu1), 2 * eps),
+                           (other, _fresh(other, mu0), _fresh(other, mu1), 2 * eps)):
+            cd_star_check(m, a, b, cd, 3.0, e, 0.1)
+        assert (len(solves), len(pushes)) == (5, 5)
+
+    def test_missing_midpoint_raises_on_every_call(self, monkeypatch):
+        space = mms.FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+        mu0 = Density(space, np.array([1.0, 0.0]))
+        mu1 = Density(space, np.array([0.0, 1.0]))
+        cd = CurvatureDimension(0.0, 2.0)
+        solves = _counted(monkeypatch, "wasserstein2")
+        for _ in range(2):
+            with pytest.raises(NoMidpointError):
+                cd_star_check(space, mu0, mu1, cd, 2.0, 0.0, 0.1)
+        assert len(solves) == 2
+
+    def test_kept_pair_is_released_by_the_next_pair(self):
+        def checked_space():
+            space, mu0, mu1, cd, eps = _pair_cases()[2]
+            cd_star_check(space, mu0, mu1, cd, cd.N, eps, 0.1)
+            return weakref.ref(space)
+
+        first = checked_space()
+        space, mu0, mu1, cd, eps = _pair_cases()[2]
+        cd_check(space, mu0, mu1, cd, cd.N, eps, 0.1)
+        gc.collect()
+        assert first() is None
