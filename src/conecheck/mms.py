@@ -45,8 +45,10 @@ _ACOS_GUARD = 1e-12
 # How far a distance may miss a metric invariant before validate flags it.
 _VALIDATE_SLACK = 1e-9
 
-# Rows per block of validate's triangle sweep; 48 was fastest of 16..128 at 802 atoms.
-_VALIDATE_BLOCK = 48
+# Rows per block of validate's triangle sweep: 24, 32 and 48 were within 10 % of each
+# other, and 32 the fastest median, on the 802-atom cone with its isometry (27 rows) and
+# without (802 rows) and on the 2050-atom cone with it (66 rows); 16..128 were tried.
+_VALIDATE_BLOCK = 32
 
 # Entries (full rows of n) per block of suspension_check's law-of-cosines
 # stage: about 200 rows, 4 MB a temporary, at 2502 atoms.
@@ -54,7 +56,8 @@ _SUSPENSION_BLOCK = 1 << 19
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-ordered float copy: the caller's array cannot change it."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -62,6 +65,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry is finite: max and min keep a NaN and expose +-inf, with no n^2 mask."""
     return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
+def _permutation(p, n: int) -> np.ndarray:
+    """A read-only intp copy of ``p``, or a ValueError if it is not a permutation of range(n)."""
+    p = np.array(p)
+    if not (p.dtype.kind in "iu" and p.shape == (n,) and np.all((0 <= p) & (p < n))
+            and np.all(np.bincount(p.astype(np.intp), minlength=n) == 1)):
+        raise ValueError(f"isometry must be a permutation of the {n} atoms")
+    p = p.astype(np.intp)
+    p.flags.writeable = False
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,20 +87,28 @@ class FiniteMMS:
     permitted only for distinguished boundary atoms (cone apexes), which are
     kept for distances but excluded from densities.
 
-    ``weight`` is copied.  ``dist`` is not: a C-ordered float matrix is kept
-    and made read-only in place, so the caller's array is frozen with it.
+    ``isometry`` is a permutation sigma of the atoms with
+    ``dist[sigma][:, sigma] == dist`` bit for bit, or None.  The constructions
+    over a circle set it (the fiber rotation x -> x+1); a loaded file has
+    none.  Only its being an integer permutation of the atoms is checked
+    here; ``validate`` checks it against the distances before it uses it.
+
+    ``weight`` and ``isometry`` are copied.  ``dist`` is not: a C-ordered
+    float matrix is kept and made read-only in place, so the caller's array
+    is frozen with it.
     """
 
     labels: tuple
     dist: np.ndarray
     weight: np.ndarray
+    isometry: np.ndarray | None = None
 
     def __post_init__(self):
-        weight = np.array(self.weight, dtype=float)  # a copy: the caller's array cannot change it
-        weight.flags.writeable = False
+        dist = np.ascontiguousarray(self.dist, dtype=float)
+        dist.flags.writeable = False
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dist", _freeze(self.dist))
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "weight", _freeze(self.weight))
         n = len(self.labels)
         if self.dist.shape != (n, n):
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
@@ -94,6 +116,8 @@ class FiniteMMS:
             raise ValueError(f"weight must have length {n}")
         if not (_all_finite(self.dist) and _all_finite(self.weight)):
             raise ValueError("distances and weights must be finite")
+        if self.isometry is not None:
+            object.__setattr__(self, "isometry", _permutation(self.isometry, n))
 
     @property
     def n(self) -> int:
@@ -123,8 +147,13 @@ def validate(m: FiniteMMS) -> list:
     Triangle defects d(i, k) > d(i, j) + d(j, k) are reported once per pair
     i < k, at its worst intermediate j, to bound the output size.  The worst
     defect is d(i, k) - min_j (d(i, j) + d(j, k)), which equals the largest
-    rounded difference bit for bit because rounding is monotone.  It is
-    computed for k >= i only, ``_VALIDATE_BLOCK`` rows i at a time, so that
+    rounded difference bit for bit because rounding is monotone.  An isometry
+    sigma of the symmetrized distances (``_orbits``) carries each pair's
+    defect to its orbit (sigma^t i, sigma^t k) unchanged, since the minimum
+    runs over the same floats; so it is computed only on rows i that are the
+    smallest atom of their orbit, at the columns k whose orbit's smallest
+    atom is >= i, and then spread over the orbit.  Without an isometry that
+    is every row at k >= i.  Rows go ``_VALIDATE_BLOCK`` at a time, so that
     a block's running minimum stays in cache while j sweeps every atom.
     """
     out = []
@@ -143,16 +172,50 @@ def validate(m: FiniteMMS) -> list:
         out.append(Violation("weight", (int(i),), float(-w[i])))
     # d[i,k] <= d[i,j] + d[j,k]; ds is exactly symmetric, so row j holds both terms.
     ds = 0.5 * (d + d.T)
-    for s in range(0, n, _VALIDATE_BLOCK):
-        b = min(_VALIDATE_BLOCK, n - s)
-        shortest, via = np.full((b, n - s), np.inf), np.empty((b, n - s))
-        for row in ds[:, s:]:
-            np.add(row[:b, None], row, out=via)
+    sigma, order, rep = _orbits(ds, m.isometry)
+    rows = np.flatnonzero(rep == np.arange(n))
+    found, values = [], []
+    for r in (rows[a : a + _VALIDATE_BLOCK] for a in range(0, rows.size, _VALIDATE_BLOCK)):
+        s = int(r[0])  # a column k to sweep has k >= rep[k] >= its row >= s
+        shortest, via = np.full((r.size, n - s), np.inf), np.empty((r.size, n - s))
+        for left, row in zip(ds[:, r], ds[:, s:]):
+            np.add(left[:, None], row, out=via)
             np.minimum(shortest, via, out=shortest)
-        worst = np.triu(np.subtract(ds[s : s + b, s:], shortest, out=shortest), 1)
-        for i, k in zip(*np.nonzero(worst > _VALIDATE_SLACK)):
-            out.append(Violation("triangle", (int(s + i), int(s + k)), float(worst[i, k])))
+        worst = np.subtract(ds[r, s:], shortest, out=shortest)
+        keep = (rep[s:] >= r[:, None]) & (np.arange(s, n) != r[:, None]) & (worst > _VALIDATE_SLACK)
+        i, k = np.nonzero(keep)
+        found.append(np.stack([r[i], s + k]))
+        values.append(worst[i, k])
+    if found:
+        orbit = [np.concatenate(found, axis=1)]
+        for _ in range(order - 1):
+            orbit.append(sigma[orbit[-1]])
+        lo, hi = np.sort(np.concatenate(orbit, axis=1), axis=0)
+        key, first = np.unique(lo * n + hi, return_index=True)
+        for i, k, v in zip(*np.divmod(key, n), np.tile(np.concatenate(values), order)[first]):
+            out.append(Violation("triangle", (int(i), int(k)), float(v)))
     return out
+
+
+def _orbits(ds: np.ndarray, isometry: np.ndarray | None) -> tuple:
+    """(sigma, order, rep): the isometry validate uses and each atom's orbit's smallest atom.
+
+    ``isometry`` is used only if it maps ``ds`` onto itself bit for bit,
+    checked ``_VALIDATE_BLOCK`` rows at a time, and its order is at most n;
+    otherwise sigma is the identity, of order 1, and every atom is its own orbit.
+    """
+    n, b = ds.shape[0], _VALIDATE_BLOCK
+    ident = np.arange(n)
+    if isometry is not None and all(
+            np.array_equal(ds[isometry[s : s + b]][:, isometry].view(np.int64),
+                           ds[s : s + b].view(np.int64)) for s in range(0, n, b)):
+        rep, power, order = ident.copy(), isometry, 1
+        while order <= n and not np.array_equal(power, ident):
+            np.minimum(rep, power, out=rep)
+            power, order = isometry[power], order + 1
+        if order <= n:
+            return isometry, order, rep
+    return ident, 1, ident
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +287,10 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     fiber pairs; the measure is the product of radial cell weights and fiber
     weights.  The apex at r=0 (and at r=pi/sqrt(K) for K > 0) is carried as
     an explicit zero-weight atom so the collapsed boundary stays part of the
-    space without entering any density.
+    space without entering any density.  A fiber isometry sigma is lifted to
+    (i, x) -> (i, sigma x) with the apexes fixed: a cell's distances are one
+    function of the same index into the distinct fiber distances, so the
+    lift maps the cone onto itself bit for bit whenever sigma maps the fiber.
     """
     if grid.K != K or grid.N != N:
         raise ValueError("grid parameters must match the cone parameters")
@@ -270,7 +336,10 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     weight = np.zeros(n)
     weight[:nbody] = np.outer(grid.cell_weights, fiber.weight).ravel()
     np.fill_diagonal(dist, 0.0)
-    return FiniteMMS(labels=tuple(labels), dist=dist, weight=weight)
+    isometry = None
+    if fiber.isometry is not None:
+        isometry = np.r_[(np.arange(nr)[:, None] * nf + fiber.isometry).ravel(), nbody:n]
+    return FiniteMMS(labels=tuple(labels), dist=dist, weight=weight, isometry=isometry)
 
 
 # fiber neighbours and radial cells a warped-product edge may span
@@ -302,7 +371,8 @@ def warped_product(
     maps paths to paths of the same edge lengths.  Dijkstra sums a path's
     edges in opposite orders from its two ends, so d[a, b] and d[b, a] can
     differ in the last bits; both are lengths of shortest paths, and the
-    matrix keeps the smaller, which makes it exactly symmetric.
+    matrix keeps the smaller, which makes it exactly symmetric.  The
+    rotation, when it applies, is the space's ``isometry``.
     """
     from scipy.sparse import coo_matrix
 
@@ -353,7 +423,7 @@ def warped_product(
     dist = np.minimum(dist, dist.T)
     labels = tuple(f"{i}:{lab}" for i in range(nr) for lab in fiber.labels)
     weight = np.outer(f**N * h, fiber.weight).ravel()
-    return FiniteMMS(labels=labels, dist=dist, weight=weight)
+    return FiniteMMS(labels=labels, dist=dist, weight=weight, isometry=turn if rotates else None)
 
 
 def dijkstra(*args, **kwargs):
@@ -524,7 +594,11 @@ def _theta_step(theta: np.ndarray, interior: np.ndarray) -> float:
 
 
 def circle_mms(n: int, radius: float) -> FiniteMMS:
-    """n equispaced atoms on a circle with arc-length metric and uniform weight."""
+    """n equispaced atoms on a circle with arc-length metric and uniform weight.
+
+    Its isometry is the rotation c_i -> c_{i+1 mod n}: distances are whole
+    hop counts times one step, so the rotation keeps every bit.
+    """
     if n < 3:
         raise ValueError("circle needs n >= 3 atoms")
     step = 2.0 * math.pi * radius / n
@@ -532,7 +606,8 @@ def circle_mms(n: int, radius: float) -> FiniteMMS:
     hops = np.minimum(np.abs(k[:, None] - k[None, :]), n - np.abs(k[:, None] - k[None, :]))
     dist = hops * step
     weight = np.full(n, step)
-    return FiniteMMS(labels=tuple(f"c{i}" for i in range(n)), dist=dist, weight=weight)
+    return FiniteMMS(labels=tuple(f"c{i}" for i in range(n)), dist=dist, weight=weight,
+                     isometry=np.roll(k, -1))
 
 
 def interval_model_mms(K: float, nu: float, n: int, r_max: float | None = None) -> FiniteMMS:

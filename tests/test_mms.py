@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -160,6 +161,153 @@ class TestValidate:
         assert [v.kind for v in validate(neg)] == ["weight"]
 
 
+def _plain(m):
+    """``m`` with no isometry: validate sweeps every row."""
+    return FiniteMMS(m.labels, m.dist.copy(), m.weight)
+
+
+def _maps_onto_itself(m):
+    sigma = m.isometry
+    return np.array_equal(m.dist[sigma][:, sigma].view(np.int64), m.dist.view(np.int64))
+
+
+def _rotating_space(nr, nf, fixed, seed, relabel=False):
+    """Random, asymmetric, non-metric distances invariant under (a, x) -> (a, x+1 mod nf) on
+    nr rings of nf atoms, with ``fixed`` atoms that the rotation keeps; ``relabel`` scatters
+    the orbits over the indices by a random permutation."""
+    rng = np.random.default_rng(seed)
+    ring = rng.uniform(0.2, 2.0, (nr, nr, nf))
+    a, x, b, y = np.ogrid[:nr, :nf, :nr, :nf]
+    body = ring[a, b, (y - x) % nf].reshape(nr * nf, nr * nf)
+    n = nr * nf + fixed
+    d = np.zeros((n, n))
+    d[: nr * nf, : nr * nf] = body
+    d[nr * nf :, : nr * nf] = np.repeat(rng.uniform(0.5, 3.0, (fixed, nr)), nf, axis=1)
+    d[: nr * nf, nr * nf :] = np.repeat(rng.uniform(0.5, 3.0, (fixed, nr)), nf, axis=1).T
+    d[nr * nf :, nr * nf :] = rng.uniform(0.5, 1.5, (fixed, fixed))
+    np.fill_diagonal(d, 0.0)
+    sigma = np.r_[(np.arange(nr)[:, None] * nf + np.roll(np.arange(nf), -1)).ravel(), nr * nf : n]
+    if relabel:  # atom p of the new labels is atom perm[p] of the old
+        perm = rng.permutation(n)
+        d, sigma = d[perm][:, perm], np.argsort(perm)[sigma[perm]]
+    return FiniteMMS(tuple(range(n)), d, np.ones(n), isometry=sigma)
+
+
+def _plant_on_orbit(m, a, b, by):
+    """Lengthen d(a, b) by ``by`` on every pair of its orbit, keeping the isometry exact."""
+    d, sigma = m.dist.copy(), m.isometry
+    for _ in range(m.n):
+        d[a, b] = d[b, a] = m.dist[a, b] + by
+        a, b = sigma[a], sigma[b]
+    return FiniteMMS(m.labels, d, m.weight, isometry=sigma)
+
+
+def _cone_over_circle(K):
+    return cone(circle_mms(12, 1.0), K, 1.0, radial_grid(K, 1.0, 5))
+
+
+_ROTATING = {
+    "cone K=1": lambda: _cone_over_circle(1.0),
+    "cone K=0": lambda: _cone_over_circle(0.0),
+    "cone K=-1": lambda: _cone_over_circle(-1.0),
+    "big-circle cone": lambda: cone(circle_mms(10, 2.0), 1.0, 2.0, radial_grid(1.0, 2.0, 6)),
+    "warped product": lambda: _sin_warped(radial_grid(1.0, 1.0, 6), circle_mms(8, 1.0)),
+    "circle": lambda: circle_mms(15, 1.0),
+}
+
+
+class TestOrbitSweep:
+    """validate with an isometry sweeps one row per orbit and reports what the full sweep does."""
+
+    @pytest.mark.parametrize("name", sorted(_ROTATING))
+    def test_each_construction_maps_its_distances_onto_themselves(self, name):
+        m = _ROTATING[name]()
+        assert m.isometry is not None and not m.isometry.flags.writeable
+        assert _maps_onto_itself(m)
+
+    @pytest.mark.parametrize("name", sorted(_ROTATING))
+    def test_constructions_match_the_plain_sweep(self, name):
+        m = _ROTATING[name]()
+        assert validate(m) == validate(_plain(m)) == _validate_oracle(m)
+
+    @pytest.mark.parametrize("name", sorted(_ROTATING))
+    def test_a_defect_planted_on_a_whole_orbit_is_spread(self, name):
+        m = _ROTATING[name]()
+        a, b = 1, m.n - 3
+        bent = _plant_on_orbit(m, a, b, float(m.dist.max()))
+        assert _maps_onto_itself(bent)
+        got = validate(bent)
+        assert got == validate(_plain(bent)) == _validate_oracle(bent)
+        # every rotated copy of (a, b) is reported, not only the one the sweep saw
+        pairs = {v.indices for v in got if v.kind == "triangle"}
+        for _ in range(m.n):
+            assert (min(a, b), max(a, b)) in pairs
+            a, b = m.isometry[a], m.isometry[b]
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["ordered", "relabelled"])
+    @pytest.mark.parametrize("nr, nf, fixed", [(1, 9, 0), (3, 4, 2), (mms._VALIDATE_BLOCK + 2, 3, 1),
+                                               (2 * mms._VALIDATE_BLOCK - 1, 2, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_non_metric_rotating_spaces_match_the_oracle(self, nr, nf, fixed, seed, relabel):
+        m = _rotating_space(nr, nf, fixed, seed, relabel)
+        assert _maps_onto_itself(m)
+        sigma, order, _ = mms._orbits(0.5 * (m.dist + m.dist.T), m.isometry)
+        assert order == nf and sigma is m.isometry
+        got = validate(m)
+        assert {v.kind for v in got} >= {"symmetry", "triangle"}
+        assert got == validate(_plain(m)) == _validate_oracle(m)
+
+    def test_a_stale_isometry_falls_back_to_every_row(self):
+        m = _plant_on_orbit(_cone_over_circle(1.0), 3, 40, 2.0)
+        d = m.dist.copy()
+        d[5, 50] = d[50, 5] = d[5, 50] + 2.0  # one pair off its orbit
+        stale = FiniteMMS(m.labels, d, m.weight, isometry=m.isometry)
+        assert not _maps_onto_itself(stale)
+        assert mms._orbits(d, stale.isometry)[1] == 1
+        assert validate(stale) == validate(_plain(stale)) == _validate_oracle(stale)
+
+    def test_a_wrong_permutation_falls_back_to_every_row(self):
+        m = _rotating_space(3, 4, 2, seed=2)
+        wrong = FiniteMMS(m.labels, m.dist, m.weight,
+                          isometry=np.random.default_rng(0).permutation(m.n))
+        assert mms._orbits(0.5 * (m.dist + m.dist.T), wrong.isometry)[1] == 1
+        assert validate(wrong) == _validate_oracle(m)
+
+    def test_an_isometry_of_order_above_n_falls_back(self):
+        # (0 1)(2 3 4) has order 6 on 5 atoms; d(0, 1) is longer than the way through 2
+        d = np.ones((5, 5)) - np.eye(5)
+        d[0, 1] = d[1, 0] = 5.0
+        for sigma, order in (([1, 0, 3, 4, 2], 1), ([1, 0, 2, 3, 4], 2), ([0, 1, 3, 4, 2], 3)):
+            m = FiniteMMS(tuple(range(5)), d, np.ones(5), isometry=sigma)
+            assert _maps_onto_itself(m) and mms._orbits(d, m.isometry)[1] == order
+            assert validate(m) == _validate_oracle(m)
+            assert [v.indices for v in validate(m)] == [(0, 1)]
+
+    @pytest.mark.parametrize("isometry", [[0, 0, 1], [0, 1], [1, 2, 3], [-1, 0, 1],
+                                          [0.0, 1.0, 2.0], [True, False, True], [[0, 1, 2]]],
+                             ids=["repeat", "short", "past-n", "negative", "float", "bool", "2-d"])
+    def test_a_non_permutation_is_rejected(self, isometry):
+        with pytest.raises(ValueError, match="isometry must be a permutation of the 3 atoms"):
+            FiniteMMS(tuple(range(3)), _path_metric(3), np.ones(3), isometry=isometry)
+
+    def test_the_isometry_is_a_read_only_copy(self):
+        sigma = np.array([2, 0, 1], dtype=np.int32)
+        m = FiniteMMS(tuple(range(3)), 1.0 - np.eye(3), np.ones(3), isometry=sigma)
+        sigma[:] = [0, 1, 2]
+        assert m.isometry.tolist() == [2, 0, 1] and m.isometry.dtype == np.intp
+        assert not m.isometry.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: cone(_euclidean_fiber(12, 0), 1.0, 1.0, radial_grid(1.0, 1.0, 4)),
+        lambda: cone(interval_model_mms(1.0, 1.0, 9), 0.0, 1.0, radial_grid(0.0, 1.0, 4)),
+        lambda: interval_model_mms(1.0, 1.0, 9),
+        lambda: warped_product(radial_grid(0.0, 0.0, 10, r_max=2.0), np.ones(10), _LINE3, 1.0),
+        lambda: warped_product(radial_grid(1.0, 1.0, 6), np.ones(6), _perturbed_circle(12), 1.0),
+    ], ids=["euclidean-cone", "interval-cone", "interval", "line-warped", "perturbed-warped"])
+    def test_spaces_without_a_rotation_carry_none(self, make):
+        assert make().isometry is None
+
+
 class TestRadialGrid:
     def test_nodes_inside_interval(self):
         g = radial_grid(1.0, 2.0, 50)
@@ -179,6 +327,37 @@ class TestRadialGrid:
             assert radial_grid(K, 1.0, 10).r_max == pytest.approx(math.pi)
         g = radial_grid(-1.0, 1.0, 10, r_max=2.0)
         assert g.r_max == pytest.approx(2.0)
+
+
+class TestFrozenCopies:
+    def test_a_radial_grid_keeps_its_own_arrays(self):
+        g = radial_grid(1.0, 1.0, 5)
+        nodes, w = g.nodes.copy(), g.cell_weights.copy()
+        kept = mms.RadialGrid(K=g.K, N=g.N, n=g.n, nodes=nodes, cell_weights=w, h=g.h, r_max=g.r_max)
+        w.flags.writeable = True
+        w[0] = 99.0
+        nodes[0] = -1.0
+        assert np.array_equal(kept.cell_weights, g.cell_weights)
+        assert np.array_equal(kept.nodes, g.nodes)
+        assert not kept.cell_weights.flags.writeable
+
+    def test_grid_and_operator_specs_keep_their_own_arrays(self):
+        from conecheck.gamma_calc.grid import ConeGridSpec, FiberSpec
+        from conecheck.spectral1d import SturmLiouville1D
+
+        x, r, a = np.arange(4.0), np.arange(1.0, 5.0), np.ones(5)
+        fib = FiberSpec(x=x, periodic=True)
+        spec = ConeGridSpec(r=r, fiber=fib, K=1.0, nu=1.0)
+        op = SturmLiouville1D(radial_grid(1.0, 1.0, 5), a, np.ones(4), np.ones(5))
+        for arr in (x, r, a):
+            arr.flags.writeable = True
+            arr[0] = 99.0
+        assert fib.x[0] == 0.0 and spec.r[0] == 1.0 and op.a_diag[0] == 1.0
+
+    def test_dist_is_frozen_in_place(self):
+        d = _path_metric(4)
+        m = FiniteMMS(tuple(range(4)), d, np.ones(4))
+        assert m.dist is d and not d.flags.writeable
 
 
 class TestCone:
@@ -773,6 +952,24 @@ class TestSerialization:
         assert back.labels == m.labels
         for a, b in ((back.dist, m.dist), (back.weight, m.weight)):
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["cone K=1", "cone K=-1", "warped product"])
+    def test_an_isometry_leaves_the_file_unchanged(self, tmp_path, name):
+        m = _SAVE_CASES[name]()
+        assert m.isometry is not None
+        save_mms_json(m, tmp_path / "with.json")
+        save_mms_json(_plain(m), tmp_path / "without.json")
+        text = (tmp_path / "with.json").read_bytes()
+        assert text == (tmp_path / "without.json").read_bytes()
+        assert b"isometry" not in text
+        assert load_mms_json(tmp_path / "with.json").isometry is None
+
+    def test_a_circle_file_keeps_its_bytes(self, tmp_path):
+        # hop counts times one step: the same floats on every platform
+        p = tmp_path / "c.json"
+        save_mms_json(circle_mms(9, 1.0), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "2615a7df24031513cdd96844b60e37de22e1b6cddbe5fac00dbf62480b04921a")
 
     def test_json_rejects_asymmetric(self, tmp_path):
         p = tmp_path / "bad.json"
