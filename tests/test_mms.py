@@ -42,8 +42,9 @@ def _euclidean_fiber(n, seed):
                      np.ones(n))
 
 
-_BLOCK_SIZES = [0, 1, 2, mms._VALIDATE_BLOCK - 1, mms._VALIDATE_BLOCK, mms._VALIDATE_BLOCK + 1,
-                2 * mms._VALIDATE_BLOCK + 3]
+# sizes at the edges of one and two sweep blocks, and of 48-row blocks, the other size measured
+_BLOCK_SIZES = sorted({0, 1, 2, 47, 48, 49, 99, mms._VALIDATE_BLOCK - 1, mms._VALIDATE_BLOCK,
+                       mms._VALIDATE_BLOCK + 1, 2 * mms._VALIDATE_BLOCK + 3})
 
 
 def _validate_oracle(m):
