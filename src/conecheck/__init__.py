@@ -2,5 +2,3 @@
 cones and warped products over finite metric measure spaces."""
 
 __version__ = "0.1.0"
-
-from . import gamma_calc, mms, model_fns, spectral1d, transport  # noqa: F401

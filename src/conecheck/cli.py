@@ -309,7 +309,10 @@ def cmd_suspension(args) -> Report:
         space = mmsmod.cone(fiber, 1.0, args.N, grid)
         if x is None:
             x, y = space.n - 2, space.n - 1  # the two apex atoms
-    tol = args.tol if args.tol is not None else 2.0 * math.pi / args.grid
+    tol = args.tol
+    if tol is None:  # twice the radial step, a file's read from pole x (bad poles raise below)
+        tol = 2.0 * (mmsmod._theta_step(space.dist[x], np.setdiff1d(np.arange(space.n), [x, y]))
+                     if args.input and 0 <= x < space.n else math.pi / args.grid)
     rep = mmsmod.suspension_check(space, x, y, tol, N=args.N)
     return Report(
         check="suspension",
@@ -485,7 +488,7 @@ def main(argv=None) -> int:
         unechoed = set(_UNECHOED)
         if getattr(args, "input", None):  # nor the flags that only build what the file replaces
             unechoed |= {"cd-check": {"K", "nu", "grid"}, "cone": {"radius"},
-                         "suspension": {"fiber_n", "radius"}}[args.command]
+                         "suspension": {"grid", "fiber_n", "radius"}}[args.command]
         echoed = {k: getattr(args, k) for k in _DEFAULTS[args.command] if k not in unechoed}
         report.params = {**echoed, **report.params}
         report.seed = args.seed

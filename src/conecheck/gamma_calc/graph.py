@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..mms import _all_finite, _freeze
 from ..model_fns import passes
 from ..spectral1d import discretize_fiber_operator
 
@@ -41,9 +42,8 @@ class WeightedGraph:
     edge_weights: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.vertex_measure, dtype=float)
-        w = np.ascontiguousarray(self.edge_weights, dtype=float)
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(w))):
+        m, w = _freeze(self.vertex_measure), _freeze(self.edge_weights)
+        if not (_all_finite(m) and _all_finite(w)):
             raise ValueError("vertex measure and edge weights must be finite")
         if np.any(m <= 0):
             raise ValueError("vertex measure must be strictly positive")
@@ -55,8 +55,6 @@ class WeightedGraph:
             raise ValueError("edge weights must have zero diagonal")
         if np.any(w < 0):
             raise ValueError("edge weights must be nonnegative")
-        m.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "vertex_measure", m)
         object.__setattr__(self, "edge_weights", w)
 

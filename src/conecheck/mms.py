@@ -6,8 +6,7 @@ radial weight ``sin_K^N``, graph-discretized warped products, model circles
 and weighted intervals, epsilon-midpoint search, and the suspension
 recognizer that inverts the cone construction at a pair of antipodal points.
 
-All constructions freeze their arrays after assembly; every operation here
-is pure.
+Every value owns its arrays through ``_freeze``; every operation here is pure.
 """
 
 from __future__ import annotations
@@ -56,7 +55,12 @@ _SUSPENSION_BLOCK = 1 << 19
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered float copy: the caller's array cannot change it."""
+    """A read-only C-ordered float copy: the caller's array cannot change it.
+
+    Every value type holds its arrays so, except two frozen in place:
+    ``FiniteMMS.dist`` (a copy would double a cone build's peak memory) and
+    ``spectral1d.Spectrum``, whose arrays are fresh from LAPACK.
+    """
     a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
@@ -93,9 +97,7 @@ class FiniteMMS:
     none.  Only its being an integer permutation of the atoms is checked
     here; ``validate`` checks it against the distances before it uses it.
 
-    ``weight`` and ``isometry`` are copied.  ``dist`` is not: a C-ordered
-    float matrix is kept and made read-only in place, so the caller's array
-    is frozen with it.
+    ``weight`` and ``isometry`` are copied; ``dist`` is frozen in place, the caller's with it.
     """
 
     labels: tuple
@@ -162,16 +164,17 @@ def validate(m: FiniteMMS) -> list:
     diag = np.abs(np.diagonal(d))
     for i in np.nonzero(diag > _VALIDATE_SLACK)[0]:
         out.append(Violation("diagonal", (int(i),), float(diag[i])))
-    asym = np.abs(d - d.T)
-    for i, j in zip(*np.nonzero(np.triu(asym, 1) > _VALIDATE_SLACK)):
-        out.append(Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
-    neg = d < -_VALIDATE_SLACK
-    for i, j in zip(*np.nonzero(np.triu(neg, 1))):
-        out.append(Violation("negative-distance", (int(i), int(j)), float(-d[i, j])))
+    buf = np.subtract(d, d.T, out=np.empty_like(d))  # |d - d^T|, then ds: one n x n buffer
+    for i, j in zip(*np.nonzero(np.abs(buf, out=buf) > _VALIDATE_SLACK)):
+        if i < j:  # np.nonzero is row-major, so these come in np.triu's order
+            out.append(Violation("symmetry", (int(i), int(j)), float(buf[i, j])))
+    for i, j in zip(*np.nonzero(d < -_VALIDATE_SLACK)):
+        if i < j:
+            out.append(Violation("negative-distance", (int(i), int(j)), float(-d[i, j])))
     for i in np.nonzero(w < 0.0)[0]:
         out.append(Violation("weight", (int(i),), float(-w[i])))
     # d[i,k] <= d[i,j] + d[j,k]; ds is exactly symmetric, so row j holds both terms.
-    ds = 0.5 * (d + d.T)
+    ds = np.multiply(np.add(d, d.T, out=buf), 0.5, out=buf)
     sigma, order, rep = _orbits(ds, m.isometry)
     rows = np.flatnonzero(rep == np.arange(n))
     found, values = [], []

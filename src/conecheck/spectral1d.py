@@ -48,26 +48,28 @@ class SturmLiouville1D:
 
     ``grid`` carries K and the weight exponent nu (as its N);
     ``a_diag``/``a_off`` hold the symmetric positive-semidefinite stiffness
-    matrix A, ``m_diag`` the diagonal mass matrix; generalized eigenvalues
-    of (A, M) are the eigenvalues of -L.  The arrays are frozen.  The
-    eigenpairs below a cut are computed lazily and cached for semigroup
-    evaluation (``spectrum_below``), the one mutation after construction.
+    matrix A, ``m_diag`` (the grid's cell weights) the diagonal mass matrix M;
+    generalized eigenvalues of (A, M) are the eigenvalues of -L.  The arrays
+    are frozen.  The eigenpairs below a cut are computed lazily and cached for
+    semigroup evaluation (``spectrum_below``), the one mutation after construction.
     """
 
     grid: RadialGrid
     a_diag: np.ndarray
     a_off: np.ndarray
-    m_diag: np.ndarray
     _below: "Spectrum | None" = field(default=None, repr=False)
     _below_cut: float = field(default=-math.inf, repr=False)
 
     def __post_init__(self):
-        for name in ("a_diag", "a_off", "m_diag"):
-            setattr(self, name, _freeze(getattr(self, name)))
+        self.a_diag, self.a_off = _freeze(self.a_diag), _freeze(self.a_off)
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def m_diag(self) -> np.ndarray:
+        return self.grid.cell_weights
 
     def _apply_stiffness(self, u: np.ndarray) -> np.ndarray:
         """A u, the tridiagonal matvec; a 2-D u holds one vector per row."""
@@ -102,7 +104,7 @@ class Spectrum:
 
     def __post_init__(self):
         for a in (self.eigenvalues, self.eigenvectors, self.residuals):
-            a.flags.writeable = False  # in place: _freeze would copy the F-ordered eigenvectors
+            a.flags.writeable = False  # in place, as mms._freeze says
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def discretize_fiber_operator(
         a_diag[:-1] += a
         a_diag[1:] += a
     _finite_in_K(K, a_diag, f"the radial operator's sin_K^{nu:g}")
-    return SturmLiouville1D(grid=grid, a_diag=a_diag, a_off=-a, m_diag=grid.cell_weights)
+    return SturmLiouville1D(grid=grid, a_diag=a_diag, a_off=-a)
 
 
 def eigen(op: SturmLiouville1D, k: int, mu_max: float = math.inf) -> Spectrum:

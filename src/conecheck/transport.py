@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_fns import CurvatureDimension, ExtendedValue, passes, sigma_coeff, tau_coeff
-from .mms import FiniteMMS, _midpoint_defect, midpoints
+from .mms import FiniteMMS, _freeze, _midpoint_defect, midpoints
 
 __all__ = [
     "Density",
@@ -74,8 +74,7 @@ class Density:
     mass: np.ndarray
 
     def __post_init__(self):
-        mass = np.array(self.mass, dtype=float)  # a copy: the caller's array cannot change it
-        mass.flags.writeable = False
+        mass = _freeze(self.mass)
         object.__setattr__(self, "mass", mass)
         if mass.shape != (self.space.n,):
             raise ValueError("mass vector must match the space")
@@ -89,10 +88,7 @@ class Density:
     def rho(self) -> np.ndarray:
         """Density values mass_i / weight_i on the support of the reference weights."""
         w = self.space.weight
-        out = np.zeros_like(self.mass)
-        pos = w > 0
-        out[pos] = self.mass[pos] / w[pos]
-        return out
+        return np.divide(self.mass, w, out=np.zeros_like(self.mass), where=w > 0)
 
 
 def density_from_mass(space: FiniteMMS, raw: np.ndarray) -> Density:
@@ -406,7 +402,7 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
     return density_from_mass(m, out)
 
 
-def renyi_entropy(m: FiniteMMS, mu: Density, Nprime: float) -> float:
+def renyi_entropy(mu: Density, Nprime: float) -> float:
     """The concave functional  sum_i rho_i^(-1/N') mass_i  over the support."""
     if Nprime < 1:
         raise ValueError("Nprime must be >= 1")
@@ -434,7 +430,7 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
     rho0, rho1, theta = mu0.rho()[i], mu1.rho()[j], m.dist[i, j]
     reports = []
     for Np in nprimes:
-        lhs, c = renyi_entropy(m, mid, Np), coeff(CurvatureDimension(cd.K, Np), 0.5, theta)
+        lhs, c = renyi_entropy(mid, Np), coeff(CurvatureDimension(cd.K, Np), 0.5, theta)
         if np.isinf(c).any():
             rhs, slack = ExtendedValue.infinity(), -math.inf
         else:  # cumsum adds the cells left to right, in the plan's row-major order

@@ -319,11 +319,13 @@ class TestVerdictGate:
         assert main(["cone", "--K", "0", "--N", "1", "--grid", "8", "--fiber-n", "12",
                      "--rmax", "2", "--out", str(space), "--report", str(tmp_path / "c.json")]) == 0
         out = tmp_path / "s.json"
-        assert main(["suspension", "--input", str(space), "--grid", "8", "--out", str(out)]) == 1
+        assert main(["suspension", "--input", str(space), "--out", str(out)]) == 1
         rep = read_report(out)
         assert rep["pass"] is False
-        assert rep["detail"]["failed_stage"] == "geodesics-through-poles"
-        assert rep["residuals"]["max"] > 1.0
+        # its farthest rim atoms are 3.75 apart, not pi: a residual of 0.61 against the
+        # file's default tolerance of 0.09
+        assert rep["detail"]["failed_stage"] == "pole-distance"
+        assert rep["residuals"]["max"] > 0.6 > 0.1 > rep["tolerance"]
         nan_out = tmp_path / "nan.json"
         assert main(["suspension", "--input", str(space), "--grid", "8", "--tol", "nan",
                      "--out", str(nan_out)]) == 2
@@ -470,12 +472,13 @@ class TestReportParams:
 
     def test_suspension_input_does_not_echo_the_fiber(self, cone_file, tmp_path):
         out = tmp_path / "r.json"
-        assert main(["suspension", "--input", str(cone_file), "--grid", "6",
+        assert main(["suspension", "--input", str(cone_file), "--grid", "9",
                      "--out", str(out)]) == 0
         params = read_report(out)["params"]
-        assert set(params) == set(_DEFAULTS["suspension"]) - {"fiber_n", "radius", "seed", "out",
-                                                               "input"}
-        assert params["grid"] == 6 and params["tol"] == pytest.approx(2.0 * math.pi / 6)
+        assert set(params) == set(_DEFAULTS["suspension"]) - {"grid", "fiber_n", "radius",
+                                                               "seed", "out", "input"}
+        # the default tolerance is twice the file's radial step, pi/6, whatever --grid says
+        assert params["tol"] == pytest.approx(2.0 * math.pi / 6, abs=1e-9)
 
     def test_cone_input_does_not_echo_the_radius(self, tmp_path):
         fiber = tmp_path / "fiber.json"
@@ -670,6 +673,28 @@ def test_subcommands_import_only_the_scipy_they_call(argv, code, unloaded, tmp_p
     got_code, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert got_code == code, run.stderr
     assert [m for m in loaded if m == unloaded or m.startswith(unloaded + ".")] == []
+
+
+_PACKAGE_FOOTPRINT = """
+import json, sys
+__import__(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "conecheck")))
+"""
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("conecheck", []),
+    ("conecheck.transport", ["mms", "model_fns", "transport"]),
+    ("conecheck.spectral1d", ["mms", "model_fns", "spectral1d"]),
+    ("conecheck.gamma_calc", ["gamma_calc", "gamma_calc.graph", "gamma_calc.grid", "mms",
+                              "model_fns", "spectral1d"]),
+])
+def test_a_module_loads_only_the_modules_it_imports(module, loaded):
+    # the package imports no submodule itself: transport runs without the calculus, and back
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(mms.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", _PACKAGE_FOOTPRINT, module], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert json.loads(run.stdout) == ["conecheck"] + [f"conecheck.{m}" for m in loaded], run.stderr
 
 
 def test_cd_check_at_very_negative_curvature_is_finite(tmp_path):

@@ -222,3 +222,14 @@ def test_console_script_runs_weyl(tmp_path):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     json.loads(run.stdout, parse_constant=_reject)
+
+
+def test_suspension_input_takes_its_tolerance_from_the_file(cone16, tmp_path):
+    # twice the file's radial step pi/16, not 2 pi/25 from the default of the unused --grid
+    out = tmp_path / "report.json"
+    assert main(["suspension", "--input", str(cone16), "--out", str(out)]) == 0
+    report = _strict_report(out)
+    assert report["tolerance"] == report["params"]["tol"]
+    assert report["tolerance"] == pytest.approx(2.0 * math.pi / 16, abs=1e-9)
+    assert "grid" not in report["params"]
+    assert report["residuals"]["max"] == pytest.approx(math.pi / 16)  # the equator's half gap

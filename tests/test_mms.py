@@ -330,35 +330,89 @@ class TestRadialGrid:
         assert g.r_max == pytest.approx(2.0)
 
 
-class TestFrozenCopies:
-    def test_a_radial_grid_keeps_its_own_arrays(self):
-        g = radial_grid(1.0, 1.0, 5)
-        nodes, w = g.nodes.copy(), g.cell_weights.copy()
-        kept = mms.RadialGrid(K=g.K, N=g.N, n=g.n, nodes=nodes, cell_weights=w, h=g.h, r_max=g.r_max)
-        w.flags.writeable = True
-        w[0] = 99.0
-        nodes[0] = -1.0
-        assert np.array_equal(kept.cell_weights, g.cell_weights)
-        assert np.array_equal(kept.nodes, g.nodes)
-        assert not kept.cell_weights.flags.writeable
+def _weight():
+    w = np.ones(4)
+    return [w], [FiniteMMS(tuple(range(4)), _path_metric(4), w).weight]
 
-    def test_grid_and_operator_specs_keep_their_own_arrays(self):
-        from conecheck.gamma_calc.grid import ConeGridSpec, FiberSpec
-        from conecheck.spectral1d import SturmLiouville1D
 
-        x, r, a = np.arange(4.0), np.arange(1.0, 5.0), np.ones(5)
-        fib = FiberSpec(x=x, periodic=True)
-        spec = ConeGridSpec(r=r, fiber=fib, K=1.0, nu=1.0)
-        op = SturmLiouville1D(radial_grid(1.0, 1.0, 5), a, np.ones(4), np.ones(5))
-        for arr in (x, r, a):
-            arr.flags.writeable = True
-            arr[0] = 99.0
-        assert fib.x[0] == 0.0 and spec.r[0] == 1.0 and op.a_diag[0] == 1.0
+def _isometry():
+    sigma = np.roll(np.arange(4), -1)
+    return [sigma], [FiniteMMS(tuple(range(4)), circle_mms(4, 1.0).dist, np.ones(4), sigma).isometry]
 
-    def test_dist_is_frozen_in_place(self):
-        d = _path_metric(4)
-        m = FiniteMMS(tuple(range(4)), d, np.ones(4))
-        assert m.dist is d and not d.flags.writeable
+
+def _radial_grid():
+    g = radial_grid(1.0, 1.0, 5)
+    nodes, w = g.nodes.copy(), g.cell_weights.copy()
+    kept = mms.RadialGrid(K=g.K, N=g.N, n=g.n, nodes=nodes, cell_weights=w, h=g.h, r_max=g.r_max)
+    return [nodes, w], [kept.nodes, kept.cell_weights]
+
+
+def _density():
+    from conecheck.transport import Density
+
+    mass = np.full(4, 0.25)
+    return [mass], [Density(circle_mms(4, 1.0), mass).mass]
+
+
+def _coupling():
+    from scipy.sparse import coo_array
+    from conecheck.transport import Coupling, Density
+
+    mu = Density(circle_mms(4, 1.0), np.full(4, 0.25))
+    dense, sparse = np.diag(mu.mass), coo_array(np.diag(mu.mass))
+    kept = [Coupling(plan, mu, mu).plan for plan in (dense, sparse)]
+    return [dense, sparse.data, sparse.row, sparse.col], [
+        a for plan in kept for a in (plan.data, plan.row, plan.col)]
+
+
+def _sturm_liouville():
+    from conecheck.spectral1d import SturmLiouville1D
+
+    a, b = np.ones(5), np.ones(4)
+    op = SturmLiouville1D(radial_grid(1.0, 1.0, 5), a, b)
+    return [a, b], [op.a_diag, op.a_off, op.m_diag]
+
+
+def _specs():
+    from conecheck.gamma_calc.grid import ConeGridSpec, FiberSpec
+
+    x, r = np.arange(4.0), np.arange(1.0, 5.0)
+    spec = ConeGridSpec(r=r, fiber=FiberSpec(x=x, periodic=True), K=1.0, nu=1.0)
+    return [x, r], [spec.fiber.x, spec.r]
+
+
+def _weighted_graph():
+    from conecheck.gamma_calc.graph import WeightedGraph
+
+    m, w = np.ones(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    g = WeightedGraph(m, w)
+    return [m, w], [g.vertex_measure, g.edge_weights]
+
+
+@pytest.mark.parametrize("make", [_weight, _isometry, _radial_grid, _density, _coupling,
+                                  _sturm_liouville, _specs, _weighted_graph],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_a_value_owns_its_arrays(make):
+    # a value checks its arrays once, so the caller's arrays cannot change them afterwards
+    callers, held = make()
+    before = [a.copy() for a in held]
+    for a in callers:
+        a.flags.writeable = True  # the caller may make its own array writable again
+        a.flat[0] = -5
+    assert all(np.array_equal(a, b) for a, b in zip(held, before))
+    assert not any(a.flags.writeable for a in held)
+
+
+def test_dist_and_spectra_are_frozen_in_place():
+    # the two exceptions: a cone's matrix is not copied, nor are arrays fresh from LAPACK
+    from conecheck.spectral1d import Spectrum
+
+    d = _path_metric(4)
+    assert FiniteMMS(tuple(range(4)), d, np.ones(4)).dist is d and not d.flags.writeable
+    arrays = np.ones(3), np.asfortranarray(np.eye(3)), np.zeros(3)
+    spec = Spectrum(*arrays)
+    held = spec.eigenvalues, spec.eigenvectors, spec.residuals
+    assert all(a is b and not a.flags.writeable for a, b in zip(held, arrays))
 
 
 class TestCone:
@@ -492,6 +546,17 @@ class TestCone:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * c.dist.nbytes
+
+    def test_validate_peak_memory_is_about_one_matrix(self):
+        # |d - d^T| and then the symmetrized ds share one buffer, beside an n x n bool mask
+        c = cone(circle_mms(32, 1.0), 1.0, 1.0, radial_grid(1.0, 1.0, 25))
+        tracemalloc.start()
+        try:
+            assert validate(c) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * c.dist.nbytes
 
 
 class TestDiameterMidpoints:
