@@ -309,10 +309,11 @@ def cmd_suspension(args) -> Report:
         space = mmsmod.cone(fiber, 1.0, args.N, grid)
         if x is None:
             x, y = space.n - 2, space.n - 1  # the two apex atoms
-    tol = args.tol
-    if tol is None:  # twice the radial step, a file's read from pole x (bad poles raise below)
-        tol = 2.0 * (mmsmod._theta_step(space.dist[x], np.setdiff1d(np.arange(space.n), [x, y]))
-                     if args.input and 0 <= x < space.n else math.pi / args.grid)
+    tol = args.tol if args.tol is not None or args.input else 2.0 * math.pi / args.grid
+    if tol is None and 0 <= x < space.n:  # bad poles raise below
+        # a file's: twice its radial step seen from x, never looser than a 16-cell grid's 2 pi/16
+        step = mmsmod._theta_step(space.dist[x], np.setdiff1d(np.arange(space.n), [x, y]))
+        tol = min(2.0 * step, math.pi / 8.0)
     rep = mmsmod.suspension_check(space, x, y, tol, N=args.N)
     return Report(
         check="suspension",

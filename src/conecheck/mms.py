@@ -55,11 +55,10 @@ _SUSPENSION_BLOCK = 1 << 19
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered float copy: the caller's array cannot change it.
+    """A read-only C-ordered float copy, so the caller's array cannot change the value.
 
-    Every value type holds its arrays so, except two frozen in place:
-    ``FiniteMMS.dist`` (a copy would double a cone build's peak memory) and
-    ``spectral1d.Spectrum``, whose arrays are fresh from LAPACK.
+    Every value type holds its arrays so but two, frozen in place: ``FiniteMMS.dist``
+    (a copy would double a cone build's peak) and ``spectral1d.Spectrum``'s LAPACK output.
     """
     a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
@@ -165,12 +164,12 @@ def validate(m: FiniteMMS) -> list:
     for i in np.nonzero(diag > _VALIDATE_SLACK)[0]:
         out.append(Violation("diagonal", (int(i),), float(diag[i])))
     buf = np.subtract(d, d.T, out=np.empty_like(d))  # |d - d^T|, then ds: one n x n buffer
-    for i, j in zip(*np.nonzero(np.abs(buf, out=buf) > _VALIDATE_SLACK)):
-        if i < j:  # np.nonzero is row-major, so these come in np.triu's order
-            out.append(Violation("symmetry", (int(i), int(j)), float(buf[i, j])))
-    for i, j in zip(*np.nonzero(d < -_VALIDATE_SLACK)):
-        if i < j:
-            out.append(Violation("negative-distance", (int(i), int(j)), float(-d[i, j])))
+    i, j = np.nonzero(np.abs(buf, out=buf) > _VALIDATE_SLACK)  # row-major: np.triu's order
+    for a, b in zip(i[i < j], j[i < j]):
+        out.append(Violation("symmetry", (int(a), int(b)), float(buf[a, b])))
+    i, j = np.nonzero(d < -_VALIDATE_SLACK)
+    for a, b in zip(i[i < j], j[i < j]):
+        out.append(Violation("negative-distance", (int(a), int(b)), float(-d[a, b])))
     for i in np.nonzero(w < 0.0)[0]:
         out.append(Violation("weight", (int(i),), float(-w[i])))
     # d[i,k] <= d[i,j] + d[j,k]; ds is exactly symmetric, so row j holds both terms.

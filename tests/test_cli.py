@@ -119,8 +119,24 @@ class TestExitCodes:
         mms.save_mms_json(mms.FiniteMMS(tuple("abcd"), mms.circle_mms(4, 1.0).dist, weight), space)
         out = tmp_path / "s.json"
         assert main(["suspension", "--input", str(space), "--out", str(out)]) == 0
-        params = read_report(out)["params"]
-        assert (params["x"], params["y"]) == poles
+        rep = read_report(out)
+        assert (rep["params"]["x"], rep["params"]["y"]) == poles
+        # one radial level gives no step to read: the default is the cap 2 pi/16, which
+        # leaves the two atoms at pi/2 interior, so the equator stages run
+        assert rep["tolerance"] == math.pi / 8
+        assert set(rep["detail"]["stage_residuals"]) >= {"law-of-cosines", "equator-geodesic"}
+
+    def test_suspension_input_default_tolerance_is_capped(self, tmp_path):
+        # poles 2 apart, not pi: a file's default tol of 2.0 would pass it with no interior atom
+        space = tmp_path / "three.json"
+        dist = np.array([[0.0, 2.0, 1.5], [2.0, 0.0, 1.5], [1.5, 1.5, 0.0]])
+        mms.save_mms_json(mms.FiniteMMS(tuple("xyz"), dist, np.ones(3)), space)
+        out = tmp_path / "s.json"
+        assert main(["suspension", "--input", str(space), "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert (rep["params"]["x"], rep["params"]["y"]) == (0, 1)
+        assert rep["tolerance"] == math.pi / 8
+        assert rep["detail"]["failed_stage"] == "pole-distance"
 
     def test_suspension_input_cone_poles_are_its_apexes(self, tmp_path):
         space = tmp_path / "cone.json"
@@ -477,8 +493,8 @@ class TestReportParams:
         params = read_report(out)["params"]
         assert set(params) == set(_DEFAULTS["suspension"]) - {"grid", "fiber_n", "radius",
                                                                "seed", "out", "input"}
-        # the default tolerance is twice the file's radial step, pi/6, whatever --grid says
-        assert params["tol"] == pytest.approx(2.0 * math.pi / 6, abs=1e-9)
+        # twice the file's radial step pi/6 is looser than the cap 2 pi/16, whatever --grid says
+        assert params["tol"] == math.pi / 8
 
     def test_cone_input_does_not_echo_the_radius(self, tmp_path):
         fiber = tmp_path / "fiber.json"
