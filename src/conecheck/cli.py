@@ -294,33 +294,21 @@ def cmd_weyl(args) -> Report:
 
 
 def cmd_suspension(args) -> Report:
-    x, y = args.x, args.y
-    if (x is None) != (y is None):
-        raise ValueError("--x and --y name the two poles: give both or neither")
-    if args.input:
+    x, y, tol = args.x, args.y, args.tol
+    if args.input:  # suspension_check takes a file's defaults from its distances
         space = mmsmod.load_mms_json(args.input)
-        if x is None:  # of the farthest pairs, the lightest: a cone's zero-weight apexes
-            rows, cols = np.nonzero(space.dist == space.dist.max())
-            k = np.argmin(space.weight[rows] + space.weight[cols])  # first in row-major on ties
-            x, y = int(rows[k]), int(cols[k])
-    else:
+    else:  # the built cone's layout fixes them: its two apexes, twice its radial step
         fiber = mmsmod.circle_mms(args.fiber_n, args.radius)
-        grid = mmsmod.radial_grid(1.0, args.N, args.grid)
-        space = mmsmod.cone(fiber, 1.0, args.N, grid)
-        if x is None:
-            x, y = space.n - 2, space.n - 1  # the two apex atoms
-    tol = args.tol if args.tol is not None or args.input else 2.0 * math.pi / args.grid
-    if tol is None and 0 <= x < space.n:  # bad poles raise below
-        # a file's: twice its radial step seen from x, never looser than a 16-cell grid's 2 pi/16
-        step = mmsmod._theta_step(space.dist[x], np.setdiff1d(np.arange(space.n), [x, y]))
-        tol = min(2.0 * step, math.pi / 8.0)
+        space = mmsmod.cone(fiber, 1.0, args.N, mmsmod.radial_grid(1.0, args.N, args.grid))
+        x, y = (space.n - 2, space.n - 1) if x is None and y is None else (x, y)
+        tol = 2.0 * math.pi / args.grid if tol is None else tol
     rep = mmsmod.suspension_check(space, x, y, tol, N=args.N)
     return Report(
         check="suspension",
-        params={"tol": tol, "x": x, "y": y},
+        params={"tol": rep.tolerance, "x": rep.poles[0], "y": rep.poles[1]},
         residuals=_residuals([rep.max_residual]),
         passed=rep.is_suspension,
-        tolerance=tol,
+        tolerance=rep.tolerance,
         detail={"failed_stage": rep.failed_stage,
                 "equator_size": rep.equator.n if rep.equator is not None else 0,
                 "stage_residuals": rep.stage_residuals},

@@ -41,7 +41,7 @@ __all__ = [
 # clamped, anything further out is a genuine numeric-domain failure.
 _ACOS_GUARD = 1e-12
 
-# How far a distance may miss a metric invariant before validate flags it.
+# How far a distance may miss a metric invariant before validate, or load_mms_json, flags it.
 _VALIDATE_SLACK = 1e-9
 
 # Rows per block of validate's triangle sweep: 24, 32 and 48 were within 10 % of each
@@ -465,7 +465,7 @@ class SuspensionReport:
     """Outcome of the suspension recognition at a pair of antipodal atoms.
 
     ``stage_residuals`` maps each stage that ran, in order, to its residual;
-    ``max_residual`` is the largest of them.
+    ``max_residual`` is the largest of them, ``poles`` and ``tolerance`` those it used.
     """
 
     is_suspension: bool
@@ -473,11 +473,12 @@ class SuspensionReport:
     max_residual: float
     failed_stage: str | None
     stage_residuals: dict
+    poles: tuple
+    tolerance: float
 
 
-def suspension_check(
-    m: FiniteMMS, x: int, y: int, tol: float, N: float = 1.0
-) -> SuspensionReport:
+def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
+                     tol: float | None = None, N: float = 1.0) -> SuspensionReport:
     """Test whether ``m`` matches a sin^N-weighted spherical suspension with poles x, y.
 
     Stages: (1) "pole-distance": x and y are pi apart; (2)
@@ -491,16 +492,27 @@ def suspension_check(
     recovered fiber matches every distance up to ``tol``; (5)
     "equator-geodesic": every pair of equator atoms has a midpoint among them,
     at eps = ``tol`` plus half the fiber's largest nearest-neighbour gap.
-    ``max_residual`` is the largest residual of the stages that ran.
     Equator atom weights are the summed weights of the atoms projecting onto
-    them, normalized by the sin^N mass of their radial fibers.  Geometric
-    failure is reported, never raised; poles that are not atoms of ``m``, or
-    a negative or non-finite ``N``, raise ValueError.
+    them, normalized by the sin^N mass of their radial fibers.  By default the
+    poles are the lightest farthest pair (a cone's apexes, the first in row-major
+    order on a tie) and ``tol`` twice the radial step seen from x (``_theta_step``),
+    at most pi/8.  Geometric failure is reported, never raised; an empty space, a
+    lone pole, poles not atoms of ``m``, or a negative or non-finite ``N`` raise
+    ValueError.
     """
+    if m.n == 0:
+        raise ValueError("the empty space has no poles")
+    if (x is None) != (y is None):
+        raise ValueError("x and y name the two poles: give both or neither")
+    d = m.dist
+    if x is None:  # of the farthest pairs, the lightest; argmin keeps the first on ties
+        pairs = np.argwhere(d == d.max())  # in row-major order
+        x, y = map(int, pairs[np.argmin(m.weight[pairs].sum(axis=1))])
     if not (0 <= x < m.n and 0 <= y < m.n):
         raise ValueError(f"poles ({x}, {y}) must be atoms of the space, 0 to {m.n - 1}")
+    if tol is None:
+        tol = min(2.0 * _theta_step(d[x], np.setdiff1d(np.arange(m.n), [x, y])), math.pi / 8.0)
     _check_exponent(N)
-    d = m.dist
     stages = {}
 
     def ran(stage, res, gate=tol):
@@ -509,7 +521,7 @@ def suspension_check(
 
     def report(failed, equator=None):
         worst = float(np.max(list(stages.values())))
-        return SuspensionReport(failed is None, equator, worst, failed, stages)
+        return SuspensionReport(failed is None, equator, worst, failed, stages, (x, y), tol)
 
     if not ran("pole-distance", abs(float(d[x, y]) - math.pi)):
         return report("pole-distance")
@@ -654,11 +666,40 @@ class _FloatTokens(dict):
         return value
 
 
+def _json_numbers(path, key: str, value) -> np.ndarray:
+    """The entries of ``value`` as a float array, or a ValueError if one is not a JSON number.
+
+    numpy infers a string, null or object entry, or all booleans, as a
+    non-numeric dtype and fails on a ragged nesting; but it reads a true or
+    false beside numbers as 1 or 0, so the entries equal to 0 or 1 are looked
+    at.  An integer past int64 infers as an object and is read as a float.
+    """
+    error = ValueError(f"space file {path} has a malformed entry: {key!r} holds a non-number")
+    try:
+        a = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"space file {path} has a malformed entry: {key!r} is ragged") from None
+    if a.dtype.kind == "O" and all(type(v) in (int, float) for v in a.flat):
+        a = a.astype(float)  # an integer too long for int64 infers as an object
+    if a.dtype.kind not in "iuf":
+        raise error
+    a = a.astype(float, copy=False)
+    if a.ndim in (1, 2):  # any other shape is rejected later
+        rows = [value] if a.ndim == 1 else value
+        i, j = np.nonzero(np.atleast_2d((a == 0.0) | (a == 1.0)))
+        if any(isinstance(rows[r][c], bool) for r, c in zip(i.tolist(), j.tolist())):
+            raise error
+    return a
+
+
 def load_mms_json(path) -> FiniteMMS:
     """Load a space from a JSON object with labels, dist and weight; symmetric, zero diagonal.
 
-    A space file repeats each distance (symmetry, the cone's rotations), so
-    each distinct number token is parsed once per load.
+    ``labels`` must be an array and ``dist`` and ``weight`` hold JSON numbers
+    only.  A diagonal entry or an asymmetry beyond ``_VALIDATE_SLACK`` is an
+    error; within it, the diagonal is zeroed and dist is symmetrized.  A space
+    file repeats each distance (symmetry, the cone's rotations), so each
+    distinct number token is parsed once per load.
     """
     with open(path) as fh:
         payload = json.load(fh, parse_float=_FloatTokens().__getitem__)
@@ -667,18 +708,24 @@ def load_mms_json(path) -> FiniteMMS:
     for key in ("labels", "dist", "weight"):
         if key not in payload:
             raise ValueError(f"space file {path} has no {key!r} key")
-    try:
-        labels, weight = tuple(payload["labels"]), np.asarray(payload["weight"], dtype=float)
-        dist = np.asarray(payload["dist"], dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"space file {path} has a malformed entry: {exc}") from None
+    labels = payload["labels"]
+    if not isinstance(labels, list):
+        raise ValueError(f"space file {path} has a malformed entry: 'labels' holds a JSON "
+                         f"{type(labels).__name__}, not an array")
+    weight = _json_numbers(path, "weight", payload["weight"])
+    dist = _json_numbers(path, "dist", payload["dist"])
     if dist.shape == (0,):  # json writes the 0x0 matrix as []
         dist = dist.reshape(0, 0)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("dist must be a square matrix")
     if not _all_finite(dist):  # before fill_diagonal can hide a NaN
         raise ValueError("distances and weights must be finite")
-    if np.any(np.abs(dist - dist.T) > 1e-9):
+    off = np.flatnonzero(np.abs(np.diagonal(dist)) > _VALIDATE_SLACK)
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"space file {path}: atom {i} is at distance {float(dist[i, i])!r} "
+                         "from itself, not 0")
+    if np.any(np.abs(dist - dist.T) > _VALIDATE_SLACK):
         raise ValueError("dist must be symmetric")
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)

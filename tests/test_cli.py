@@ -33,6 +33,15 @@ def strip_runtime(report):
     return report
 
 
+def _assert_reports_the_defaults_of_suspension_check(rep, space):
+    """The CLI's poles, tolerance and verdict on a space file are suspension_check's own."""
+    want = mms.suspension_check(mms.load_mms_json(space))
+    assert (rep["params"]["x"], rep["params"]["y"]) == want.poles
+    assert rep["params"]["tol"] == rep["tolerance"] == want.tolerance
+    assert rep["pass"] is want.is_suspension
+    assert rep["detail"]["stage_residuals"] == want.stage_residuals
+
+
 class TestExitCodes:
     def test_spectrum_pass(self, tmp_path):
         out = tmp_path / "r.json"
@@ -125,6 +134,7 @@ class TestExitCodes:
         # leaves the two atoms at pi/2 interior, so the equator stages run
         assert rep["tolerance"] == math.pi / 8
         assert set(rep["detail"]["stage_residuals"]) >= {"law-of-cosines", "equator-geodesic"}
+        _assert_reports_the_defaults_of_suspension_check(rep, space)
 
     def test_suspension_input_default_tolerance_is_capped(self, tmp_path):
         # poles 2 apart, not pi: a file's default tol of 2.0 would pass it with no interior atom
@@ -137,6 +147,7 @@ class TestExitCodes:
         assert (rep["params"]["x"], rep["params"]["y"]) == (0, 1)
         assert rep["tolerance"] == math.pi / 8
         assert rep["detail"]["failed_stage"] == "pole-distance"
+        _assert_reports_the_defaults_of_suspension_check(rep, space)
 
     def test_suspension_input_cone_poles_are_its_apexes(self, tmp_path):
         space = tmp_path / "cone.json"
@@ -569,11 +580,27 @@ def test_grid_too_small_for_the_margin_is_an_input_error(argv, message, tmp_path
     assert not out.exists()
 
 
+def _ring_with_d22(d22):
+    """Hop distances of a 6-atom ring, but d(2, 2) = d22."""
+    dist = [[float(min(abs(i - j), 6 - abs(i - j))) for j in range(6)] for i in range(6)]
+    dist[2][2] = d22
+    return dist
+
+
 @pytest.mark.parametrize("payload, named", [
     ([[0.0, 1.0], [1.0, 0.0]], "holds a JSON list, not an object"),
     ({"labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]}, "has no 'weight' key"),
     ({"labels": 2, "dist": [[0.0, 1.0], [1.0, 0.0]], "weight": [1.0, 1.0]}, "malformed entry"),
-], ids=["list", "no-weight", "int-labels"])
+    ({"labels": "abc", "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "weight": [1, 1, 1]},
+     "'labels' holds a JSON str, not an array"),
+    ({"labels": ["a", "b"], "dist": [[0, "1"], ["1", 0]], "weight": [1, 1]},
+     "'dist' holds a non-number"),
+    ({"labels": ["a", "b"], "dist": [[0, True], [True, 0]], "weight": [1, 1]},
+     "'dist' holds a non-number"),
+    ({"labels": list("abcdef"), "dist": _ring_with_d22(5.0), "weight": [1.0] * 6},
+     "atom 2 is at distance 5.0 from itself, not 0"),
+], ids=["list", "no-weight", "int-labels", "string-labels", "string-dist", "boolean-dist",
+        "nonzero-diagonal"])
 @pytest.mark.parametrize("argv", [["cd-check"], ["suspension"],
                                   ["cone", "--out", "{tmp}/cone.json", "--report", "{tmp}/r.json"]],
                          ids=lambda argv: argv[0])

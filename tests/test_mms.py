@@ -830,7 +830,7 @@ class TestSuspension:
         assert not rep.is_suspension
         assert rep.failed_stage in ("pole-distance", "geodesics-through-poles")
 
-    @pytest.mark.parametrize("x, y", [(-1, 1), (0, 2), (2, 0)])
+    @pytest.mark.parametrize("x, y", [(-1, 1), (0, 2), (2, 0), (0, None), (None, 1)])
     def test_poles_must_be_atoms(self, x, y):
         with pytest.raises(ValueError, match="poles"):
             suspension_check(two_point(math.pi), x, y, tol=1e-6)
@@ -918,6 +918,47 @@ class TestSuspension:
                                              "law-of-cosines", "equator-geodesic"]
         assert rep.stage_residuals["equator-geodesic"] == pytest.approx(residual, rel=1e-12)
         assert rep.max_residual == max(rep.stage_residuals.values())
+
+    @pytest.mark.parametrize("grid, nf, N, radius", [(25, 100, 1.0, 1.0), (16, 16, 2.0, 1.5),
+                                                     (8, 12, 1.0, 1.0)])
+    def test_default_poles_are_a_cones_apexes(self, grid, nf, N, radius):
+        c = cone(circle_mms(nf, radius), 1.0, N, radial_grid(1.0, N, grid))
+        rep = suspension_check(c, N=N)
+        assert rep.poles == (c.n - 2, c.n - 1)
+        assert rep.stage_residuals["pole-distance"] <= 1e-12
+
+    def test_default_tolerance_of_a_16_cell_cone_file(self, tmp_path):
+        # twice its radial step pi/16, read from levels rounded to 1e-9, is just above pi/8
+        p = tmp_path / "cone16.json"
+        save_mms_json(cone(circle_mms(16, 1.0), 1.0, 1.0, radial_grid(1.0, 1.0, 16)), p)
+        rep = suspension_check(load_mms_json(p))
+        assert rep.tolerance == math.pi / 8
+        assert rep.poles == (256, 257) and rep.is_suspension
+
+    def test_explicit_arguments_keep_the_report(self):
+        # the benchmark's call on the 25 x 100 cone: poles and tol are echoed, not changed
+        g = radial_grid(1.0, 1.0, 25)
+        c = cone(circle_mms(100, 1.0), 1.0, 1.0, g)
+        rep = suspension_check(c, c.n - 2, c.n - 1, 2.0 * g.h, N=1.0)
+        assert rep.poles == (c.n - 2, c.n - 1) and rep.tolerance == 2.0 * g.h
+        assert rep.is_suspension and rep.failed_stage is None
+        res = rep.stage_residuals
+        assert list(res) == ["pole-distance", "geodesics-through-poles", "law-of-cosines",
+                             "equator-geodesic"]
+        assert res["pole-distance"] == res["geodesics-through-poles"] == 0.0
+        assert res["law-of-cosines"] <= 1e-15
+        assert rep.max_residual == res["equator-geodesic"] == pytest.approx(math.pi / 100,
+                                                                            rel=1e-12)
+        assert rep.equator.labels == tuple(f"12:c{k}" for k in range(100))
+        same = suspension_check(c, tol=2.0 * g.h)  # the default poles are the same apexes
+        assert same.stage_residuals == res
+        assert np.array_equal(same.equator.dist, rep.equator.dist)
+        assert np.array_equal(same.equator.weight, rep.equator.weight)
+
+    @pytest.mark.parametrize("poles", [(), (0, 1)], ids=["default", "given"])
+    def test_an_empty_space_is_named(self, poles):
+        with pytest.raises(ValueError, match="empty space"):
+            suspension_check(FiniteMMS((), np.zeros((0, 0)), np.zeros(0)), *poles)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_midpoint_defect_matches_the_triple_loop(self, n):
@@ -1072,3 +1113,46 @@ class TestSerialization:
         }))
         m = load_mms_json(p)
         assert m.dist[0, 0] == 0.0
+
+    @pytest.mark.parametrize("entry", [5.0, -2e-9], ids=["five", "past-the-slack"])
+    def test_json_rejects_a_nonzero_diagonal(self, tmp_path, entry):
+        # a 6-atom circle with d(2, 2) != 0 was zeroed without a word
+        d = circle_mms(6, 1.0).dist.copy()
+        d[2, 2] = entry
+        p = tmp_path / "diag.json"
+        p.write_text(json.dumps({"labels": list("abcdef"), "dist": d.tolist(),
+                                 "weight": [1.0] * 6}))
+        with pytest.raises(ValueError, match=r"atom 2 is at distance .* from itself"):
+            load_mms_json(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("labels", "ab"), ("labels", {"a": 1, "b": 2}), ("labels", 2),
+        ("dist", [[0, "1"], ["1", 0]]), ("dist", [[0, True], [True, 0]]),
+        ("dist", [[False, True], [True, False]]), ("dist", [[0.0, None], [None, 0.0]]),
+        ("dist", [[0.0, 1.5], [1.5]]), ("weight", [True, 1.0]), ("weight", ["1", 1.0]),
+        ("weight", [1.0, [1.0]]),
+    ], ids=["labels-string", "labels-object", "labels-number", "dist-strings",
+            "dist-booleans-beside-numbers", "dist-booleans", "dist-null", "dist-ragged",
+            "weight-boolean", "weight-string", "weight-nested"])
+    def test_json_rejects_entries_of_the_wrong_type(self, tmp_path, key, value):
+        payload = {"labels": ["a", "b"], "dist": [[0.0, 1.5], [1.5, 0.0]], "weight": [1.0, 1.0],
+                   key: value}
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"malformed entry: '{key}'"):
+            load_mms_json(p)
+
+    def test_json_numbers_may_be_integers(self, tmp_path):
+        # a 0 or 1 written as an integer is a number, not a boolean
+        p = tmp_path / "ints.json"
+        p.write_text(json.dumps({"labels": [0, 1, 2], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                                 "weight": [1, 0, 1]}))
+        m = load_mms_json(p)
+        assert m.labels == (0, 1, 2) and m.dist.dtype == float
+        assert m.dist.tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+        assert m.weight.tolist() == [1.0, 0.0, 1.0]
+        # numpy infers an integer past int64 as an object; it is still a number
+        p.write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, 10**30], [10**30, 0]],
+                                 "weight": [1, 2**70]}))
+        m = load_mms_json(p)
+        assert m.dist[0, 1] == 1e30 and m.weight[1] == 2.0**70
