@@ -11,7 +11,6 @@ Exit codes: 0 pass, 1 check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -417,59 +416,59 @@ _DEFAULTS = {
 _UNECHOED = {"seed", "out", "report", "plot", "input"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take the input errors' path: one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conecheck",
         description="curvature-dimension verification suites on cones and warped products",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, defaults in _DEFAULTS.items():
         p = sub.add_parser(name)
-        for key in [*defaults, "config"]:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **_FLAGS[key])
+        for key, default in [*defaults.items(), ("config", None)]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=default, **_FLAGS[key])
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
-def _config_value(command: str, key: str, value):
-    """A config entry parsed as its flag parses its text; ValueError for anything else."""
-    if key not in _DEFAULTS[command]:
-        raise ValueError(f"config key {key!r} is not a flag of {command}")
-    spec = _FLAGS[key]
-    if "action" in spec:  # the switch --full takes a JSON boolean
-        if isinstance(value, bool):
-            return value
-    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(ValueError):
-            parsed = spec["type"](str(value))
-            if parsed in spec.get("choices", [parsed]):
-                return parsed
-    raise ValueError(f"config key {key!r}: {value!r} is not a valid value of its flag")
-
-
-def _merge_config(args) -> None:
-    """Apply flag > config-file > defaults precedence in place, then check --pairs."""
-    layer = dict(_DEFAULTS[args.command])
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError(f"config {args.config} is not a JSON object")
-        for key, value in config.items():
-            key = key.replace("-", "_")
-            layer[key] = _config_value(args.command, key, value)
-    for key, value in layer.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    if getattr(args, "pairs", 1) < 1:
-        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+def _config_flags(command: str, path: str) -> list:
+    """The flags a config file's entries name: --key=value, --key for true, none for false."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} is not a JSON object")
+    flags = []
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        if dest not in _DEFAULTS[command]:
+            raise ValueError(f"config key {key!r} is not a flag of {command}")
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(value, bool) and "action" in _FLAGS[dest]:  # a switch: present or absent
+            flags += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")  # one token, so a value may start with "-"
+        else:
+            raise ValueError(f"config key {key!r}: {value!r} is not a valid value of its flag")
+    return flags
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
-        _merge_config(args)
+        if args.config:  # its flags go right after the subcommand, before the typed ones
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.command, args.config)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        if getattr(args, "pairs", 1) < 1:
+            raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
         if args.command == "cone" and args.out is None:
             parser.error("cone requires --out for the space file")
         started = time.perf_counter()
@@ -489,7 +488,7 @@ def main(argv=None) -> int:
         else:
             print(text)
         return _EXIT_PASS if report.passed else _EXIT_FAIL
-    except SystemExit as exc:  # argparse usage errors
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,13 +70,21 @@ class FiberSpec:
         return self.x.size
 
 
+def _enough_samples(n: int, axis: str) -> None:
+    """A ValueError naming the axis if it has fewer than the 3 samples its edge stencils read."""
+    if n < 3:
+        raise ValueError(f"the {axis} axis has {n} samples; its stencils need at least 3")
+
+
 def circle_fiber(n: int, circumference: float = 2.0 * math.pi) -> FiberSpec:
+    _enough_samples(n, "fiber")
     h = circumference / n
     return FiberSpec(x=np.arange(n) * h, periodic=True, weight_exponent=0.0)
 
 
 def weighted_interval_fiber(n: int, nu_f: float) -> FiberSpec:
     """Window of (0, pi) carrying the sin^nu_f model weight (curvature 1)."""
+    _enough_samples(n, "fiber")
     return FiberSpec(x=np.linspace(_WINDOW_PAD, math.pi - _WINDOW_PAD, n), periodic=False,
                      weight_exponent=nu_f)
 
@@ -115,6 +123,7 @@ def cone_grid(K: float, nu: float, nr: int, fiber: FiberSpec) -> ConeGridSpec:
     A ValueError names K when the warp's highest power used, f**4, overflows
     a float (sinh at steep K < 0).
     """
+    _enough_samples(nr, "radial")
     L = model_interval(K)
     spec = ConeGridSpec(r=np.linspace(_WINDOW_PAD, L - _WINDOW_PAD, nr), fiber=fiber, K=K, nu=nu)
     with np.errstate(over="ignore"):

@@ -41,7 +41,7 @@ __all__ = [
 # clamped, anything further out is a genuine numeric-domain failure.
 _ACOS_GUARD = 1e-12
 
-# How far a distance may miss a metric invariant before validate, or load_mms_json, flags it.
+# How far a distance may miss a metric invariant before it is rejected or reported.
 _VALIDATE_SLACK = 1e-9
 
 # Rows per block of validate's triangle sweep: 24, 32 and 48 were within 10 % of each
@@ -85,10 +85,10 @@ def _permutation(p, n: int) -> np.ndarray:
 class FiniteMMS:
     """Finite metric measure space: labels, distance matrix, atom weights.
 
-    ``dist`` is symmetric with zero diagonal and satisfies the triangle
-    inequality up to a small slack; ``weight`` is nonnegative with zero
-    permitted only for distinguished boundary atoms (cone apexes), which are
-    kept for distances but excluded from densities.
+    The constructor rejects a non-finite entry and, naming the atom or pair, a diagonal
+    entry or negative distance beyond ``_VALIDATE_SLACK`` and a negative weight; a zero
+    weight marks a boundary atom (a cone apex), kept for distances but not densities.
+    ``validate`` checks symmetry and the triangle inequality, which take n^2 and n^3 work.
 
     ``isometry`` is a permutation sigma of the atoms with
     ``dist[sigma][:, sigma] == dist`` bit for bit, or None.  The constructions
@@ -115,8 +115,19 @@ class FiniteMMS:
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
         if self.weight.shape != (n,):
             raise ValueError(f"weight must have length {n}")
-        if not (_all_finite(self.dist) and _all_finite(self.weight)):
+        lo, hi = (float(dist.min()), float(dist.max())) if n else (0.0, 0.0)  # one pass each
+        if not (math.isfinite(lo) and math.isfinite(hi) and _all_finite(self.weight)):
             raise ValueError("distances and weights must be finite")
+        off = np.flatnonzero(np.abs(np.diagonal(dist)) > _VALIDATE_SLACK)
+        if off.size:
+            raise ValueError(f"atom {off[0]} is at distance {float(dist[off[0], off[0]])!r} "
+                             "from itself, not 0")
+        if lo < -_VALIDATE_SLACK:
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            raise ValueError(f"atoms {i} and {j} are at a negative distance, {lo!r}")
+        neg = np.flatnonzero(self.weight < 0.0)
+        if neg.size:
+            raise ValueError(f"atom {neg[0]} has a negative weight, {float(self.weight[neg[0]])!r}")
         if self.isometry is not None:
             object.__setattr__(self, "isometry", _permutation(self.isometry, n))
 
@@ -132,7 +143,7 @@ class FiniteMMS:
 class Violation:
     """A named defect of a FiniteMMS invariant, with location and size."""
 
-    kind: str  # "diagonal" | "symmetry" | "triangle" | "weight" | "negative-distance"
+    kind: str  # "symmetry" | "triangle"
     indices: tuple
     magnitude: float
 
@@ -141,10 +152,9 @@ class Violation:
 
 
 def validate(m: FiniteMMS) -> list:
-    """Return all invariant violations of ``m`` (empty list == valid).
+    """Return the symmetry and triangle violations of ``m`` (empty list == valid).
 
-    A weight may be zero (an apex carries none) but not negative.
-
+    The pointwise rules are the constructor's, so every ``FiniteMMS`` keeps them.
     Triangle defects d(i, k) > d(i, j) + d(j, k) are reported once per pair
     i < k, at its worst intermediate j, to bound the output size.  The worst
     defect is d(i, k) - min_j (d(i, j) + d(j, k)), which equals the largest
@@ -158,20 +168,11 @@ def validate(m: FiniteMMS) -> list:
     a block's running minimum stays in cache while j sweeps every atom.
     """
     out = []
-    d, w = m.dist, m.weight
-    n = m.n
-    diag = np.abs(np.diagonal(d))
-    for i in np.nonzero(diag > _VALIDATE_SLACK)[0]:
-        out.append(Violation("diagonal", (int(i),), float(diag[i])))
+    d, n = m.dist, m.n
     buf = np.subtract(d, d.T, out=np.empty_like(d))  # |d - d^T|, then ds: one n x n buffer
     i, j = np.nonzero(np.abs(buf, out=buf) > _VALIDATE_SLACK)  # row-major: np.triu's order
     for a, b in zip(i[i < j], j[i < j]):
         out.append(Violation("symmetry", (int(a), int(b)), float(buf[a, b])))
-    i, j = np.nonzero(d < -_VALIDATE_SLACK)
-    for a, b in zip(i[i < j], j[i < j]):
-        out.append(Violation("negative-distance", (int(a), int(b)), float(-d[a, b])))
-    for i in np.nonzero(w < 0.0)[0]:
-        out.append(Violation("weight", (int(i),), float(-w[i])))
     # d[i,k] <= d[i,j] + d[j,k]; ds is exactly symmetric, so row j holds both terms.
     ds = np.multiply(np.add(d, d.T, out=buf), 0.5, out=buf)
     sigma, order, rep = _orbits(ds, m.isometry)
@@ -693,13 +694,13 @@ def _json_numbers(path, key: str, value) -> np.ndarray:
 
 
 def load_mms_json(path) -> FiniteMMS:
-    """Load a space from a JSON object with labels, dist and weight; symmetric, zero diagonal.
+    """Load a space from a JSON object with labels, dist and weight.
 
-    ``labels`` must be an array and ``dist`` and ``weight`` hold JSON numbers
-    only.  A diagonal entry or an asymmetry beyond ``_VALIDATE_SLACK`` is an
-    error; within it, the diagonal is zeroed and dist is symmetrized.  A space
-    file repeats each distance (symmetry, the cone's rotations), so each
-    distinct number token is parsed once per load.
+    ``labels`` must be an array, ``dist`` and ``weight`` hold JSON numbers only,
+    and ``dist`` be symmetric up to ``_VALIDATE_SLACK``, within which it is
+    symmetrized and its diagonal zeroed; every error, the constructor's too,
+    names the file.  A space file repeats each distance (symmetry, the cone's
+    rotations), so each distinct number token is parsed once per load.
     """
     with open(path) as fh:
         payload = json.load(fh, parse_float=_FloatTokens().__getitem__)
@@ -717,16 +718,16 @@ def load_mms_json(path) -> FiniteMMS:
     if dist.shape == (0,):  # json writes the 0x0 matrix as []
         dist = dist.reshape(0, 0)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValueError("dist must be a square matrix")
-    if not _all_finite(dist):  # before fill_diagonal can hide a NaN
-        raise ValueError("distances and weights must be finite")
-    off = np.flatnonzero(np.abs(np.diagonal(dist)) > _VALIDATE_SLACK)
-    if off.size:
-        i = int(off[0])
-        raise ValueError(f"space file {path}: atom {i} is at distance {float(dist[i, i])!r} "
-                         "from itself, not 0")
-    if np.any(np.abs(dist - dist.T) > _VALIDATE_SLACK):
-        raise ValueError("dist must be symmetric")
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return FiniteMMS(labels=labels, dist=dist, weight=weight)
+        raise ValueError(f"space file {path}: dist must be a square matrix")
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which the constructor names
+        asymmetric = np.any(np.abs(dist - dist.T) > _VALIDATE_SLACK)
+        dist = 0.5 * (dist + dist.T)
+    i = np.flatnonzero(np.abs(np.diagonal(dist)) <= _VALIDATE_SLACK)
+    dist[i, i] = 0.0
+    try:
+        m = FiniteMMS(labels=labels, dist=dist, weight=weight)
+    except ValueError as exc:
+        raise ValueError(f"space file {path}: {exc}") from None
+    if asymmetric:  # after the constructor, so a lone inf is named non-finite
+        raise ValueError(f"space file {path}: dist must be symmetric")
+    return m

@@ -320,6 +320,38 @@ class TestConfig:
         main(["heat", "--config", str(cfg), "--grid", "90", "--out", str(out)])
         assert read_report(out)["params"]["grid"] == 90
 
+    @pytest.mark.parametrize("command, config, flags", [pytest.param(*run, id=run[0]) for run in [
+        ("spectrum", {"grid": "100", "nu": 2, "tol": 0.25},
+         ["--grid", "100", "--nu", "2", "--tol", "0.25"]),
+        ("cone", {"grid": 6, "fiber-n": "8", "K": -1}, ["--grid", "6", "--fiber-n", "8", "--K=-1"]),
+        ("cd-check", {"grid": "60", "pairs": 1, "full": True, "cd_K": "1.5"},
+         ["--grid", "60", "--pairs", "1", "--full", "--cd-K", "1.5"]),
+        ("be-check", {"flavor": "grid", "grid": "41", "fiber_n": 33, "pairs": 1},
+         ["--flavor", "grid", "--grid", "41", "--fiber-n", "33", "--pairs", "1"]),
+        ("weyl", {"seed": "3"}, ["--seed", "3"]),
+        ("suspension", {"grid": "8", "fiber-n": 12, "radius": 0.5, "tol": "1e-1"},
+         ["--grid", "8", "--fiber-n", "12", "--radius", "0.5", "--tol", "1e-1"]),
+        ("heat", {"K": -1, "grid": "60", "pairs": 1, "lambda": 0.5},
+         ["--K=-1", "--grid", "60", "--pairs", "1", "--lambda", "0.5"]),
+        ("gamma2-identity", {"grid": 41, "fiber-n": "16", "pairs": 1, "K": "-1"},
+         ["--grid", "41", "--fiber-n", "16", "--pairs", "1", "--K=-1"]),
+    ]])
+    def test_config_gives_the_report_of_its_flags(self, command, config, flags, tmp_path):
+        # each entry is parsed as the flag it names: a number may come as a JSON string, a
+        # value may start with "-", and a true switch is the switch alone
+        cfg, out, space = tmp_path / "cfg.json", tmp_path / "r.json", tmp_path / "space.json"
+        cfg.write_text(json.dumps(config))
+        files = ["--out", str(out)]
+        if command == "cone":
+            files = ["--out", str(space), "--report", str(out)]
+        runs = []
+        for argv in (["--config", str(cfg)], flags):
+            out.unlink(missing_ok=True)
+            runs.append((main([command, *argv, *files]), strip_runtime(read_report(out))))
+        assert runs[0] == runs[1]
+        if "K" in config:  # {"K": -1} reads as --K=-1, not as a flag -1
+            assert runs[0][1]["params"]["K"] == -1.0
+
     def test_params_echo_verbatim(self, tmp_path):
         out = tmp_path / "r.json"
         main(["spectrum", "--K", "1", "--nu", "2", "--lambda", "1.5",
@@ -377,17 +409,20 @@ class TestVerdictGate:
         assert main(["weyl", "--K", "9", "--grid", "5", "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("config", [{"tol": "abc"}, {"gird": 5}, {"pairs": 0},
-                                        {"flavor": "mesh"}, {"grid": True}, [1]])
+    @pytest.mark.parametrize("config", [
+        {"tol": "abc"}, {"gird": 5}, {"pairs": 0}, {"flavor": "mesh"}, {"grid": True}, [1],
+        {"gri": 5}, {"grid": False}, {"grid": None}, {"grid": [160]}, {"out": {"a": 1}},
+        {"grid": 160.0}, {"config": "other.json"}, {"full": True}])
     def test_bad_config_is_a_usage_error(self, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "r.json"
         assert main(["be-check", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("full, code", [(True, 0), ("true", 2), (1, 2)])
+    @pytest.mark.parametrize("full, code", [(True, 0), (False, 0), ("true", 2), (1, 2)])
     def test_config_full_takes_only_a_json_boolean(self, full, code, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"full": full}))
@@ -397,8 +432,8 @@ class TestVerdictGate:
         if code == 2:
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
-        else:
-            assert read_report(out)["check"] == "cd"
+        else:  # a false switch is absent
+            assert read_report(out)["check"] == ("cd" if full else "cd-star")
 
     def test_config_values_take_the_flag_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -587,6 +622,13 @@ def _ring_with_d22(d22):
     return dist
 
 
+def _square(d02=math.pi):
+    """Distances of the 4-atom square of side pi/2, but d(0, 2) = d(2, 0) = d02."""
+    dist = [[math.pi / 2 * min(abs(i - j), 4 - abs(i - j)) for j in range(4)] for i in range(4)]
+    dist[0][2] = dist[2][0] = d02
+    return dist
+
+
 @pytest.mark.parametrize("payload, named", [
     ([[0.0, 1.0], [1.0, 0.0]], "holds a JSON list, not an object"),
     ({"labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]}, "has no 'weight' key"),
@@ -599,8 +641,15 @@ def _ring_with_d22(d22):
      "'dist' holds a non-number"),
     ({"labels": list("abcdef"), "dist": _ring_with_d22(5.0), "weight": [1.0] * 6},
      "atom 2 is at distance 5.0 from itself, not 0"),
+    # the 4-atom square of side pi/2, with a negative weight or a negative distance
+    ({"labels": list("abcd"), "dist": _square(), "weight": [1.0, -1.0, 1.0, 1.0]},
+     "atom 1 has a negative weight, -1.0"),
+    ({"labels": list("abcd"), "dist": _square(d02=-math.pi), "weight": [1.0] * 4},
+     f"atoms 0 and 2 are at a negative distance, {-math.pi!r}"),
+    ({"labels": ["a", "b"], "dist": [[0.0, 1.0], [2.0, 0.0]], "weight": [1, 1]},
+     "dist must be symmetric"),
 ], ids=["list", "no-weight", "int-labels", "string-labels", "string-dist", "boolean-dist",
-        "nonzero-diagonal"])
+        "nonzero-diagonal", "negative-weight", "negative-distance", "asymmetric"])
 @pytest.mark.parametrize("argv", [["cd-check"], ["suspension"],
                                   ["cone", "--out", "{tmp}/cone.json", "--report", "{tmp}/r.json"]],
                          ids=lambda argv: argv[0])

@@ -82,7 +82,8 @@ ROWS = [
     # the Gamma2 identity passes on its own model at every K; the tolerance sees both steps
     *((f"gamma2-identity --K {K}", 0, {}) for K in ("0.5", "2", "4", "9")),
     ("gamma2-identity --K 0.5 --fiber-n 256", 0, {}),
-    # the grid flavor's Bochner inequality holds at every K under its 60 h^2 tolerance
+    # at nu >= 2 the grid flavor's Bochner inequality holds at every K under its 60 h^2
+    # tolerance; at nu = 1, over the flat circle, the fiber step's error outgrows it
     *((f"be-check --flavor grid --K {K}", 0, {}) for K in ("0.5", "2", "4", "9")),
     # cd-K 200, far past the model interval's K nu = 2: the failing side of cd-check
     ("cd-check --grid 100 --pairs 3 --cd-K 200", 1, {}),
@@ -120,6 +121,17 @@ ROWS = [
     ("be-check --K=-60000", 2, _overflow(-60000)),
     ("be-check --flavor grid --K=-60000", 2, _overflow(-60000)),  # the warp fits, its 4th power not
     ("gamma2-identity --K=-60000", 2, _overflow(-60000)),
+    # a grid axis under the 3 samples its edge stencils read is named, not a traceback
+    ("gamma2-identity --fiber-n 2", 2, {"error": ("the fiber axis has 2 samples",)}),
+    ("gamma2-identity --fiber-n 0", 2, {"error": ("the fiber axis has 0 samples",)}),
+    ("gamma2-identity --grid 1", 2, {"error": ("the radial axis has 1 samples",)}),
+    ("be-check --flavor grid --grid 2", 2, {"error": ("the radial axis has 2 samples",)}),
+    ("be-check --flavor grid --fiber-n 2", 2, {"error": ("the fiber axis has 2 samples",)}),
+    ("be-check --flavor grid --nu 1 --fiber-n 1", 2, {"error": ("the fiber axis has 1 samples",)}),
+    # argparse's usage errors print one error line too, in-process and from a fresh interpreter
+    ("weyl --eps 3", 2, {"error": ("unrecognized arguments: --eps 3",)}),
+    ("weyl --eps=3", 2, {"process": True, "error": ("unrecognized arguments: --eps=3",)}),
+    ("heat --grid ten", 2, {"error": ("argument --grid: invalid int value: 'ten'",)}),
 ]
 
 

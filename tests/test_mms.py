@@ -50,13 +50,8 @@ _BLOCK_SIZES = sorted({0, 1, 2, 47, 48, 49, 99, mms._VALIDATE_BLOCK - 1, mms._VA
 def _validate_oracle(m):
     """validate as a plain loop over every intermediate j, in its report order."""
     d, n = m.dist, m.n
-    out = [mms.Violation("diagonal", (i,), float(abs(d[i, i])))
-           for i in range(n) if abs(d[i, i]) > 1e-9]
-    out += [mms.Violation("symmetry", (i, k), float(abs(d[i, k] - d[k, i])))
-            for i in range(n) for k in range(i + 1, n) if abs(d[i, k] - d[k, i]) > 1e-9]
-    out += [mms.Violation("negative-distance", (i, k), float(-d[i, k]))
-            for i in range(n) for k in range(i + 1, n) if d[i, k] < -1e-9]
-    out += [mms.Violation("weight", (i,), float(-m.weight[i])) for i in range(n) if m.weight[i] < 0]
+    out = [mms.Violation("symmetry", (i, k), float(abs(d[i, k] - d[k, i])))
+           for i in range(n) for k in range(i + 1, n) if abs(d[i, k] - d[k, i]) > 1e-9]
     ds = 0.5 * (d + d.T)
     worst = np.zeros((n, n))
     for j in range(n):
@@ -97,20 +92,18 @@ class TestValidate:
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_violations_match_the_per_j_sweep(self, n, seed):
-        # asymmetric noise, with planted triangle, negative-distance, diagonal and weight defects
+        # asymmetric noise with a planted triangle defect; the pointwise defects are the
+        # constructor's (TestPointwiseRules)
         rng = np.random.default_rng(seed)
         d = _path_metric(n) * rng.uniform(0.5, 1.5, (n, n))
         p = rng.permutation(n)
         if n >= 4:
             d[p[0], p[1]] = d[p[1], p[0]] = 4.0 * n  # longer than any two-step path
-            d[p[2], p[3]] = d[p[3], p[2]] = -0.25
-            d[p[0], p[0]], d[p[1], p[1]] = 0.3, 1e-10  # one over the slack, one under
-        m = FiniteMMS(tuple(range(n)), d, rng.uniform(-0.2, 1.0, n))
+        m = FiniteMMS(tuple(range(n)), d, rng.uniform(0.0, 1.0, n))
         got = validate(m)
         assert got == _validate_oracle(m)
         if n >= 4:
-            kinds = {v.kind for v in got}
-            assert kinds == {"diagonal", "symmetry", "negative-distance", "weight", "triangle"}
+            assert {v.kind for v in got} == {"symmetry", "triangle"}
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     def test_clean_spaces_across_block_edges(self, n):
@@ -155,11 +148,44 @@ class TestValidate:
         m = FiniteMMS((), np.zeros((0, 0)), np.zeros(0))
         assert m.n == 0 and m.total_mass() == 0.0 and validate(m) == []
 
-    def test_zero_weight_flagged_when_disallowed(self):
+    def test_zero_weight_is_allowed(self):
         m = FiniteMMS(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
-        assert validate(m) == []  # zero weight is allowed, as for an apex
-        neg = FiniteMMS(("a", "b"), m.dist, np.array([1.0, -0.5]))
-        assert [v.kind for v in validate(neg)] == ["weight"]
+        assert validate(m) == []  # as for an apex
+
+
+class TestPointwiseRules:
+    """FiniteMMS rejects a nonzero diagonal, a negative distance and a negative weight."""
+
+    @pytest.mark.parametrize("entry, value, named", [
+        ((2, 2), 5.0, "atom 2 is at distance 5.0 from itself, not 0"),
+        ((2, 2), -2e-9, "atom 2 is at distance -2e-09 from itself, not 0"),
+        ((1, 3), -0.5, "atoms 1 and 3 are at a negative distance, -0.5"),
+        ((3, 1), -1e-8, "atoms 3 and 1 are at a negative distance, -1e-08"),
+        (2, -1.0, "atom 2 has a negative weight, -1.0"),
+        (0, -1e-300, "atom 0 has a negative weight, -1e-300"),
+    ], ids=["diagonal", "diagonal-past-the-slack", "distance", "distance-one-sided",
+            "weight", "weight-tiny"])
+    def test_each_defect_is_named(self, entry, value, named):
+        d, w = _path_metric(4), np.ones(4)
+        if isinstance(entry, tuple):
+            d[entry] = value
+        else:
+            w[entry] = value
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            FiniteMMS(tuple(range(4)), d, w)
+
+    def test_the_worst_negative_distance_is_named(self):
+        d = _path_metric(5)
+        d[0, 4] = d[4, 0] = -0.25
+        d[1, 3] = d[3, 1] = -2.0
+        with pytest.raises(ValueError, match="atoms 1 and 3 are at a negative distance, -2.0"):
+            FiniteMMS(tuple(range(5)), d, np.ones(5))
+
+    def test_values_within_the_slack_and_zero_weights_construct(self):
+        d = _path_metric(4)
+        d[1, 1], d[2, 2], d[0, 3] = 1e-9, -1e-9, -1e-9
+        m = FiniteMMS(tuple(range(4)), d, np.array([0.0, -0.0, 1.0, 0.0]))
+        assert m.dist[0, 3] == -1e-9 and m.weight.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def _plain(m):
