@@ -195,9 +195,18 @@ def cmd_cd_check(args) -> Report:
         raise tr.NoMidpointError(missed[0].pair, eps, max(exc.need for exc in missed),
                                  (len(missed), len(pairs)))
     slacks = [r.slack for rs in results for r in rs]
-    for i, rs in enumerate(results):
-        print(f"pair {i}: " + ", ".join(
-            f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs), file=sys.stderr)
+    if args.verbose:  # each pair's slacks, through logging to stderr; quiet without -v
+        import logging
+
+        log, handler = logging.getLogger(__name__), logging.StreamHandler(sys.stderr)
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
+        try:
+            for i, rs in enumerate(results):
+                log.info("pair %d: %s", i, ", ".join(
+                    f"N'={r.Nprime:g} slack={r.slack:.3e}" for r in rs))
+        finally:
+            log.removeHandler(handler)
     _maybe_plot(args.plot, range(len(slacks)), slacks, "cd slack per pair")
     certs = [rs[0].certificate for rs in results]
     return Report(
@@ -215,8 +224,12 @@ def cmd_cd_check(args) -> Report:
 
 
 def _min_gap(space) -> float:
-    d = space.dist[space.dist > 0]
-    return float(d.min()) if d.size else 1.0
+    """The least positive distance, read 256 rows at a time; 1.0 if there is none."""
+    gap = math.inf
+    for s in range(0, space.n, 256):
+        d = space.rows(slice(s, s + 256))
+        gap = min(gap, float(d.min(initial=math.inf, where=d > 0)))
+    return gap if gap < math.inf else 1.0
 
 
 def cmd_be_check(args) -> Report:
@@ -433,6 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for key, default in [*defaults.items(), ("config", None)]:
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=default, **_FLAGS[key])
+        if name == "cd-check":  # not a config key, and not echoed: it changes no verdict
+            p.add_argument("-v", "--verbose", action="store_true",
+                           help="log each pair's slacks to stderr")
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 

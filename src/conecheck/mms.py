@@ -6,7 +6,11 @@ radial weight ``sin_K^N``, graph-discretized warped products, model circles
 and weighted intervals, epsilon-midpoint search, and the suspension
 recognizer that inverts the cone construction at a pair of antipodal points.
 
-Every value owns its arrays through ``_freeze``; every operation here is pure.
+A cone keeps the per-cell table its law of cosines computes, not the n x n
+matrix, and this module is the only one that knows how a space stores its
+distances: the rest of the package reads them through ``FiniteMMS.rows``,
+``block`` and ``pairs``, and ``diameter``.  Every value owns its arrays through
+``_freeze`` but a dense ``dist``, frozen in place; every operation here is pure.
 """
 
 from __future__ import annotations
@@ -49,16 +53,18 @@ _VALIDATE_SLACK = 1e-9
 # without (802 rows) and on the 2050-atom cone with it (66 rows); 16..128 were tried.
 _VALIDATE_BLOCK = 32
 
-# Entries (full rows of n) per block of suspension_check's law-of-cosines
-# stage: about 200 rows, 4 MB a temporary, at 2502 atoms.
+# Entries (full rows of n) per block of suspension_check's row sweeps, the
+# default-pole search and the law of cosines: about 200 rows, 4 MB a temporary,
+# at 2502 atoms.
 _SUSPENSION_BLOCK = 1 << 19
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     """A read-only C-ordered float copy, so the caller's array cannot change the value.
 
-    Every value type holds its arrays so but two, frozen in place: ``FiniteMMS.dist``
-    (a copy would double a cone build's peak) and ``spectral1d.Spectrum``'s LAPACK output.
+    Every value type holds its arrays so but two, frozen in place: a dense ``FiniteMMS.dist``
+    (a copy would double the peak of a loaded file or a warped product) and
+    ``spectral1d.Spectrum``'s LAPACK output.  A cone passes its table, not a matrix.
     """
     a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
@@ -83,7 +89,14 @@ def _permutation(p, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMMS:
-    """Finite metric measure space: labels, distance matrix, atom weights.
+    """Finite metric measure space: labels, distances, atom weights.
+
+    ``dist`` is the n x n distance matrix, frozen in place (the caller's with it), or
+    the per-cell table of ``cone`` (a ``_ConeTable``), which holds nr^2 u values for
+    n^2.  A table-backed space fills the matrix on the first read of ``dist``, bit for
+    bit as the table's reads give it, and keeps it for every later read.  The reads
+    ``rows``, ``block`` and ``pairs``, and ``diameter`` for the max, serve either
+    storage with the same bits, and are how the rest of the package reads distances.
 
     The constructor rejects a non-finite entry and, naming the atom or pair, a diagonal
     entry or negative distance beyond ``_VALIDATE_SLACK`` and a negative weight; a zero
@@ -96,7 +109,7 @@ class FiniteMMS:
     none.  Only its being an integer permutation of the atoms is checked
     here; ``validate`` checks it against the distances before it uses it.
 
-    ``weight`` and ``isometry`` are copied; ``dist`` is frozen in place, the caller's with it.
+    ``weight`` and ``isometry`` are copied.
     """
 
     labels: tuple
@@ -105,25 +118,32 @@ class FiniteMMS:
     isometry: np.ndarray | None = None
 
     def __post_init__(self):
-        dist = np.ascontiguousarray(self.dist, dtype=float)
-        dist.flags.writeable = False
+        table = self.dist if isinstance(self.dist, _ConeTable) else None
+        object.__setattr__(self, "_table", table)
+        if table is None:
+            dist = np.ascontiguousarray(self.dist, dtype=float)
+            dist.flags.writeable = False
+            object.__setattr__(self, "dist", dist)
+            values, shape = dist, dist.shape
+        else:  # __getattr__ fills the matrix if it is read
+            object.__delattr__(self, "dist")
+            values, shape = table.table, (table.n, table.n)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "weight", _freeze(self.weight))
         n = len(self.labels)
-        if self.dist.shape != (n, n):
-            raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
+        if shape != (n, n):
+            raise ValueError(f"dist must be {n}x{n}, got {shape}")
         if self.weight.shape != (n,):
             raise ValueError(f"weight must have length {n}")
-        lo, hi = (float(dist.min()), float(dist.max())) if n else (0.0, 0.0)  # one pass each
+        lo, hi = (float(values.min()), float(values.max())) if n else (0.0, 0.0)  # one pass each
         if not (math.isfinite(lo) and math.isfinite(hi) and _all_finite(self.weight)):
             raise ValueError("distances and weights must be finite")
-        off = np.flatnonzero(np.abs(np.diagonal(dist)) > _VALIDATE_SLACK)
-        if off.size:
+        off = () if table else np.flatnonzero(np.abs(np.diagonal(dist)) > _VALIDATE_SLACK)
+        if len(off):  # a table's diagonal is 0 by construction
             raise ValueError(f"atom {off[0]} is at distance {float(dist[off[0], off[0]])!r} "
                              "from itself, not 0")
         if lo < -_VALIDATE_SLACK:
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            i, j = np.unravel_index(np.argmin(self.dist), shape)
             raise ValueError(f"atoms {i} and {j} are at a negative distance, {lo!r}")
         neg = np.flatnonzero(self.weight < 0.0)
         if neg.size:
@@ -131,12 +151,44 @@ class FiniteMMS:
         if self.isometry is not None:
             object.__setattr__(self, "isometry", _permutation(self.isometry, n))
 
+    def __getattr__(self, name):
+        # reached only when ``dist`` is not yet held: fill it from the table and keep it
+        if name != "dist" or self.__dict__.get("_table") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dist = self._table.rows(slice(None))
+        dist.flags.writeable = False
+        object.__setattr__(self, "dist", dist)
+        return dist
+
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def total_mass(self) -> float:
         return float(self.weight.sum())
+
+    def rows(self, idx, fn=None) -> np.ndarray:
+        """``dist[idx]``: the distances from the atoms ``idx`` (an index array or a slice).
+
+        A new array for an index array.  ``fn``, an elementwise function such as np.cos,
+        gives ``fn(dist[idx])`` with the same bits; a table applies it to its values first.
+        """
+        d = self.__dict__.get("dist")
+        if d is None:
+            return self._table.rows(idx, fn)
+        return d[idx] if fn is None else fn(d[idx])
+
+    def block(self, r, c) -> np.ndarray:
+        """``dist[np.ix_(r, c)]``, the len(r) x len(c) submatrix; ``r`` may be a slice."""
+        d = self.__dict__.get("dist")
+        if d is None:
+            return self._table.pairs(np.arange(self.n)[r][:, None], np.asarray(c)[None, :])
+        return d[r, c] if isinstance(r, slice) else d[np.ix_(r, c)]
+
+    def pairs(self, i, j) -> np.ndarray:
+        """``dist[i, j]``: the distances d(i[p], j[p]) of broadcast index arrays (or atoms)."""
+        d = self.__dict__.get("dist")
+        return self._table.pairs(i, j) if d is None else d[i, j]
 
 
 @dataclass(frozen=True)
@@ -281,19 +333,66 @@ def _cone_arg_to_distance(K: float, arg: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(arg, -1.0, 1.0)) / math.sqrt(K)
 
 
+class _ConeTable:
+    """A cone's distances as ``cone`` computes them, read through the fiber's index map.
+
+    Atom a is (cell[a], slot[a]): radial cell i and fiber atom x for a = i nf + x, then
+    cell nr + k and the apex slot nf for apex k.  d(a, b) = table[cell[a], cell[b],
+    inv[slot[a], slot[b]]] for a != b, and 0 for a == b.  ``inv`` maps two fiber atoms to
+    the index of their distinct capped distance, and any pair with an apex to the last
+    column, which holds the apex distances.  Entries that no two distinct atoms read
+    are 0, so the table's max is the matrix's.  ``mapped`` keeps fn(table) for the last
+    elementwise ``fn`` that ``rows`` was given, so a row sweep maps the table once.
+    """
+
+    def __init__(self, table: np.ndarray, inv: np.ndarray, nr: int):
+        self.table, self.inv, self.nr = table, inv, nr
+        nf, apexes = inv.shape[0] - 1, table.shape[0] - nr
+        self.n = nr * nf + apexes
+        self.cell = np.r_[np.repeat(np.arange(nr), nf), nr + np.arange(apexes)]
+        self.slot = np.r_[np.tile(np.arange(nf), nr), np.full(apexes, nf)]
+        self.mapped = (None, table)
+
+    def rows(self, idx, fn=None) -> np.ndarray:
+        """Full rows: one ``np.take`` along the fiber index per run of one radial cell."""
+        if self.mapped[0] is not fn:
+            self.mapped = (fn, self.table if fn is None else fn(self.table))
+        t = self.mapped[1]
+        nr, nf = self.nr, self.inv.shape[0] - 1
+        idx = np.arange(self.n)[idx]
+        out = np.empty((idx.size, self.n))
+        body = out[:, : nr * nf].reshape(idx.size, nr, nf)  # a view: [p, j, y]
+        cell, slot = self.cell[idx], self.slot[idx]
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))  # runs of one cell
+        for s, e in zip(starts, np.r_[starts[1:], idx.size]):
+            t_c = t[cell[s]]
+            body[s:e] = np.take(t_c[:nr], self.inv[slot[s:e], :nf], axis=1).transpose(1, 0, 2)
+            out[s:e, nr * nf :] = t_c[nr:, -1]
+        out[np.arange(idx.size), idx] = 0.0 if fn is None else fn(0.0)
+        return out
+
+    def pairs(self, a, b) -> np.ndarray:
+        """d(a, b) over broadcast index arrays ``a`` and ``b``."""
+        a, b = np.asarray(a), np.asarray(b)
+        d = self.table[self.cell[a], self.cell[b], self.inv[self.slot[a], self.slot[b]]]
+        return np.where(a == b, 0.0, d)
+
+
 def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
     """(K, N)-cone over ``fiber``: radial grid x fiber atoms plus apex atom(s).
 
     Distances invert the law of cosines a[i, j] + b[i, j] c(min(d_F, pi)),
     one radial cell i at a time, once per radial pair and distinct capped
-    fiber distance (a circle of nf atoms has nf/2 + 1), then spread over the
-    fiber pairs; the measure is the product of radial cell weights and fiber
-    weights.  The apex at r=0 (and at r=pi/sqrt(K) for K > 0) is carried as
-    an explicit zero-weight atom so the collapsed boundary stays part of the
-    space without entering any density.  A fiber isometry sigma is lifted to
-    (i, x) -> (i, sigma x) with the apexes fixed: a cell's distances are one
-    function of the same index into the distinct fiber distances, so the
-    lift maps the cone onto itself bit for bit whenever sigma maps the fiber.
+    fiber distance (a circle of nf atoms has nf/2 + 1).  The space keeps that
+    table (``_ConeTable``) and reads it through the fiber's index map; the
+    n x n matrix is filled only if ``dist`` is read.  The measure is the
+    product of radial cell weights and fiber weights.  The apex at r=0 (and
+    at r=pi/sqrt(K) for K > 0) is carried as an explicit zero-weight atom so
+    the collapsed boundary stays part of the space without entering any
+    density.  A fiber isometry sigma is lifted to (i, x) -> (i, sigma x) with
+    the apexes fixed: a cell's distances are one function of the same index
+    into the distinct fiber distances, so the lift maps the cone onto itself
+    bit for bit whenever sigma maps the fiber.
     """
     if grid.K != K or grid.N != N:
         raise ValueError("grid parameters must match the cone parameters")
@@ -317,32 +416,36 @@ def cone(fiber: FiniteMMS, K: float, N: float, grid: RadialGrid) -> FiniteMMS:
             b = -2.0 * K * sn[:, None] * sn[None, :]
             _finite_in_K(K, a + b, "the cone's law-of-cosines argument")
 
-    nbody = nr * nf
+    nbody, u = nr * nf, theta.size
     apexes = 2 if K > 0 else 1
     n = nbody + apexes
-    dist = np.zeros((n, n))
+    table = np.zeros((nr + apexes, nr + apexes, u + 1))  # [i, j, theta], then the apex column
+    for i in range(nr):
+        table[i, :nr, :u] = _cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c)
     inv = inv.reshape(nf, nf)  # numpy 1.x returns it flat
-    for i, cell in enumerate(dist[:nbody, :nbody].reshape(nr, nf, nr, nf)):  # views [x, j, y]
-        row = _cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c)  # [j, theta]
-        cell[:] = np.take(row, inv, axis=1).transpose(1, 0, 2)
-    # near apex at r=0: distance to (t, y) is t
-    dist[nbody, :nbody] = np.repeat(r, nf)
-    dist[:nbody, nbody] = dist[nbody, :nbody]
+    lone = np.ones(u, dtype=bool)  # distinct distances only a fiber atom's own diagonal reads
+    lone[inv[~np.eye(nf, dtype=bool)]] = False
+    table[np.arange(nr), np.arange(nr), np.flatnonzero(lone)[:, None]] = 0.0
     labels = [f"{i}:{lab}" for i in range(nr) for lab in fiber.labels]
     labels.append("apex0")
+    if nf:  # near apex at r=0: distance to (t, y) is t
+        table[nr, :nr, u] = table[:nr, nr, u] = r
     if K > 0:
         L = model_interval(K)
-        dist[nbody + 1, :nbody] = L - np.repeat(r, nf)
-        dist[:nbody, nbody + 1] = dist[nbody + 1, :nbody]
-        dist[nbody, nbody + 1] = dist[nbody + 1, nbody] = L
+        if nf:
+            table[nr + 1, :nr, u] = table[:nr, nr + 1, u] = L - r
+        table[nr, nr + 1, u] = table[nr + 1, nr, u] = L
         labels.append("apex1")
+    index = np.full((nf + 1, nf + 1), u)  # the apex slot nf reads the apex column u
+    index[:nf, :nf] = inv
+    table.flags.writeable = index.flags.writeable = False
     weight = np.zeros(n)
     weight[:nbody] = np.outer(grid.cell_weights, fiber.weight).ravel()
-    np.fill_diagonal(dist, 0.0)
     isometry = None
     if fiber.isometry is not None:
         isometry = np.r_[(np.arange(nr)[:, None] * nf + fiber.isometry).ravel(), nbody:n]
-    return FiniteMMS(labels=tuple(labels), dist=dist, weight=weight, isometry=isometry)
+    return FiniteMMS(labels=tuple(labels), dist=_ConeTable(table, index, nr), weight=weight,
+                     isometry=isometry)
 
 
 # fiber neighbours and radial cells a warped-product edge may span
@@ -437,15 +540,18 @@ def dijkstra(*args, **kwargs):
 
 
 def diameter(m: FiniteMMS) -> float:
+    """The largest distance, 0.0 on the empty space; a cone reads it off its table."""
+    if m._table is not None:
+        return float(m._table.table.max())
     return float(m.dist.max()) if m.n else 0.0
 
 
 def _midpoint_defect(m: FiniteMMS, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """One row per pair (i[p], j[p]): max(|d(i,k) - d(i,j)/2|, |d(k,j) - d(i,j)/2|) at atom k."""
-    half = 0.5 * m.dist[i, j][:, None]
-    to_i = m.dist[i]  # a gathered copy, reused in place
+    half = 0.5 * m.pairs(i, j)[:, None]
+    to_i = m.rows(i)  # a gathered copy, reused in place
     to_i -= half
-    to_j = m.dist[:, j].T - half
+    to_j = m.block(slice(None), j).T - half
     return np.maximum(np.abs(to_i, out=to_i), np.abs(to_j, out=to_j), out=to_i)
 
 
@@ -505,14 +611,16 @@ def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
         raise ValueError("the empty space has no poles")
     if (x is None) != (y is None):
         raise ValueError("x and y name the two poles: give both or neither")
-    d = m.dist
     if x is None:  # of the farthest pairs, the lightest; argmin keeps the first on ties
-        pairs = np.argwhere(d == d.max())  # in row-major order
+        far = diameter(m)
+        pairs = np.concatenate([np.argwhere(m.rows(a) == far) + [a.start, 0]  # row-major
+                                for a in _row_blocks(m.n)])
         x, y = map(int, pairs[np.argmin(m.weight[pairs].sum(axis=1))])
     if not (0 <= x < m.n and 0 <= y < m.n):
         raise ValueError(f"poles ({x}, {y}) must be atoms of the space, 0 to {m.n - 1}")
+    theta = m.rows([x])[0]
     if tol is None:
-        tol = min(2.0 * _theta_step(d[x], np.setdiff1d(np.arange(m.n), [x, y])), math.pi / 8.0)
+        tol = min(2.0 * _theta_step(theta, np.setdiff1d(np.arange(m.n), [x, y])), math.pi / 8.0)
     _check_exponent(N)
     stages = {}
 
@@ -524,12 +632,12 @@ def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
         worst = float(np.max(list(stages.values())))
         return SuspensionReport(failed is None, equator, worst, failed, stages, (x, y), tol)
 
-    if not ran("pole-distance", abs(float(d[x, y]) - math.pi)):
+    if not ran("pole-distance", abs(float(m.pairs(x, y)) - math.pi)):
         return report("pole-distance")
-    if not ran("geodesics-through-poles", float(np.abs(d[x] + d[:, y] - math.pi).max())):
+    to_y = m.block(slice(None), [y])[:, 0]
+    if not ran("geodesics-through-poles", float(np.abs(theta + to_y - math.pi).max())):
         return report("geodesics-through-poles")
 
-    theta = d[x].copy()
     interior = np.nonzero((theta > tol) & (theta < math.pi - tol))[0]
     if interior.size == 0:
         # two-pole space: a suspension over the empty interior
@@ -543,7 +651,7 @@ def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
 
     # recovered fiber: equator atoms with their mutual distances capped at pi,
     # read as chords of latitude theta_eq (at theta_eq = pi/2 they are the fiber's own)
-    eq_dist = np.minimum(d[np.ix_(eq_idx, eq_idx)], math.pi)
+    eq_dist = np.minimum(m.block(eq_idx, eq_idx), math.pi)
     eq_dist = 0.5 * (eq_dist + eq_dist.T)
     np.fill_diagonal(eq_dist, 0.0)
     sin_eq = math.sin(theta_eq)
@@ -551,7 +659,7 @@ def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
         eq_dist = 2.0 * np.arcsin(np.minimum(1.0, np.sin(0.5 * eq_dist) / sin_eq))
 
     # project every atom to the equator atom directly above/below it
-    score = np.abs(d[:, eq_idx] - np.abs(theta - theta_eq)[:, None])
+    score = np.abs(m.block(slice(None), eq_idx) - np.abs(theta - theta_eq)[:, None])
     proj = np.argmin(score, axis=1)  # argmin takes the smallest index on ties
 
     off_pole = np.ones(m.n, dtype=bool)
@@ -565,7 +673,7 @@ def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
         labels=tuple(m.labels[int(k)] for k in eq_idx), dist=eq_dist, weight=eq_weight
     )
 
-    if not ran("law-of-cosines", _law_of_cosines_residual(d, theta, proj, np.cos(eq_dist))):
+    if not ran("law-of-cosines", _law_of_cosines_residual(m, theta, proj, np.cos(eq_dist))):
         return report("law-of-cosines", equator)
     gaps = np.where(np.eye(eq_idx.size, dtype=bool), np.inf, eq_dist).min(axis=1)
     h_eq = float(gaps.max()) if eq_idx.size > 1 else 0.0
@@ -578,26 +686,30 @@ def suspension_check(m: FiniteMMS, x: int | None = None, y: int | None = None,
 
 
 def _law_of_cosines_residual(
-    d: np.ndarray, theta: np.ndarray, proj: np.ndarray, cos_eq: np.ndarray
+    m: FiniteMMS, theta: np.ndarray, proj: np.ndarray, cos_eq: np.ndarray
 ) -> float:
     """max |cos(eq)[proj a, proj b] sin th_a sin th_b + cos th_a cos th_b - cos d[a, b]|.
 
-    Evaluated over ``_SUSPENSION_BLOCK`` entries of full rows a at a time,
-    with the same elementwise operations as on the whole matrix, so the
-    result is the same bits with a peak of a few blocks instead of n^2.
+    Evaluated over the ``_row_blocks`` of full rows a, with the same
+    elementwise operations as on the whole matrix, so the result is the
+    same bits with a peak of a few blocks instead of n^2.  A cone's table
+    takes the cosine of its nr^2 u values, not of the n^2 distances.
     """
-    n = d.shape[0]
-    rows = max(1, _SUSPENSION_BLOCK // n)
     cos_th, sin_th = np.cos(theta), np.sin(theta)
     worst = 0.0
-    for s in range(0, n, rows):
-        a = slice(s, s + rows)
+    for a in _row_blocks(m.n):
         buf = cos_eq[np.ix_(proj[a], proj)]
         buf *= sin_th[a, None] * sin_th
         buf += cos_th[a, None] * cos_th
-        buf -= np.cos(d[a])
+        buf -= m.rows(a, np.cos)
         worst = np.maximum(worst, np.abs(buf, out=buf).max())  # keeps a NaN
     return float(worst)
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of full rows, ``_SUSPENSION_BLOCK`` entries each, that cover range(n)."""
+    rows = max(1, _SUSPENSION_BLOCK // n)
+    return [slice(s, s + rows) for s in range(0, n, rows)]
 
 
 def _theta_step(theta: np.ndarray, interior: np.ndarray) -> float:

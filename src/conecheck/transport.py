@@ -204,11 +204,11 @@ def wasserstein2(m: FiniteMMS, mu0: Density, mu1: Density) -> tuple[float, Coupl
     rows = np.nonzero(mu0.mass > 0)[0]
     cols = np.nonzero(mu1.mass > 0)[0]
     a, b = mu0.mass[rows], mu1.mass[cols]
-    C = m.dist[np.ix_(rows, cols)] ** 2
+    C = m.block(rows, cols) ** 2
 
     # on a line, an atom farthest from any atom is an end, and distances from it are coordinates
     support = np.union1d(rows, cols)
-    x = m.dist[support[np.argmax(m.dist[support[0], support])]]
+    x = m.rows([support[np.argmax(m.pairs(support[0], support))]])[0]
     plan_s, alpha, beta = _monotone_plan(C, a, b, x[rows], x[cols])
     try:
         cert = Certificate("monotone", rows.size + cols.size - 1, 0,
@@ -394,7 +394,7 @@ def displacement_midpoint(m: FiniteMMS, q: Coupling, eps: float) -> Density:
         raise NoMidpointError(pair, eps, need)
     carried = mids & (weighted | stay[:, None])
     for p in np.flatnonzero(~carried.any(axis=1)):
-        near = m.dist[mids[p]] + np.where(weighted, 0.0, np.inf)
+        near = m.rows(np.flatnonzero(mids[p])) + np.where(weighted, 0.0, np.inf)
         carried[p, np.argmin(near, axis=1)] = True
     p, k = np.nonzero(carried)
     out = np.zeros(m.n)
@@ -427,7 +427,7 @@ def convexity_reports(m: FiniteMMS, mu0: Density, mu1: Density, cd: CurvatureDim
         raise ValueError("Nprime must be >= the dimension parameter")
     q, mid = _pushed(m, mu0, mu1, eps)
     i, j, mass = q.plan.row, q.plan.col, q.plan.data
-    rho0, rho1, theta = mu0.rho()[i], mu1.rho()[j], m.dist[i, j]
+    rho0, rho1, theta = mu0.rho()[i], mu1.rho()[j], m.pairs(i, j)
     reports = []
     for Np in nprimes:
         lhs, c = renyi_entropy(mid, Np), coeff(CurvatureDimension(cd.K, Np), 0.5, theta)

@@ -248,10 +248,18 @@ class TestExitCodes:
 
 
 def test_cd_check_stdout_is_only_the_report(capsys):
-    assert main(["cd-check", "--grid", "60", "--pairs", "1"]) == 0
-    captured = capsys.readouterr()
-    assert strict_loads(captured.out)["check"] == "cd-star"
-    assert captured.err.startswith("pair 0: ")
+    # stderr is quiet by default; -v logs one line per pair there, and the report is the same
+    assert main(["cd-check", "--grid", "60", "--pairs", "2"]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main(["cd-check", "--grid", "60", "--pairs", "2", "-v"]) == 0
+    loud = capsys.readouterr()
+    reports = [strict_loads(c.out) for c in (quiet, loud)]
+    assert reports[0]["check"] == "cd-star"
+    assert {**reports[0], "runtime_ms": 0} == {**reports[1], "runtime_ms": 0}
+    lines = loud.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["pair 0", "pair 1"]
+    assert all(line.count("slack=") == 2 for line in lines)
 
 
 def test_cd_check_solves_one_coupling_per_pair(monkeypatch, capsys):

@@ -23,7 +23,7 @@ from conecheck.mms import (
     validate,
     warped_product,
 )
-from conecheck.model_fns import cos_k, sin_k
+from conecheck.model_fns import CurvatureDimension, cos_k, sin_k
 
 
 def _path_metric(n):
@@ -430,7 +430,7 @@ def test_a_value_owns_its_arrays(make):
 
 
 def test_dist_and_spectra_are_frozen_in_place():
-    # the two exceptions: a cone's matrix is not copied, nor are arrays fresh from LAPACK
+    # the two exceptions: a dense matrix is not copied, nor are arrays fresh from LAPACK
     from conecheck.spectral1d import Spectrum
 
     d = _path_metric(4)
@@ -574,8 +574,10 @@ class TestCone:
             assert peak <= bound * c.dist.nbytes
 
     def test_validate_peak_memory_is_about_one_matrix(self):
-        # |d - d^T| and then the symmetrized ds share one buffer, beside an n x n bool mask
+        # |d - d^T| and then the symmetrized ds share one buffer, beside an n x n bool mask;
+        # the cone fills the matrix validate reads on its first read, before the trace
         c = cone(circle_mms(32, 1.0), 1.0, 1.0, radial_grid(1.0, 1.0, 25))
+        assert c.dist.shape == (802, 802)
         tracemalloc.start()
         try:
             assert validate(c) == []
@@ -583,6 +585,140 @@ class TestCone:
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * c.dist.nbytes
+
+
+def _dense_fill(fiber, K, N, grid):
+    """Reference: the n x n matrix as ``cone`` filled it before it kept its per-cell table."""
+    r = grid.nodes
+    nr, nf = grid.n, fiber.n
+    theta, inv = np.unique(np.minimum(fiber.dist, math.pi), return_inverse=True)
+    c = np.cos(theta) if K >= 0 else np.sin(0.5 * theta) ** 2
+    if K == 0:
+        a = r[:, None] ** 2 + r[None, :] ** 2
+        b = -(2.0 * r[:, None] * r[None, :])
+    elif K > 0:
+        cs, sn = cos_k(K, r), sin_k(K, r)
+        a = cs[:, None] * cs[None, :]
+        b = K * sn[:, None] * sn[None, :]
+    else:
+        sn = sin_k(K, r)
+        a = cos_k(K, np.abs(r[:, None] - r[None, :]))
+        b = -2.0 * K * sn[:, None] * sn[None, :]
+    nbody = nr * nf
+    n = nbody + (2 if K > 0 else 1)
+    dist = np.zeros((n, n))
+    inv = inv.reshape(nf, nf)
+    for i, cell in enumerate(dist[:nbody, :nbody].reshape(nr, nf, nr, nf)):
+        row = mms._cone_arg_to_distance(K, a[i, :, None] + b[i, :, None] * c)
+        cell[:] = np.take(row, inv, axis=1).transpose(1, 0, 2)
+    dist[nbody, :nbody] = np.repeat(r, nf)
+    dist[:nbody, nbody] = dist[nbody, :nbody]
+    if K > 0:
+        L = math.pi / math.sqrt(K)
+        dist[nbody + 1, :nbody] = L - np.repeat(r, nf)
+        dist[:nbody, nbody + 1] = dist[nbody + 1, :nbody]
+        dist[nbody, nbody + 1] = dist[nbody + 1, nbody] = L
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _loaded_fiber(tmp_path):
+    """A file's fiber: all its distances distinct, and no isometry."""
+    save_mms_json(_euclidean_fiber(11, 3), tmp_path / "fiber.json")
+    return load_mms_json(tmp_path / "fiber.json")
+
+
+class TestConeTable:
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("fiber", ["circle", "loaded"])
+    def test_every_read_matches_the_dense_fill_bit_for_bit(self, fiber, K, tmp_path):
+        fib = circle_mms(12, 1.5) if fiber == "circle" else _loaded_fiber(tmp_path)
+        assert (fib.isometry is not None) is (fiber == "circle")
+        g = radial_grid(K, 2.0, 7)
+        c = cone(fib, K, 2.0, g)
+        ref = _dense_fill(fib, K, 2.0, g)
+        n, nbody = c.n, g.n * fib.n
+        assert ref.shape == (n, n)
+        rng = np.random.default_rng(7)
+        apexes = np.arange(nbody, n)
+        i = np.r_[rng.integers(0, nbody, 9), apexes, 0, nbody - 1]
+        j = np.r_[rng.integers(0, n, 9), apexes[::-1], 0, n - 1]  # the diagonal and apex pairs
+
+        def reads():
+            return {"rows": (c.rows(i), ref[i]),
+                    "rows slice": (c.rows(slice(nbody - 3, None)), ref[nbody - 3 :]),
+                    "cos rows": (c.rows(slice(None), np.cos), np.cos(ref)),
+                    "block": (c.block(i, j), ref[np.ix_(i, j)]),
+                    "columns": (c.block(slice(None), j), ref[:, j]),
+                    "pairs": (c.pairs(i, j), ref[i, j]),
+                    "diagonal": (c.pairs(i, i), np.zeros(i.size)),
+                    "atom pair": (c.pairs(n - 1, 0), ref[n - 1, 0]),
+                    "max": (diameter(c), ref.max())}
+
+        table = reads()
+        assert "dist" not in vars(c)  # every read above came from the table
+        assert _same_bits(c.dist, ref) and not c.dist.flags.writeable
+        kept = reads()
+        for name, (got, want) in {**table, **{k + " kept": v for k, v in kept.items()}}.items():
+            assert _same_bits(got, want), name
+
+    def test_the_cone_file_keeps_its_bytes(self, tmp_path):
+        # the `cone --grid 16 --fiber-n 16` space: the same bytes as the dense fill's file.  Its
+        # arccos, sin and cos are numpy's, whose x86-64 builds dispatch to AVX-512 (the first
+        # digest) or to AVX2 and below (the second), which differ in last bits.
+        fib, g = circle_mms(16, 1.0), radial_grid(1.0, 1.0, 16)
+        save_mms_json(cone(fib, 1.0, 1.0, g), tmp_path / "cone.json")
+        ref = cone(fib, 1.0, 1.0, g)
+        save_mms_json(FiniteMMS(ref.labels, _dense_fill(fib, 1.0, 1.0, g), ref.weight),
+                      tmp_path / "dense.json")
+        text = (tmp_path / "cone.json").read_bytes()
+        assert text == (tmp_path / "dense.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() in {
+            "9791e12e04593d7ac988bf7e4844c085c048c4ad58c48af704f5c1b257027c40",
+            "0c1800fef2c62250279a01d13c3a39569c8a8623521507e394a1b9bef89e9250"}
+
+    def test_checks_on_a_4098_atom_cone_stay_off_its_matrix(self):
+        # 64 x 64 over a 64-atom circle: the dense matrix is 134 MB, the table 1.2 MB.  The
+        # bumps are narrow so the midpoint rows of the plan (pairs x n) stay a few MB.
+        from conecheck import transport as tr
+
+        def build():
+            return cone(circle_mms(64, 1.0), 1.0, 1.0, radial_grid(1.0, 1.0, 64))
+
+        def run(c):
+            def bump(center, rho=0.2):
+                d = c.rows([center])[0]
+                return tr.density_from_mass(c, np.where(d > 1.5 * rho, 0.0,
+                                                        c.weight * np.exp(-((d / rho) ** 2))))
+
+            h = math.pi / 64
+            pair = tr.cd_star_check(c, bump(24 * 64), bump(40 * 64 + 8),
+                                    CurvatureDimension(1.0, 2.0), 2.0, 2.0 * h, 15.0 * h)
+            return diameter(c), suspension_check(c), pair
+
+        ref = build()
+        dense = run(FiniteMMS(ref.labels, ref.dist, ref.weight, ref.isometry))
+        tracemalloc.start()
+        try:
+            c = build()
+            got = run(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dist" not in vars(c)
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+        assert got[0] == dense[0] == math.pi
+        sus, want = got[1], dense[1]
+        assert sus.is_suspension and sus.poles == want.poles == (c.n - 2, c.n - 1)
+        assert (sus.stage_residuals, sus.tolerance) == (want.stage_residuals, want.tolerance)
+        assert _same_bits(sus.equator.dist, want.equator.dist)
+        assert _same_bits(sus.equator.weight, want.equator.weight)
+        assert got[2] == dense[2]
 
 
 class TestDiameterMidpoints:
@@ -887,7 +1023,7 @@ class TestSuspension:
         m = FiniteMMS(tuple(range(n)), d, np.ones(n))
         theta, proj = rng.uniform(0.0, math.pi, n), rng.integers(0, 3, n)
         eq = m.dist[:3, :3]
-        got = mms._law_of_cosines_residual(m.dist, theta, proj, np.cos(eq))
+        got = mms._law_of_cosines_residual(m, theta, proj, np.cos(eq))
         assert got == _law_of_cosines_oracle(m.dist, theta, proj, eq)
 
     def test_law_of_cosines_peak_is_below_half_the_matrix(self):
