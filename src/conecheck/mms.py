@@ -54,8 +54,8 @@ _VALIDATE_SLACK = 1e-9
 _VALIDATE_BLOCK = 32
 
 # Entries (full rows of n) per block of suspension_check's row sweeps, the
-# default-pole search and the law of cosines: about 200 rows, 4 MB a temporary,
-# at 2502 atoms.
+# default-pole search, the law of cosines and save_mms_json: about 200 rows,
+# 4 MB a temporary, at 2502 atoms.
 _SUSPENSION_BLOCK = 1 << 19
 
 
@@ -63,7 +63,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     """A read-only C-ordered float copy, so the caller's array cannot change the value.
 
     Every value type holds its arrays so but two, frozen in place: a dense ``FiniteMMS.dist``
-    (a copy would double the peak of a loaded file or a warped product) and
+    (a copy would add a matrix to the peak of a loaded file or a warped product, which
+    traces at 1.55 matrices at 40 x 40) and
     ``spectral1d.Spectrum``'s LAPACK output.  A cone passes its table, not a matrix.
     """
     a = np.array(a, dtype=float, order="C")
@@ -477,8 +478,10 @@ def warped_product(
     maps paths to paths of the same edge lengths.  Dijkstra sums a path's
     edges in opposite orders from its two ends, so d[a, b] and d[b, a] can
     differ in the last bits; both are lengths of shortest paths, and the
-    matrix keeps the smaller, which makes it exactly symmetric.  The
-    rotation, when it applies, is the space's ``isometry``.
+    matrix keeps the smaller, which makes it exactly symmetric; with the
+    rotation it is taken on the nr x nr x nf table of the sources before the
+    gather, the same bits with one n x n array.  The rotation, when it
+    applies, is the space's ``isometry``.
     """
     from scipy.sparse import coo_matrix
 
@@ -523,10 +526,13 @@ def warped_product(
     dist = dijkstra(g.tocsr(), directed=False, indices=node[:, 0] if rotates else node.ravel())
     if np.any(np.isinf(dist)):
         raise ValueError("warped product graph is disconnected")
-    if rotates:
+    if rotates:  # the transpose of D[i, j, y - x] reads D[j, i, x - y]: take min on D first
+        d = dist.reshape(nr, nr, nf)
+        np.minimum(d, d.transpose(1, 0, 2)[:, :, -np.arange(nf) % nf], out=d)
         i, x, j, y = np.ogrid[:nr, :nf, :nr, :nf]
-        dist = dist.reshape(nr, nr, nf)[i, j, (y - x) % nf].reshape(nv, nv)
-    dist = np.minimum(dist, dist.T)
+        dist = d[i, j, (y - x) % nf].reshape(nv, nv)
+    else:
+        dist = np.minimum(dist, dist.T)
     labels = tuple(f"{i}:{lab}" for i in range(nr) for lab in fiber.labels)
     weight = np.outer(f**N * h, fiber.weight).ravel()
     return FiniteMMS(labels=labels, dist=dist, weight=weight, isometry=turn if rotates else None)
@@ -708,7 +714,7 @@ def _law_of_cosines_residual(
 
 def _row_blocks(n: int) -> list:
     """Slices of full rows, ``_SUSPENSION_BLOCK`` entries each, that cover range(n)."""
-    rows = max(1, _SUSPENSION_BLOCK // n)
+    rows = max(1, _SUSPENSION_BLOCK // max(n, 1))
     return [slice(s, s + rows) for s in range(0, n, rows)]
 
 
@@ -756,19 +762,24 @@ def interval_model_mms(K: float, nu: float, n: int, r_max: float | None = None) 
 def save_mms_json(m: FiniteMMS, path) -> None:
     """Write ``m`` as the text ``json.dumps({"labels", "dist", "weight"})`` gives, byte for byte.
 
-    A distance matrix holds few distinct values (a cone about n^2/nf), so
-    each distinct float, keyed by its bits to keep -0.0 apart, is formatted
-    once with ``repr``, as json does, and the rows are joined from those strings.
+    The rows of ``dist`` are read and written one ``_row_blocks`` slice at a
+    time through ``m.rows``, so a cone never fills its matrix and the peak is
+    one block beside the space.  A block holds few distinct values (a cone's
+    about its entries over nf), so each, keyed by its bits to keep -0.0 apart,
+    is formatted once with ``repr``, as json does, and each row is joined
+    from those strings and written.  No strings are kept across blocks: on a
+    file whose distances are all distinct they would grow back to n^2/2.
     """
-    n = m.n
-    keys, inverse = np.unique(m.dist.view(np.int64), return_inverse=True)
-    reprs = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
-    rows = reprs[inverse.reshape(n, n)].tolist()
-    dist = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
     labels, weight = json.dumps(list(m.labels)), json.dumps(m.weight.tolist())
-    text = f'{{"labels": {labels}, "dist": {dist}, "weight": {weight}}}'
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f'{{"labels": {labels}, "dist": [')
+        for a in _row_blocks(m.n):
+            block = m.rows(a)
+            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            reprs = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+            for i, row in enumerate(reprs[inverse.reshape(block.shape)].tolist(), a.start):
+                fh.write(f"{', ' * (i > 0)}[{', '.join(row)}]")
+        fh.write(f'], "weight": {weight}}}')
 
 
 class _FloatTokens(dict):

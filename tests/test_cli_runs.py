@@ -236,6 +236,24 @@ def test_console_script_runs_weyl(tmp_path):
     json.loads(run.stdout, parse_constant=_reject)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cone_at_its_defaults_stays_under_150_mb(tmp_path):
+    # the 2050-atom cone's matrix is 33.6 MB and its file 83 MB; the file streams out from the
+    # cone's table a row block at a time, so the process peaks near its imports, about 70 MB.
+    # The probe reads its VmHWM, in kB, not ru_maxrss: that one keeps across exec the peak
+    # of the process that forked it, pytest.
+    probe = ("import sys\nfrom conecheck.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+             "sys.exit(code)")
+    run = subprocess.run([sys.executable, "-c", probe, "cone", "--out", str(tmp_path / "space.json"),
+                          "--report", str(tmp_path / "report.json")],
+                         env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    peak_mb = int(run.stdout.split()[-1]) / 1024
+    assert peak_mb < 150, f"peak RSS {peak_mb:.0f} MB"
+
+
 def test_suspension_input_takes_its_tolerance_from_the_file(cone16, tmp_path):
     # twice the file's radial step pi/16, not 2 pi/25 from the default of the unused --grid
     out = tmp_path / "report.json"

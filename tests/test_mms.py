@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -720,6 +721,29 @@ class TestConeTable:
         assert _same_bits(sus.equator.weight, want.equator.weight)
         assert got[2] == dense[2]
 
+    def test_saving_a_4098_atom_cone_stays_off_its_matrix(self):
+        # the 64 x 64 cone's file is 0.3 GB, written to the null device; its matrix is 134 MB
+        c = cone(circle_mms(64, 1.0), 1.0, 1.0, radial_grid(1.0, 1.0, 64))
+        tracemalloc.start()
+        try:
+            save_mms_json(c, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dist" not in vars(c)
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_a_file_of_several_blocks_is_the_dense_fill_file(self, tmp_path):
+        # 32 x 32 over a 32-atom circle: 1026 rows, more than one block at the real block size
+        fib, g = circle_mms(32, 1.0), radial_grid(1.0, 1.0, 32)
+        c = cone(fib, 1.0, 1.0, g)
+        assert c.n == 1026 and len(mms._row_blocks(c.n)) > 1
+        save_mms_json(c, tmp_path / "cone.json")
+        assert "dist" not in vars(c)
+        save_mms_json(FiniteMMS(c.labels, _dense_fill(fib, 1.0, 1.0, g), c.weight),
+                      tmp_path / "dense.json")
+        assert (tmp_path / "cone.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
 
 class TestDiameterMidpoints:
     def test_single_point(self):
@@ -932,6 +956,32 @@ def test_warped_product_is_symmetric_and_round_trips_bit_for_bit(fiber, tmp_path
     back = load_mms_json(p)
     assert np.array_equal(back.dist.view(np.int64), w.dist.view(np.int64))
     assert np.array_equal(back.weight.view(np.int64), w.weight.view(np.int64))
+
+
+@pytest.mark.parametrize("fiber", [circle_mms(24, 1.0), _perturbed_circle(12)],
+                         ids=["rotating", "every-atom"])
+def test_warped_product_is_dijkstra_from_every_atom_bit_for_bit(fiber, monkeypatch):
+    # the oracle runs Dijkstra on warped_product's own graph from every atom and keeps the
+    # smaller of d[a, b] and d[b, a]; the raw matrix is not symmetric, so the order counts
+    graphs = []
+
+    def spy(graph, **kwargs):
+        graphs.append(graph)
+        return dijkstra(graph, **kwargs)
+
+    dijkstra = mms.dijkstra
+    monkeypatch.setattr(mms, "dijkstra", spy)
+    g = radial_grid(1.0, 1.0, 24)
+    w = warped_product(g, np.sin(g.nodes), fiber, 1.0)
+    d = dijkstra(graphs[0], directed=False)
+    assert not np.array_equal(d, d.T)
+    assert _same_bits(w.dist, np.minimum(d, d.T))
+    if fiber.isometry is None:
+        assert w.isometry is None
+    else:  # (i, x) -> (i, x + 1 mod nf), which maps the matrix onto itself bit for bit
+        node = np.arange(w.n).reshape(g.n, fiber.n)
+        assert np.array_equal(w.isometry, np.roll(node, -1, axis=1).ravel())
+        assert _same_bits(w.dist[w.isometry][:, w.isometry], w.dist)
 
 
 class TestSuspension:
@@ -1210,10 +1260,8 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             load_mms_json(p)
 
-    @pytest.mark.parametrize("name", sorted(_SAVE_CASES))
-    def test_json_text_is_json_dumps(self, tmp_path, name):
-        m = _SAVE_CASES[name]()
-        p = tmp_path / "m.json"
+    @staticmethod
+    def _assert_json_dumps(m, p):
         save_mms_json(m, p)
         payload = {"labels": list(m.labels), "dist": m.dist.tolist(), "weight": m.weight.tolist()}
         assert p.read_text() == json.dumps(payload)
@@ -1221,6 +1269,19 @@ class TestSerialization:
         assert back.labels == m.labels
         for a, b in ((back.dist, m.dist), (back.weight, m.weight)):
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("name", sorted(_SAVE_CASES))
+    def test_json_text_is_json_dumps(self, tmp_path, name):
+        self._assert_json_dumps(_SAVE_CASES[name](), tmp_path / "m.json")
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_SAVE_CASES))
+    def test_json_text_is_json_dumps_across_block_seams(self, tmp_path, monkeypatch, name, rows):
+        # blocks of 1-3 rows put a seam between most rows, and after a lone last row
+        m = _SAVE_CASES[name]()
+        monkeypatch.setattr(mms, "_SUSPENSION_BLOCK", rows * max(m.n, 1))
+        assert all(a.stop - a.start == rows for a in mms._row_blocks(m.n))
+        self._assert_json_dumps(m, tmp_path / "m.json")
 
     @pytest.mark.parametrize("name", ["cone K=1", "cone K=-1", "warped product"])
     def test_an_isometry_leaves_the_file_unchanged(self, tmp_path, name):
