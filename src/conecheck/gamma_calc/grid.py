@@ -2,8 +2,8 @@
 
 This is the smooth flavor: functions are samples of smooth functions on a
 1-D base window times a 1-D fiber (a flat circle or a sin-weighted interval
-window), derivatives come from 4th-order first / 2nd-order second
-difference stencils, and chain and Leibniz rules hold up to O(h^2).
+window), each derivative is taken once, by a 4th-order first or 2nd-order second
+difference stencil, and chain and Leibniz rules hold up to O(h^2).
 Evaluations near non-periodic edges are garbage by construction and every
 check masks them off with ``INTERIOR_MARGIN`` cells.
 
@@ -161,62 +161,62 @@ def _d2(vals: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _fiber_generator(vals: np.ndarray, fiber: FiberSpec) -> np.ndarray:
-    out = _d2(vals, fiber.h, axis=1, periodic=fiber.periodic)
-    if fiber.weight_exponent != 0.0:
-        cot = cos_k(1.0, fiber.x) / sin_k(1.0, fiber.x)
-        out = out + fiber.weight_exponent * cot[None, :] * _d1(
-            vals, fiber.h, axis=1, periodic=fiber.periodic
-        )
-    return out
-
-
-def _fiber_gamma2(u2: np.ndarray, fiber: FiberSpec) -> np.ndarray:
-    """Closed-form fiber Gamma2 of a 1-D sample: (u'')^2 for the flat circle,
-    plus the nu_f (1 + cot^2)(u')^2 weight terms on the sin-weighted window."""
-    d1 = _d1(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
-    d2 = _d2(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
-    out = d2 * d2
+def _fiber_terms(d1: np.ndarray, d2: np.ndarray, fiber: FiberSpec):
+    """(L_fib u, Gamma2_fib u) from u' and u'': u'' and (u'')^2 on the flat circle, plus the
+    nu_f cot u' drift and the nu_f (1 + cot^2)(u')^2 weight terms on the sin-weighted window."""
     nu_f = fiber.weight_exponent
-    if nu_f != 0.0:
-        cot = cos_k(1.0, fiber.x) / sin_k(1.0, fiber.x)
-        out = out + nu_f * d1 * d1 + nu_f * cot * cot * d1 * d1
-    return out
+    if nu_f == 0.0:
+        return d2, d2 * d2
+    cot = cos_k(1.0, fiber.x) / sin_k(1.0, fiber.x)
+    return d2 + nu_f * cot * d1, d2 * d2 + nu_f * d1 * d1 + nu_f * cot * cot * d1 * d1
+
+
+def _grad(u: np.ndarray, spec: ConeGridSpec):
+    """(u_r, u_x) of 2-D samples."""
+    return (_d1(u, spec.h, axis=0, periodic=False),
+            _d1(u, spec.fiber.h, axis=1, periodic=spec.fiber.periodic))
+
+
+def _gamma(du, dv, f: np.ndarray) -> np.ndarray:
+    """Carre du champ u_r v_r + (1/f^2) u_x v_x from the gradients of u and v."""
+    return du[0] * dv[0] + (du[1] * dv[1]) / (f * f)[:, None]
+
+
+def _generator(u: np.ndarray, du, spec: ConeGridSpec, f: np.ndarray, df: np.ndarray):
+    """L u from u's two second differences and its gradient du."""
+    fib = spec.fiber
+    lfib, _ = _fiber_terms(du[1], _d2(u, fib.h, axis=1, periodic=fib.periodic), fib)
+    urr = _d2(u, spec.h, axis=0, periodic=False)
+    return urr + spec.nu * (df / f)[:, None] * du[0] + lfib / (f * f)[:, None]
+
+
+def _gamma2_fields(u: np.ndarray, spec: ConeGridSpec, f=None, df=None):
+    """(L u, Gamma(u), Gamma2(u)) of 2-D samples; f and df default to the warp and its slope."""
+    if f is None:
+        f, df = spec.warp(), cos_k(spec.K, spec.r)
+    du = _grad(u, spec)
+    lu, g = _generator(u, du, spec, f, df), _gamma(du, du, f)
+    return lu, g, 0.5 * _generator(g, _grad(g, spec), spec, f, df) - _gamma(du, _grad(lu, spec), f)
 
 
 def generator_2d(vals: np.ndarray, spec: ConeGridSpec,
                  f: np.ndarray | None = None, df: np.ndarray | None = None) -> np.ndarray:
     """Product generator u_rr + nu (f'/f) u_r + (1/f^2) L_fib u on the 2-D samples."""
-    h = spec.h
     if f is None:
-        f = spec.warp()
-        df = cos_k(spec.K, spec.r)
-    drift = spec.nu * (df / f)[:, None]
-    urr = _d2(vals, h, axis=0, periodic=False)
-    ur = _d1(vals, h, axis=0, periodic=False)
-    return urr + drift * ur + _fiber_generator(vals, spec.fiber) / (f * f)[:, None]
+        f, df = spec.warp(), cos_k(spec.K, spec.r)
+    return _generator(vals, _grad(vals, spec), spec, f, df)
 
 
 def gamma_2d(u: np.ndarray, v: np.ndarray, spec: ConeGridSpec,
              f: np.ndarray | None = None) -> np.ndarray:
     """Carre du champ u_r v_r + (1/f^2) u_x v_x of 2-D samples."""
-    if f is None:
-        f = spec.warp()
-    h = spec.h
-    per = spec.fiber.periodic
-    ur = _d1(u, h, axis=0, periodic=False)
-    vr = _d1(v, h, axis=0, periodic=False)
-    ux = _d1(u, spec.fiber.h, axis=1, periodic=per)
-    vx = _d1(v, spec.fiber.h, axis=1, periodic=per)
-    return ur * vr + (ux * vx) / (f * f)[:, None]
+    return _gamma(_grad(u, spec), _grad(v, spec), spec.warp() if f is None else f)
 
 
 def gamma2_2d(u: np.ndarray, spec: ConeGridSpec,
               f: np.ndarray | None = None, df: np.ndarray | None = None) -> np.ndarray:
     """Gamma2 from first principles: compose the generator with the carre du champ."""
-    lu = generator_2d(u, spec, f, df)
-    g = gamma_2d(u, u, spec, f)
-    return 0.5 * generator_2d(g, spec, f, df) - gamma_2d(u, lu, spec, f)
+    return _gamma2_fields(u, spec, f, df)[2]
 
 
 def _mask_interior(vals: np.ndarray, spec: ConeGridSpec, margin: int) -> np.ndarray:
@@ -245,9 +245,7 @@ class IdentityReport:
 
 def _identity_fields(spec: ConeGridSpec, f: np.ndarray, u1: np.ndarray, u2: np.ndarray):
     """|Gamma2 from first principles - tensor formula| and the formula, unmasked."""
-    h, hf = spec.h, spec.fiber.h
-    nu = spec.nu
-    per = spec.fiber.periodic
+    h, hf, per, nu = spec.h, spec.fiber.h, spec.fiber.periodic, spec.nu
     df = _d1(f[None, :].T, h, axis=0, periodic=False)[:, 0]
     d2f = _d2(f[None, :].T, h, axis=0, periodic=False)[:, 0]
 
@@ -257,8 +255,7 @@ def _identity_fields(spec: ConeGridSpec, f: np.ndarray, u1: np.ndarray, u2: np.n
     u1p = _d1(u1[:, None], h, axis=0, periodic=False)[:, 0]
     u1pp = _d2(u1[:, None], h, axis=0, periodic=False)[:, 0]
     u2p = _d1(u2[None, :], hf, axis=1, periodic=per)[0]
-    lf_u2 = _fiber_generator(u2[None, :], spec.fiber)[0]
-    g2f_u2 = _fiber_gamma2(u2, spec.fiber)
+    lf_u2, g2f_u2 = _fiber_terms(u2p, _d2(u2[None, :], hf, axis=1, periodic=per)[0], spec.fiber)
     gf_u2 = u2p * u2p
 
     g2b_u1 = u1pp**2 - nu * (d2f / f) * u1p**2 + nu * (df / f) ** 2 * u1p**2
@@ -310,9 +307,7 @@ def _estimate_slack(spec: ConeGridSpec, terms) -> np.ndarray:
     U = np.zeros((spec.r.size, spec.fiber.n))
     for u1, u2 in terms:
         U += np.outer(u1, u2)
-    g2 = gamma2_2d(U, spec)
-    g = gamma_2d(U, U, spec)
-    lc = generator_2d(U, spec)
+    lc, g, g2 = _gamma2_fields(U, spec)
     return g2 - spec.nu * spec.K * g - lc * lc / (spec.nu + 1.0)
 
 
@@ -369,8 +364,8 @@ def converse_deduction_check(nu: float, fiber: FiberSpec, u2: np.ndarray,
     """
     u2 = np.asarray(u2, dtype=float)
     d1 = _d1(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
-    lu = _fiber_generator(u2[None, :], fiber)[0]
-    resid = _fiber_gamma2(u2, fiber) - (nu - 1.0) * d1 * d1 - lu * lu / nu
+    lu, g2 = _fiber_terms(d1, _d2(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0], fiber)
+    resid = g2 - (nu - 1.0) * d1 * d1 - lu * lu / nu
     if not fiber.periodic:
         resid = resid[INTERIOR_MARGIN:-INTERIOR_MARGIN]
     return ConverseReport(float(resid.min()), passes(resid, tol))

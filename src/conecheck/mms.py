@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
     Every value type holds its arrays so but two, frozen in place: a dense ``FiniteMMS.dist``
     (a copy would add a matrix to the peak of a loaded file or a warped product, which
-    traces at 1.55 matrices at 40 x 40) and
+    traces at 1.04 matrices at 40 x 40) and
     ``spectral1d.Spectrum``'s LAPACK output.  A cone passes its table, not a matrix.
     """
     a = np.array(a, dtype=float, order="C")
@@ -110,11 +110,13 @@ class FiniteMMS:
     none.  Only its being an integer permutation of the atoms is checked
     here; ``validate`` checks it against the distances before it uses it.
 
-    ``weight`` and ``isometry`` are copied.
+    ``weight`` and ``isometry`` are copied.  ``repr`` leaves ``dist`` out, so it does not
+    fill a table-backed space's matrix; ``dataclasses.replace`` reads ``dist``, so on a
+    cone it fills the matrix, and the space it returns is dense, holding that matrix.
     """
 
     labels: tuple
-    dist: np.ndarray
+    dist: np.ndarray = field(repr=False)
     weight: np.ndarray
     isometry: np.ndarray | None = None
 
@@ -524,6 +526,7 @@ def warped_product(
 
     g = coo_matrix((vals, (rows, cols)), shape=(nv, nv))
     dist = dijkstra(g.tocsr(), directed=False, indices=node[:, 0] if rotates else node.ravel())
+    del g, rows, cols, vals, k0, v0, k1, v1, i, dj, x, k  # off the peak of the n x n gather
     if np.any(np.isinf(dist)):
         raise ValueError("warped product graph is disconnected")
     if rotates:  # the transpose of D[i, j, y - x] reads D[j, i, x - y]: take min on D first

@@ -16,7 +16,9 @@ from conecheck.gamma_calc import (
     warped_gamma2_identity_check,
     weighted_interval_fiber,
 )
-from conecheck.gamma_calc.grid import _mask_interior, gamma2_2d
+from conecheck.gamma_calc import grid
+from conecheck.gamma_calc.grid import _d1, _d2, _mask_interior, gamma2_2d
+from conecheck.model_fns import cos_k, sin_k
 
 GAMMA_CALC = Path(__file__).resolve().parent.parent / "src" / "conecheck" / "gamma_calc"
 
@@ -323,13 +325,13 @@ def test_fine_field_built_once_per_member(monkeypatch):
     from conecheck.gamma_calc import grid
 
     calls = []
-    evaluate = grid.gamma2_2d
+    evaluate = grid._gamma2_fields
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(grid, "gamma2_2d", counting)
+    monkeypatch.setattr(grid, "_gamma2_fields", counting)
     spec = cone_grid(1.0, 2.0, 81, circle_fiber(32))
     rng = np.random.default_rng(3)
     members = [[(trig(rng, spec.r), trig(rng, spec.fiber.x))] for _ in range(3)]
@@ -340,6 +342,115 @@ def test_fine_field_built_once_per_member(monkeypatch):
     rep = sharp_gamma2_estimate_check(spec, members, tol=1.0)
     assert sorted(calls) == [(41, 16)] * 3 + [(81, 32)] * 3
     assert rep.min_slack_fine_matched >= rep.min_slack
+
+
+def test_one_evaluation_takes_six_first_and_four_second_differences(monkeypatch):
+    # u_r, u_x, and the gradients of Gamma(u) and L u; u_rr, u_xx, Gamma(u)_rr, Gamma(u)_xx
+    counts = {"_d1": 0, "_d2": 0}
+    for name in counts:
+        def counting(*args, _name=name, _stencil=getattr(grid, name), **kwargs):
+            counts[_name] += 1
+            return _stencil(*args, **kwargs)
+        monkeypatch.setattr(grid, name, counting)
+    spec = cone_grid(1.0, 2.0, 41, weighted_interval_fiber(33, 1.0))
+    rng = np.random.default_rng(4)
+    pair = (trig(rng, spec.r), trig(rng, spec.fiber.x))
+    for evaluate in (lambda: gamma2_2d(np.outer(*pair), spec),
+                     lambda: grid._estimate_slack(spec, [pair])):
+        counts.update(_d1=0, _d2=0)
+        evaluate()
+        assert counts == {"_d1": 6, "_d2": 4}
+
+
+# The calculus as it was composed before one gradient fed L, Gamma and Gamma2: each
+# face differenced its arguments afresh, and the fiber terms were written out twice.
+def _old_fiber_generator(vals, fiber):
+    out = _d2(vals, fiber.h, axis=1, periodic=fiber.periodic)
+    if fiber.weight_exponent != 0.0:
+        cot = cos_k(1.0, fiber.x) / sin_k(1.0, fiber.x)
+        out = out + fiber.weight_exponent * cot[None, :] * _d1(
+            vals, fiber.h, axis=1, periodic=fiber.periodic
+        )
+    return out
+
+
+def _old_fiber_gamma2(u2, fiber):
+    d1 = _d1(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
+    d2 = _d2(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
+    out = d2 * d2
+    nu_f = fiber.weight_exponent
+    if nu_f != 0.0:
+        cot = cos_k(1.0, fiber.x) / sin_k(1.0, fiber.x)
+        out = out + nu_f * d1 * d1 + nu_f * cot * cot * d1 * d1
+    return out
+
+
+def _old_generator(vals, spec, f=None, df=None):
+    if f is None:
+        f = spec.warp()
+        df = cos_k(spec.K, spec.r)
+    drift = spec.nu * (df / f)[:, None]
+    urr = _d2(vals, spec.h, axis=0, periodic=False)
+    ur = _d1(vals, spec.h, axis=0, periodic=False)
+    return urr + drift * ur + _old_fiber_generator(vals, spec.fiber) / (f * f)[:, None]
+
+
+def _old_gamma(u, v, spec, f=None):
+    if f is None:
+        f = spec.warp()
+    per = spec.fiber.periodic
+    ur = _d1(u, spec.h, axis=0, periodic=False)
+    vr = _d1(v, spec.h, axis=0, periodic=False)
+    ux = _d1(u, spec.fiber.h, axis=1, periodic=per)
+    vx = _d1(v, spec.fiber.h, axis=1, periodic=per)
+    return ur * vr + (ux * vx) / (f * f)[:, None]
+
+
+def _old_gamma2(u, spec, f=None, df=None):
+    lu = _old_generator(u, spec, f, df)
+    g = _old_gamma(u, u, spec, f)
+    return 0.5 * _old_generator(g, spec, f, df) - _old_gamma(u, lu, spec, f)
+
+
+def _old_converse_min(nu, fiber, u2):
+    d1 = _d1(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
+    lu = _old_fiber_generator(u2[None, :], fiber)[0]
+    resid = _old_fiber_gamma2(u2, fiber) - (nu - 1.0) * d1 * d1 - lu * lu / nu
+    if not fiber.periodic:
+        resid = resid[INTERIOR_MARGIN:-INTERIOR_MARGIN]
+    return float(resid.min())
+
+
+# exponents that are not powers of two, so a reordered product changes the bits
+@pytest.mark.parametrize("fiber", [circle_fiber(32), weighted_interval_fiber(33, 1.5)],
+                         ids=["circle", "interval"])
+@pytest.mark.parametrize("slope", ["analytic", "differenced"])
+def test_calculus_is_the_old_composition_bit_for_bit(fiber, slope):
+    spec = cone_grid(1.0, 2.5, 41, fiber)
+    f = spec.warp()
+    # the slope the faces default to, or the differenced one _identity_fields passes
+    df = (cos_k(spec.K, spec.r) if slope == "analytic"
+          else _d1(f[None, :].T, spec.h, axis=0, periodic=False)[:, 0])
+    rng = np.random.default_rng(11)
+    terms = [(trig(rng, spec.r), trig(rng, fiber.x)) for _ in range(2)]
+    U = np.outer(*terms[0]) + np.outer(*terms[1])
+    V = rng.standard_normal(U.shape)
+    for args in ((f, df), ()):
+        assert np.array_equal(gamma2_2d(U, spec, *args), _old_gamma2(U, spec, *args))
+        assert np.array_equal(generator_2d(V, spec, *args), _old_generator(V, spec, *args))
+        assert np.array_equal(gamma_2d(U, V, spec, *args[:1]), _old_gamma(U, V, spec, *args[:1]))
+    lc = _old_generator(U, spec)
+    slack = (_old_gamma2(U, spec) - spec.nu * spec.K * _old_gamma(U, U, spec)
+             - lc * lc / (spec.nu + 1.0))
+    assert np.array_equal(grid._estimate_slack(spec, terms), slack)
+    u2 = terms[0][1]
+    d1, d2 = (stencil(u2[None, :], fiber.h, axis=1, periodic=fiber.periodic)[0]
+              for stencil in (_d1, _d2))
+    lf, g2f = grid._fiber_terms(d1, d2, fiber)
+    assert np.array_equal(lf, _old_fiber_generator(u2[None, :], fiber)[0])
+    assert np.array_equal(g2f, _old_fiber_gamma2(u2, fiber))
+    assert converse_deduction_check(2.0, fiber, u2, 1.0).min_residual == _old_converse_min(
+        2.0, fiber, u2)
 
 
 @pytest.mark.parametrize("fiber", [circle_fiber(16), weighted_interval_fiber(16, 1.0)],

@@ -733,6 +733,17 @@ class TestConeTable:
         assert "dist" not in vars(c)
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_repr_of_a_4098_atom_cone_stays_off_its_matrix(self):
+        c = cone(circle_mms(64, 1.0), 1.0, 1.0, radial_grid(1.0, 1.0, 64))
+        tracemalloc.start()
+        try:
+            text = repr(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dist" not in vars(c) and "dist=" not in text
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_a_file_of_several_blocks_is_the_dense_fill_file(self, tmp_path):
         # 32 x 32 over a 32-atom circle: 1026 rows, more than one block at the real block size
         fib, g = circle_mms(32, 1.0), radial_grid(1.0, 1.0, 32)
@@ -956,6 +967,20 @@ def test_warped_product_is_symmetric_and_round_trips_bit_for_bit(fiber, tmp_path
     back = load_mms_json(p)
     assert np.array_equal(back.dist.view(np.int64), w.dist.view(np.int64))
     assert np.array_equal(back.weight.view(np.int64), w.weight.view(np.int64))
+
+
+def test_rotating_warped_product_peaks_at_about_one_matrix():
+    # the graph arrays are freed before the n x n gather; a first call imports scipy untraced
+    g = radial_grid(1.0, 1.0, 40)
+    warped_product(radial_grid(1.0, 1.0, 5), np.ones(5), circle_mms(4, 1.0), 1.0)
+    tracemalloc.start()
+    try:
+        w = warped_product(g, np.sin(g.nodes), circle_mms(40, 1.0), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.isometry is not None and w.n == 1600
+    assert peak <= 1.2 * w.dist.nbytes, f"peak {peak / w.dist.nbytes:.2f} matrices"
 
 
 @pytest.mark.parametrize("fiber", [circle_mms(24, 1.0), _perturbed_circle(12)],
